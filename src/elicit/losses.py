@@ -39,6 +39,8 @@ class EmpiricalMoments:
         v = np.asarray(self.v_hat, dtype=float)
         if m.ndim != 1 or m.shape != v.shape:
             raise DomainError("m_hat and v_hat must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+            raise DomainError(f"sample moments must be finite: m_hat = {m}, v_hat = {v}")
         if np.any(v < 0):
             raise DomainError("v_hat entries must be nonnegative")
         object.__setattr__(self, "m_hat", m)
@@ -55,10 +57,13 @@ def empirical_moments(samples, M: int, provenance: dict | None = None) -> Empiri
         raise EmptySample("cannot take moments of an empty sample")
     if M < 2:
         raise DomainError("moment order M must be at least 2")
-    powers = np.stack([samples**i for i in range(1, M + 1)])
+    # Overflow surfaces as non-finite moments, which EmpiricalMoments rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.stack([samples**i for i in range(1, M + 1)])
+        m_hat, v_hat = powers.mean(axis=1), powers.var(axis=1)
     return EmpiricalMoments(
-        m_hat=powers.mean(axis=1),
-        v_hat=powers.var(axis=1),
+        m_hat=m_hat,
+        v_hat=v_hat,
         n=int(samples.size),
         provenance=provenance or {},
     )
@@ -192,37 +197,26 @@ class WeightVector:
         return WeightVector(c=c, k=self.k)
 
 
-def total_loss(weights: WeightVector, r, em: EmpiricalMoments, kinds=None) -> float:
-    """Sum of effective-weighted sub-losses; zero-weight terms contribute exactly 0."""
+def total_loss(weights: WeightVector, r, em: EmpiricalMoments, kinds=None):
+    """Sum of effective-weighted sub-losses; zero-weight terms contribute exactly 0.
+
+    ``r`` holds moments on its last axis; leading axes broadcast, so an
+    (n, M) moment matrix gives n losses.  A single moment vector gives a float.
+    """
     if weights.infinite_index is not None:
         raise InfiniteWeightInSum(
             "total_loss is undefined with an infinite weight; "
             "the optimizer treats it as an equality constraint"
         )
     r = np.asarray(r, dtype=float)
-    kinds = default_kinds(len(r)) if kinds is None else kinds
+    kinds = default_kinds(r.shape[-1]) if kinds is None else kinds
     eff = weights.effective
-    out = 0.0
-    for i in range(len(r)):
+    out = np.zeros(r.shape[:-1])
+    for i in range(r.shape[-1]):
         if eff[i] == 0.0:
             continue
-        out += eff[i] * kinds[i].value(r[i], em.m_hat[i], em.v_hat[i])
-    return float(out)
-
-
-def total_loss_grid(weights: WeightVector, r_matrix, em: EmpiricalMoments, kinds=None) -> np.ndarray:
-    """Vectorized total loss over an (n, M) moment matrix (finite weights only)."""
-    if weights.infinite_index is not None:
-        raise InfiniteWeightInSum("grid evaluation needs finite weights")
-    r_matrix = np.asarray(r_matrix, dtype=float)
-    kinds = default_kinds(r_matrix.shape[1]) if kinds is None else kinds
-    eff = weights.effective
-    out = np.zeros(r_matrix.shape[0])
-    for i in range(r_matrix.shape[1]):
-        if eff[i] == 0.0:
-            continue
-        out += eff[i] * kinds[i].value(r_matrix[:, i], em.m_hat[i], em.v_hat[i])
-    return out
+        out += eff[i] * kinds[i].value(r[..., i], em.m_hat[i], em.v_hat[i])
+    return float(out) if out.ndim == 0 else out
 
 
 def renormalize_base(em: EmpiricalMoments) -> np.ndarray:

@@ -41,7 +41,13 @@ from scipy.special import expit, logit
 
 from .distmodels import ParametricModel, clamp_to_image
 from .errors import DomainError, EmptyGrid, OutOfImage
-from .losses import EmpiricalMoments, WeightVector, default_kinds, sub_loss_vector
+from .losses import (
+    EmpiricalMoments,
+    WeightVector,
+    default_kinds,
+    sub_loss_vector,
+    total_loss,
+)
 
 CONSTRAINT_RTOL = 1e-9
 
@@ -274,7 +280,6 @@ def moment_match_init(model: ParametricModel, em: EmpiricalMoments) -> np.ndarra
                 return model.domain_center()
             v2 = math.log(m[1]) - 2.0 * math.log(m[0])
             v2 = max(v2, 1e-6)
-            u = 2.0 * math.log(m[0]) - 0.5 * math.log(m[1])
             # Keep u consistent with the clamped v2.
             u = math.log(m[0]) - 0.5 * v2
             return np.array([u, v2])
@@ -359,7 +364,7 @@ def _loss_constant(eff, em: EmpiricalMoments, active) -> float:
 
 
 def _finite_objective(model, weights, em, kinds):
-    """Excess-loss objectives (theta space and z space) for the active finite-weight terms.
+    """Excess-loss objective in theta, and its gradient in z space, for the active terms.
 
     The objective is ``_excess``: the constant sum_{active} eff_i * v_hat_i is
     left out, so the stopping tests see the residuals r_i - m_hat_i down to
@@ -379,9 +384,6 @@ def _finite_objective(model, weights, em, kinds):
             out = _excess(eff, kinds, r, m, active)
         return out if np.isfinite(out) else math.inf
 
-    def f(z):
-        return f_theta(_from_z(z, domain))
-
     def grad(z):
         theta = _from_z(z, domain)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -393,7 +395,7 @@ def _finite_objective(model, weights, em, kinds):
             g = (dl_dr @ jac) * _dtheta_dz(z, domain)
         return g
 
-    return f, f_theta, grad, active
+    return f_theta, grad, active
 
 
 def _run_solver(f, grad, z0, config):
@@ -402,25 +404,67 @@ def _run_solver(f, grad, z0, config):
     return _nelder_mead(f, z0, config.max_iters, config.tol_loss, config.tol_step)
 
 
-def _best_of_starts(model, f, f_theta, grad, starts, config):
-    """Run the solver from every start; pick (loss, lexicographic theta).
+def _starts(x0, domain, config, extra):
+    """x0, its multistart perturbations in z space, then any extra starts."""
+    z0 = _to_z(x0, domain)
+    offsets = _multistart_offsets(config, len(domain))
+    return [x0, *(_from_z(z0 + off, domain) for off in offsets), *extra]
 
-    Each raw start is itself a candidate, evaluated without the z round
-    trip, so a start sitting exactly on the minimizer is returned bit-exact.
+
+def _best_of_starts(f_theta, theta_of, domain, starts, config, grad=None):
+    """Run the solver from every start in x space; pick (loss, lexicographic theta).
+
+    x lives in ``domain`` and is searched in its z reparameterization.
+    ``theta_of(x)`` decodes x into the full theta, or None when x is
+    infeasible.  ``grad`` is the z-space gradient; without one, a central
+    difference is used (x must then be 1-D).  Each raw start is itself a
+    candidate, evaluated without the z round trip, so a start sitting
+    exactly on the minimizer is returned bit-exact.
+
+    Returns ((theta, loss, converged, start), total iterations), with None
+    in place of the tuple when no candidate is feasible.
     """
+
+    def f_x(x):
+        theta = theta_of(x)
+        return math.inf if theta is None else f_theta(theta)
+
+    def f(z):
+        return f_x(_from_z(z, domain))
+
+    if grad is None:
+        def grad(z):  # the decoded path is 1-D and cheap
+            h = 1e-6 * (1.0 + abs(float(z[0])))
+            return np.array([(f(z + h) - f(z - h)) / (2.0 * h)])
+
     best = None
     total_iters = 0
     for start in starts:
-        z0 = _to_z(start, model.domain)
-        z, fz, iters, conv = _run_solver(f, grad, z0, config)
+        z, fz, iters, conv = _run_solver(f, grad, _to_z(start, domain), config)
         total_iters += iters
-        theta = _from_z(z, model.domain)
-        for cand_theta, cand_f in ((theta, fz), (np.asarray(start), f_theta(start))):
-            key = (cand_f, tuple(cand_theta))
+        for x, fx in ((_from_z(z, domain), fz), (start, f_x(start))):
+            theta = theta_of(x)
+            if theta is None:
+                continue
+            key = (fx, tuple(theta))
             if best is None or key < best[0]:
-                best = (key, cand_theta, cand_f, conv, start)
-    _, theta, fz, conv, start_used = best
-    return theta, fz, total_iters, conv, start_used
+                best = (key, (theta, fx, conv, start))
+    return (None if best is None else best[1]), total_iters
+
+
+def _solution(theta, r_star, loss, kinds, em, converged=True, n_iters=0, start_used=None,
+              clamped=False) -> Solution:
+    theta = np.asarray(theta)
+    return Solution(
+        theta_star=theta,
+        r_star=r_star,
+        loss=float(loss),
+        sub_losses=sub_loss_vector(kinds, r_star, em),
+        converged=converged,
+        n_iters=n_iters,
+        start_used=theta if start_used is None else np.asarray(start_used),
+        clamped=clamped,
+    )
 
 
 def _solve_constrained_1p(model, i, target):
@@ -472,81 +516,49 @@ def minimize(
     if inf_idx is not None:
         return _minimize_constrained(model, inf_idx, weights, em, kinds, config, extra_starts)
 
-    f, f_theta, grad, active = _finite_objective(model, weights, em, kinds)
+    f_theta, grad, active = _finite_objective(model, weights, em, kinds)
     if not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
-    constant = _loss_constant(weights.effective, em, active)
 
     if model.theta_dim == 1 and len(active) == 1:
         # Exact fit: the minimizer solves r_i(theta) = m_hat_i.  A target
         # outside the model's image has no exact fit; the multistart solve
         # below then finds the boundary-side optimum.
-        i = active[0]
-        theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
-        if not clamped:
-            theta = np.array([theta_c])
-            r_star = model.moments(theta)
-            return Solution(
-                theta_star=theta,
-                r_star=r_star,
-                loss=float(f_theta(theta) + constant),
-                sub_losses=sub_loss_vector(kinds, r_star, em),
-                converged=True,
-                n_iters=0,
-                start_used=theta,
-            )
+        sol = _minimize_constrained(model, active[0], weights, em, kinds, config)
+        if not sol.clamped:
+            return sol
 
     init = _resolve_init(model, weights, em, kinds, config)
-    starts = [init]
-    for off in _multistart_offsets(config, model.theta_dim):
-        starts.append(_from_z(_to_z(init, model.domain) + off, model.domain))
-    for s in extra_starts:
-        starts.append(interior_start(model, s))
-
-    theta, fz, iters, conv, start_used = _best_of_starts(model, f, f_theta, grad, starts, config)
-    r_star = model.moments(theta)
-    return Solution(
-        theta_star=np.asarray(theta),
-        r_star=r_star,
-        loss=float(fz + constant),
-        sub_losses=sub_loss_vector(kinds, r_star, em),
-        converged=conv,
-        n_iters=iters,
-        start_used=np.asarray(start_used),
+    extra = [interior_start(model, s) for s in extra_starts]
+    starts = _starts(init, model.domain, config, extra)
+    (theta, fz, conv, start_used), iters = _best_of_starts(
+        f_theta, lambda x: x, model.domain, starts, config, grad
     )
+    loss = fz + _loss_constant(weights.effective, em, active)
+    return _solution(theta, model.moments(theta), loss, kinds, em, conv, iters, start_used)
 
 
-def _minimize_constrained(model, inf_idx, weights, em, kinds, config, extra_starts):
-    target = float(em.m_hat[inf_idx])
+def _minimize_constrained(model, i, weights, em, kinds, config, extra_starts=()):
+    """Minimize the excess loss of the finite-weight terms subject to r_i(theta) = m_hat_i."""
+    target = float(em.m_hat[i])
+    f_theta, _, active = _finite_objective(model, weights, em, kinds)
+    constant = _loss_constant(weights.effective, em, active)
 
     if model.theta_dim == 1:
-        theta_c, clamped = _solve_constrained_1p(model, inf_idx, target)
+        theta_c, clamped = _solve_constrained_1p(model, i, target)
         theta = np.array([theta_c])
         r_star = model.moments(theta)
-        eff = weights.effective
-        active = _active_terms(eff)
-        loss = _excess(eff, kinds, r_star, em.m_hat, active) + _loss_constant(eff, em, active)
-        return Solution(
-            theta_star=theta,
-            r_star=r_star,
-            loss=float(loss),
-            sub_losses=sub_loss_vector(kinds, r_star, em),
-            converged=True,
-            n_iters=0,
-            start_used=theta,
-            clamped=clamped,
-        )
+        loss = _excess(weights.effective, kinds, r_star, em.m_hat, active) + constant
+        return _solution(theta, r_star, loss, kinds, em, clamped=clamped)
 
     # Two-parameter models: eliminate one coordinate through the constraint
     # and minimize the remaining excess loss over the free coordinate.
-    free_idx, build = model.eliminate_for_moment(inf_idx, target)
-    eff = weights.effective
-    active = _active_terms(eff)
+    free_idx, build = model.eliminate_for_moment(i, target)
     free_domain = (model.domain[free_idx],)
 
     def theta_of(x):
         try:
-            theta = build(float(x))
+            theta = build(float(x[0]))
         except (OutOfImage, ValueError, OverflowError):
             return None
         for j, (lo, hi) in enumerate(model.domain):
@@ -556,68 +568,24 @@ def _minimize_constrained(model, inf_idx, weights, em, kinds, config, extra_star
                 return None
         return theta
 
-    def f_x(x):
-        theta = theta_of(x)
-        if theta is None:
-            return math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                r = model.moments(theta)
-            except DomainError:
-                return math.inf
-            out = _excess(eff, kinds, r, em.m_hat, active)
-        return out if np.isfinite(out) else math.inf
-
-    def f(z):
-        return f_x(_from_z(z, free_domain)[0])
-
-    def grad(z):  # finite difference; the constrained path is 1-D and cheap
-        h = 1e-6 * (1.0 + abs(float(z[0])))
-        return np.array([(f(z + h) - f(z - h)) / (2.0 * h)])
-
     init_full = _resolve_init(model, weights, em, kinds, replace(config, init="moment_match")
                               if config.init == "meshgrid_min" else config)
-    starts = [np.array([init_full[free_idx]])]
-    for off in _multistart_offsets(config, 1):
-        starts.append(_from_z(_to_z(starts[0], free_domain) + off, free_domain))
+    extra = []
     for s in extra_starts:
         s = np.asarray(s, dtype=float)
         if s.size == model.theta_dim:
-            starts.append(np.array([s[free_idx]]))
-
-    best = None
-    total_iters = 0
-    for start in starts:
-        z0 = _to_z(start, free_domain)
-        z, fz, iters, conv = _run_solver(f, grad, z0, config)
-        total_iters += iters
-        x0 = float(start[0])
-        candidates = [(_from_z(z, free_domain)[0], fz), (x0, f_x(x0))]
-        for x, fx in candidates:
-            theta = theta_of(x)
-            if theta is None:
-                continue
-            key = (fx, tuple(theta))
-            if best is None or key < best[0]:
-                best = (key, theta, fx, conv, start)
-    if best is None:
+            extra.append(np.array([s[free_idx]]))
+    starts = _starts(np.array([init_full[free_idx]]), free_domain, config, extra)
+    found, iters = _best_of_starts(f_theta, theta_of, free_domain, starts, config)
+    if found is None:
         raise OutOfImage(
-            f"{model.name}: constraint r_{inf_idx + 1} = {target} admits no interior solution"
+            f"{model.name}: constraint r_{i + 1} = {target} admits no interior solution"
         )
-    _, theta, fz, conv, start_used = best
+    theta, fz, conv, start_used = found
     r_star = model.moments(theta)
-    resid = abs(r_star[inf_idx] - target)
-    if resid > CONSTRAINT_RTOL * (1.0 + abs(target)):
+    if abs(r_star[i] - target) > CONSTRAINT_RTOL * (1.0 + abs(target)):
         conv = False
-    return Solution(
-        theta_star=np.asarray(theta),
-        r_star=r_star,
-        loss=float(fz + _loss_constant(eff, em, active)),
-        sub_losses=sub_loss_vector(kinds, r_star, em),
-        converged=conv,
-        n_iters=total_iters,
-        start_used=np.array([float(start_used[0])]),
-    )
+    return _solution(theta, r_star, fz + constant, kinds, em, conv, iters, start_used)
 
 
 # ---------------------------------------------------------------------------
@@ -673,24 +641,9 @@ def meshgrid_oracle(
     thetas = np.column_stack([m.ravel() for m in mesh])
     with np.errstate(over="ignore", invalid="ignore"):
         r_matrix = model.moments_grid(thetas)
-        eff = weights.effective
-        losses = np.zeros(len(thetas))
-        for i in range(em.moment_order):
-            if eff[i] == 0.0:
-                continue
-            losses += eff[i] * kinds[i].value(r_matrix[:, i], em.m_hat[i], em.v_hat[i])
+        losses = total_loss(weights, r_matrix, em, kinds)
     losses = np.where(np.isfinite(losses), losses, math.inf)
 
     keys = tuple(thetas[:, j] for j in reversed(range(thetas.shape[1]))) + (losses,)
     idx = int(np.lexsort(keys)[0])
-    theta = thetas[idx]
-    r_star = r_matrix[idx]
-    return Solution(
-        theta_star=theta,
-        r_star=r_star,
-        loss=float(losses[idx]),
-        sub_losses=sub_loss_vector(kinds, r_star, em),
-        converged=True,
-        n_iters=len(thetas),
-        start_used=theta,
-    )
+    return _solution(thetas[idx], r_matrix[idx], losses[idx], kinds, em, n_iters=len(thetas))

@@ -6,16 +6,14 @@ total loss at every grid value, and records the target-property value at
 each constrained optimum.  The curve is then classified for monotonicity
 and for which endpoint (or interior weight) best matches the plug-in truth.
 
-Grid points are solved cold first (optionally in parallel, capped by the
-ELICIT_THREADS environment variable), then refined by one sequential
-warm-started pass so the output is identical regardless of schedule.
+The grid is walked once, in order, in one thread: each point is solved
+exactly once from the optimizer's own starts, independently of its
+neighbours, so a point's result does not depend on the rest of the grid.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +116,7 @@ class SweepCurve:
         return sum(not p.converged for p in self.points) / len(self.points)
 
 
-def _solve_point(spec: SweepSpec, c_value: float, extra_starts=()) -> SweepPoint:
+def _solve_point(spec: SweepSpec, c_value: float) -> SweepPoint:
     is_endpoint = c_value == 0.0 or math.isinf(c_value)
     try:
         sol = minimize(
@@ -127,7 +125,6 @@ def _solve_point(spec: SweepSpec, c_value: float, extra_starts=()) -> SweepPoint
             spec.em,
             kinds=spec.kinds,
             config=spec.optimizer,
-            extra_starts=extra_starts,
         )
         gamma = link_value(spec.link, sol.r_star)
     except ElicitError as exc:
@@ -135,39 +132,10 @@ def _solve_point(spec: SweepSpec, c_value: float, extra_starts=()) -> SweepPoint
     return SweepPoint(c_value, sol, gamma, is_endpoint)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ELICIT_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def run_sweep(spec: SweepSpec, warm_start: bool = True, threads: int | None = None) -> SweepCurve:
+def run_sweep(spec: SweepSpec) -> SweepCurve:
     """Evaluate the sweep; classify monotonicity and the best weight."""
     values = [0.0, *spec.grid.tolist(), math.inf]
-    n_threads = _thread_count(threads)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            points = list(pool.map(lambda v: _solve_point(spec, v), values))
-    else:
-        points = [_solve_point(spec, v) for v in values]
-
-    if warm_start:
-        prev: Solution | None = None
-        for idx, point in enumerate(points):
-            if prev is not None:
-                rerun = _solve_point(spec, point.c_value, extra_starts=[prev.theta_star])
-                if rerun.converged and (
-                    not point.converged or rerun.solution.loss <= point.solution.loss
-                ):
-                    points[idx] = rerun
-                    point = rerun
-            if point.converged:
-                prev = point.solution
+    points = [_solve_point(spec, v) for v in values]
 
     gamma_hat = link_value(spec.link, spec.em.m_hat)
     curve = SweepCurve(spec=spec, points=points, gamma_hat=gamma_hat)
@@ -183,26 +151,46 @@ def run_sweep(spec: SweepSpec, warm_start: bool = True, threads: int | None = No
     return curve
 
 
+def monotone_trend(gammas: np.ndarray) -> tuple[str, np.ndarray, float, float]:
+    """Direction of a sequence, ignoring steps within tau of flat.
+
+    tau is MONOTONE_RANGE_FRACTION of the sequence's range.  Returns
+    (direction, successive differences, range, tau); direction is
+    increasing, decreasing, constant or non_monotone.
+    """
+    g_range = float(gammas.max() - gammas.min())
+    tau = MONOTONE_RANGE_FRACTION * g_range
+    diffs = np.diff(gammas)
+    rises = bool((diffs > tau).any())
+    falls = bool((diffs < -tau).any())
+    if rises and falls:
+        direction = "non_monotone"
+    elif rises:
+        direction = "increasing"
+    elif falls:
+        direction = "decreasing"
+    else:
+        direction = "constant"
+    return direction, diffs, g_range, tau
+
+
 def classify_monotonicity(curve: SweepCurve) -> MonotonicityVerdict:
     """Direction of the curve up to a tolerance scaled by its gamma range."""
     gammas = np.array([p.gamma for p in curve.converged_points()])
     if len(gammas) < 3:
         raise TooFewPoints(f"need at least 3 converged points, got {len(gammas)}")
-    g_range = float(gammas.max() - gammas.min())
+    direction, diffs, g_range, _ = monotone_trend(gammas)
     if g_range < CONSTANT_RTOL * (1.0 + abs(float(gammas.mean()))):
         return MonotonicityVerdict("constant", 0.0, g_range)
-    tau = MONOTONE_RANGE_FRACTION * g_range
-    diffs = np.diff(gammas)
-    rises = diffs > tau
-    falls = diffs < -tau
-    if rises.any() and falls.any():
+    if direction == "non_monotone":
         violation = min(float(diffs.max()), float(-diffs.min()))
-        return MonotonicityVerdict("non_monotone", violation, g_range)
-    if rises.any():
-        return MonotonicityVerdict("increasing", max(0.0, float(-diffs.min())), g_range)
-    if falls.any():
-        return MonotonicityVerdict("decreasing", max(0.0, float(diffs.max())), g_range)
-    return MonotonicityVerdict("constant", float(np.abs(diffs).max()), g_range)
+    elif direction == "increasing":
+        violation = max(0.0, float(-diffs.min()))
+    elif direction == "decreasing":
+        violation = max(0.0, float(diffs.max()))
+    else:
+        violation = float(np.abs(diffs).max())
+    return MonotonicityVerdict(direction, violation, g_range)
 
 
 def _golden_section(fn, lo: float, hi: float, iters: int = 40) -> float:

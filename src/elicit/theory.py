@@ -26,10 +26,9 @@ from scipy.optimize import brentq
 from .distmodels import ParametricModel, model_curve_value
 from .errors import DomainError, MixedCase, SliceEmpty, TooFewPoints
 from .links import LinkFunction, contour_slope
-from .sweep import SweepCurve
+from .sweep import SweepCurve, monotone_trend
 
 CONTAINMENT_SLACK = 1e-9
-LINK_MONOTONE_FRACTION = 1e-3
 LINEAR_RESIDUAL_PASS = 0.05
 
 
@@ -95,12 +94,8 @@ def check_condition_B(curve: SweepCurve, link: LinkFunction) -> CheckResult:
                            {"reason": "fewer than 2 converged points"})
     order = np.argsort([p.solution.r_star[i] for p in pts], kind="stable")
     gammas = np.array([pts[k].gamma for k in order])
-    g_range = float(gammas.max() - gammas.min())
-    tau = LINK_MONOTONE_FRACTION * g_range
-    diffs = np.diff(gammas)
-    rises = diffs > tau
-    falls = diffs < -tau
-    if rises.any() and falls.any():
+    direction, diffs, g_range, tau = monotone_trend(gammas)
+    if direction == "non_monotone":
         return CheckResult(
             "link_monotone_along_trajectory",
             "fail",
@@ -108,7 +103,6 @@ def check_condition_B(curve: SweepCurve, link: LinkFunction) -> CheckResult:
             witness={"max_rise_at": int(np.argmax(diffs)), "max_fall_at": int(np.argmin(diffs)),
                      "diffs_min": float(diffs.min()), "diffs_max": float(diffs.max())},
         )
-    direction = "increasing" if rises.any() else ("decreasing" if falls.any() else "constant")
     return CheckResult("link_monotone_along_trajectory", "pass",
                        {"direction": direction, "gamma_range": g_range})
 

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from elicit import verify
 from elicit.cli import main
 
-from conftest import DIAGNOSTIC_CONFIG_DIR, SWEEP_CONFIG_DIR
+from conftest import DIAGNOSTIC_CONFIG_DIR, REPO_ROOT, SWEEP_CONFIG_DIR
 
 
 def write_config(tmp_path, name="exp", **overrides):
@@ -102,6 +103,18 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 2
         assert (out / "curve.csv").exists()  # outputs still written
 
+    def test_non_finite_moments_rejected_before_writing(self, tmp_path, capsys):
+        # X^3 overflows for a lognormal sample with log-variance 1e4.
+        cfg = json.loads((SWEEP_CONFIG_DIR / "skew-lognormal.json").read_text())
+        cfg["template"] = {"name": "lognormal", "params": [0, 10000], "n_samples": 1000,
+                           "seed": 17}
+        cfg["output"] = str(tmp_path / "out")
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestClassify:
     def test_poisson_case_b(self, capsys):
@@ -171,6 +184,14 @@ class TestVerify:
     def test_unknown_suite(self):
         assert main(["verify", "nonsense"]) == 1
 
+    def test_error_inside_suite_propagates(self, monkeypatch):
+        def broken():
+            raise KeyError("inside the suite")
+
+        monkeypatch.setitem(verify.SUITES, "logmap", broken)
+        with pytest.raises(KeyError, match="inside the suite"):
+            main(["verify", "logmap"])
+
     def test_identities_suite(self, capsys):
         assert main(["verify", "identities"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -188,3 +209,16 @@ class TestShippedConfigs:
         assert len(paths) >= 9
         for p in paths:
             validate_config(load_config(p))
+
+
+class TestCommittedOutputs:
+    @pytest.mark.parametrize("name", ["var-poisson", "skew-lognormal"])
+    def test_rerun_matches_committed_out(self, tmp_path, name):
+        cfg = json.loads((SWEEP_CONFIG_DIR / f"{name}.json").read_text())
+        cfg["output"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 0
+        for fname in ("curve.csv", "report.json"):
+            committed = (REPO_ROOT / "out" / name / fname).read_bytes()
+            assert (tmp_path / name / fname).read_bytes() == committed, fname
