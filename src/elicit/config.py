@@ -17,7 +17,7 @@ from jsonschema import Draft202012Validator
 
 from . import distmodels, links, losses
 from .errors import ConfigError
-from .optimize import OptimizerConfig
+from .optimize import METHODS, OptimizerConfig
 from .sweep import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_POINTS, SweepSpec, default_grid
 
 _SUB_LOSS_SCHEMA = {
@@ -94,7 +94,7 @@ CONFIG_SCHEMA = {
         "optimizer": {
             "type": "object",
             "properties": {
-                "method": {"enum": ["nelder_mead", "gradient_descent"]},
+                "method": {"enum": list(METHODS)},
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol_loss": {"type": "number", "exclusiveMinimum": 0},
                 "tol_step": {"type": "number", "exclusiveMinimum": 0},
@@ -116,7 +116,7 @@ CONFIG_SCHEMA = {
 }
 
 _OPTIMIZER_DEFAULTS = {
-    "method": "nelder_mead",
+    "method": "levenberg_marquardt",
     "max_iters": 10000,
     "tol_loss": 1e-12,
     "tol_step": 1e-10,

@@ -274,11 +274,10 @@ class LogNormalModel(ParametricModel):
 
     def _raw_jacobian(self, theta):
         u, v2 = theta
-        rows = []
-        for i in (1, 2, 3):
-            ri = math.exp(i * u + 0.5 * i * i * v2)
-            rows.append([i * ri, 0.5 * i * i * ri])
-        return np.array(rows)
+        i = np.array([1.0, 2.0, 3.0])
+        # np.exp overflows to inf, as in _raw_moments.
+        r = np.exp(i * u + 0.5 * i * i * v2)
+        return np.column_stack([i * r, 0.5 * i * i * r])
 
     def eliminate_for_moment(self, i, target):
         if target <= 0:

@@ -4,9 +4,10 @@ The expected squared loss against a sample reduces to its sufficient
 statistics: E[(r_i - X^i)^2] = (r_i - mean(X^i))^2 + var(X^i).  The
 variance term is constant in r_i, so every sub-loss here is written as a
 function of (r_i, m_hat_i, v_hat_i).  Analytic moment vectors are the
-special case v_hat = 0.  The optimizer relies on the v_hat term being
-constant in r: it minimizes each sub-loss with v_hat = 0 and adds the
-weighted v_hat back to the reported loss.
+special case v_hat = 0.  Every kind is w(d) * d^2 + v_hat with d = r_i -
+m_hat_i, so sqrt(w(d)) * d is a least-squares residual.  The optimizer
+relies on the v_hat term being constant in r: it minimizes the squared
+residuals alone and adds the weighted v_hat back to the reported loss.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class SquaredLoss:
         d = r - m
         return d * d + v
 
-    def derivative(self, r, m):
-        return 2.0 * (r - m)
+    def weight(self, d):
+        """w in value = w * d^2 + v, for the residual d = r - m."""
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,10 @@ class AsymmetricSquaredLoss:
 
     def value(self, r, m, v):
         d = r - m
-        w = np.where(d < 0, self.a, self.b)
-        return w * d * d + v
+        return self.weight(d) * d * d + v
 
-    def derivative(self, r, m):
-        d = r - m
-        return 2.0 * (self.a if d < 0 else self.b) * d
+    def weight(self, d):
+        return np.where(d < 0, self.a, self.b)
 
 
 LossKind = SquaredLoss | AsymmetricSquaredLoss

@@ -1,20 +1,36 @@
 """Minimize the weighted total loss over a model's parameter domain.
 
-Free coordinates are smoothly reparameterized (log above a lower bound,
-logit inside an interval) so iterates stay strictly interior.  Two solvers
-are provided: a Nelder-Mead simplex with relative stopping tolerances (the
-default, run from a moment-matching start plus random multistarts) and a
-plain gradient descent with backtracking line search, kept specifically to
-reproduce its documented sensitivity to the starting point on
-ill-conditioned problems.
+Every objective is a least-squares problem.  Over the active terms (finite,
+strictly positive effective weight) it is rho . rho, with one residual per
+term
 
-The solvers minimize only the excess loss sum_i eff_i * l_i(r_i, m_hat_i)
-with v_hat set to 0.  Each sub-loss carries the sample variance v_hat_i,
-which is constant in theta; left in, it can dwarf the data-dependent part,
-so that float64 cannot see the residuals the theory checks are meant to
-judge and the simplex stops anywhere in that flat region.
-``Solution.loss`` adds the constant sum_{active} eff_i * v_hat_i back, so it
-reports the full total loss that the meshgrid oracle also evaluates.
+    rho_i = sqrt(eff_i * w_i(d_i)) * d_i,    d_i = r_i(theta) - m_hat_i,
+
+where w_i is 1 for the squared loss and a or b (by the sign of d_i) for the
+asymmetric one.  Its Jacobian is diag(sqrt(eff * w)) . moment_jacobian.
+
+Free coordinates are smoothly reparameterized (log above a lower bound,
+logit inside an interval) so iterates stay strictly interior; the Jacobian
+in z picks up the factor d theta / d z.  Three solvers share the residual:
+
+* ``levenberg_marquardt`` (the default): damped Gauss-Newton on (rho, J)
+  with isotropic damping relative to the largest diagonal entry of J^T J
+  and Nielsen's damping update.  A trial point where rho or J is undefined
+  or not finite is a rejected step.
+* ``nelder_mead``: a simplex on rho . rho.
+* ``gradient_descent``: steepest descent on rho . rho with gradient
+  2 J^T rho and backtracking line search, kept specifically to reproduce its
+  documented sensitivity to the starting point on ill-conditioned problems.
+
+Each runs from a moment-matching start plus random multistarts, and the
+lowest (loss, theta) wins.
+
+The residuals leave out the sample variance v_hat_i that each sub-loss
+carries.  It is constant in theta; left in, it can dwarf the data-dependent
+part, so that float64 cannot see the residuals the theory checks are meant
+to judge.  ``Solution.loss`` adds the constant sum_{active} eff_i * v_hat_i
+back, so it reports the full total loss that the meshgrid oracle also
+evaluates.
 
 A one-parameter model with exactly one active finite-weight sub-loss i is an
 exact fit: its minimizer solves r_i(theta) = m_hat_i, which is done by the
@@ -24,7 +40,8 @@ image.
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i, solved by inverting the
 moment map (1-parameter models) or by eliminating one coordinate and
-minimizing the remaining loss over the other (2-parameter models).
+minimizing the remaining residuals over the other (2-parameter models).
+There the Jacobian is a central difference over the free coordinate.
 
 A brute-force meshgrid oracle provides an independent cross-check on the
 iterative solvers.
@@ -50,11 +67,12 @@ from .losses import (
 )
 
 CONSTRAINT_RTOL = 1e-9
+METHODS = ("levenberg_marquardt", "nelder_mead", "gradient_descent")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "nelder_mead"
+    method: str = "levenberg_marquardt"
     max_iters: int = 10000
     tol_loss: float = 1e-12
     tol_step: float = 1e-10
@@ -63,7 +81,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("nelder_mead", "gradient_descent"):
+        if self.method not in METHODS:
             raise DomainError(f"unknown optimizer method {self.method!r}")
         if self.tol_loss <= 0 or self.tol_step <= 0:
             raise DomainError("tolerances must be positive")
@@ -77,9 +95,18 @@ class OptimizerConfig:
 class Solution:
     """A minimizer and its total loss.
 
-    ``loss`` is the minimized excess plus the constant sum_{active} eff_i *
+    ``loss`` is the minimized rho . rho plus the constant sum_{active} eff_i *
     v_hat_i, i.e. the full weighted total loss including the sample
     variances; ``sub_losses`` include v_hat as well.
+
+    ``termination`` says why the solve stopped: ``converged`` (the solver's
+    stopping rule held), ``max_iters``, ``no_descent`` (no step was left
+    where the loss is defined, or gradient descent's line search found no
+    descent), ``exact_fit`` (one active sub-loss on a
+    1-parameter model, solved by inversion) or ``constraint`` (an infinite
+    weight on a 1-parameter model, solved by inversion).  ``converged`` is
+    False after ``max_iters``, when no start reached a point with a finite
+    loss, and when a 2-parameter constrained solve ends off its constraint.
     """
 
     theta_star: np.ndarray
@@ -90,6 +117,7 @@ class Solution:
     n_iters: int
     start_used: np.ndarray
     clamped: bool = False
+    termination: str = "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +191,77 @@ def interior_start(model: ParametricModel, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Core solvers (operating on an unconstrained objective f(z))
+# Core solvers (operating on an unconstrained residual rho(z))
+#
+# Each returns (z, loss, iterations, termination).
 # ---------------------------------------------------------------------------
+
+
+def _levenberg_marquardt(fun, z0, max_iters, tol_loss, tol_step):
+    """Damped Gauss-Newton on f = rho . rho; ``fun(z, jac=True)`` gives (rho, J) or None.
+
+    The step solves (J^T J + mu * s * I) h = -J^T rho, where s is the largest
+    diagonal entry of J^T J at the current point, so mu is relative to the
+    curvature there.  From a start whose moments miss the data by many
+    orders of magnitude, J^T J falls by as many orders within a few steps;
+    an absolute damping would lag behind it for dozens of short steps.  A
+    step is accepted when it lowers f, and mu then follows Nielsen's update;
+    otherwise mu grows by a doubling factor.  Converged when f reaches 0 or
+    J^T rho vanishes, or when a step of at most tol_step * (1 + |z|) lowers
+    f by at most tol_loss * f (a rejected step lowers it by nothing).
+    no_descent when such a step lands where rho or J is undefined.
+    """
+    z = np.array(z0, dtype=float)
+    here = _lm_point(fun, z)
+    if here is None:
+        return z, math.inf, 0, "no_descent"
+    f, A, g = here
+    eye = np.eye(len(z))
+    mu, nu = 1e-3, 2.0
+    n_iters = 0
+    for n_iters in range(1, max_iters + 1):
+        if f == 0.0 or not g.any():
+            return z, f, n_iters - 1, "converged"
+        damping = mu * float(A.diagonal().max())
+        try:
+            h = np.linalg.solve(A + damping * eye, -g)
+        except np.linalg.LinAlgError:  # the damping is negligible next to a singular J^T J
+            h = np.full_like(z, math.nan)
+        # A non-finite h is neither small nor tried: it is rejected and mu grows.
+        small = np.max(np.abs(h)) <= tol_step * (1.0 + np.max(np.abs(z)))
+        trial = _lm_point(fun, z + h) if np.isfinite(h).all() else None
+        if trial is not None and trial[0] < f:
+            df = f - trial[0]
+            predicted = float(h @ (damping * h - g))
+            gain = df / predicted if predicted > 0.0 else 1.0
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+            z = z + h
+            f, A, g = trial
+            if small and df <= tol_loss * f:
+                return z, f, n_iters, "converged"
+        elif small:
+            # A small step that does not lower f meets the stopping rule; one
+            # that lands where rho or J is undefined leaves no descent to take.
+            return z, f, n_iters, "converged" if trial is not None else "no_descent"
+        else:
+            mu *= nu
+            nu *= 2.0
+    return z, f, n_iters, "max_iters"
+
+
+def _lm_point(fun, z):
+    """(f, J^T J, J^T rho) at z, or None where any of them is undefined or not finite."""
+    out = fun(z, jac=True)
+    if out is None:
+        return None
+    rho, J = out
+    f = float(rho @ rho)
+    A = J.T @ J
+    g = J.T @ rho
+    if not (math.isfinite(f) and np.isfinite(A).all() and np.isfinite(g).all()):
+        return None
+    return f, A, g
 
 
 def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
@@ -181,7 +278,7 @@ def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
     values = np.array([f(v) for v in simplex])
 
     n_iters = 0
-    converged = False
+    termination = "max_iters"
     for n_iters in range(1, max_iters + 1):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
@@ -190,7 +287,7 @@ def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
         size = np.max(np.abs(simplex[1:] - simplex[0]))
         step_ok = size <= tol_step * (1.0 + np.max(np.abs(simplex[0])))
         if loss_ok and step_ok:
-            converged = True
+            termination = "converged"
             break
 
         centroid = simplex[:-1].mean(axis=0)
@@ -219,20 +316,26 @@ def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
                     values[j] = f(simplex[j])
 
     order = np.argsort(values, kind="stable")
-    return simplex[order][0], float(values[order][0]), n_iters, converged
+    return simplex[order][0], float(values[order][0]), n_iters, termination
 
 
 def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
-    """Steepest descent with Armijo backtracking; no safeguards by design."""
+    """Steepest descent with Armijo backtracking; no safeguards by design.
+
+    ``grad(z)`` returns None where the gradient is undefined.
+    """
     z = np.array(z0, dtype=float)
     fz = f(z)
     n_iters = 0
-    converged = False
+    termination = "max_iters"
     for n_iters in range(1, max_iters + 1):
         g = grad(z)
-        gnorm2 = float(g @ g)
-        if not np.isfinite(gnorm2) or gnorm2 == 0.0:
-            converged = True
+        gnorm2 = math.inf if g is None else float(g @ g)
+        if not np.isfinite(gnorm2):
+            termination = "no_descent"
+            break
+        if gnorm2 == 0.0:
+            termination = "converged"
             break
         t = 1.0
         accepted = False
@@ -244,15 +347,15 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
                 break
             t *= 0.5
         if not accepted:
-            converged = True  # no descent direction left at line-search resolution
+            termination = "no_descent"  # no descent left at line-search resolution
             break
         step = np.max(np.abs(z_new - z))
         df = fz - f_new
         z, fz = z_new, f_new
         if df <= tol_loss * (1.0 + abs(fz)) and step <= tol_step * (1.0 + np.max(np.abs(z))):
-            converged = True
+            termination = "converged"
             break
-    return z, float(fz), n_iters, converged
+    return z, float(fz), n_iters, termination
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +450,6 @@ def _active_terms(eff) -> list[int]:
     return [i for i in range(len(eff)) if np.isfinite(eff[i]) and eff[i] > 0.0]
 
 
-def _excess(eff, kinds, r, m_hat, active) -> float:
-    """sum_{active} eff_i * l_i(r_i, m_hat_i) with v_hat = 0: the theta-dependent part."""
-    out = 0.0
-    for i in active:
-        out += eff[i] * kinds[i].value(r[i], m_hat[i], 0.0)
-    return out
-
-
 def _loss_constant(eff, em: EmpiricalMoments, active) -> float:
     """sum_{active} eff_i * v_hat_i: the part of the total loss no theta can change."""
     out = 0.0
@@ -364,44 +459,55 @@ def _loss_constant(eff, em: EmpiricalMoments, active) -> float:
 
 
 def _finite_objective(model, weights, em, kinds):
-    """Excess-loss objective in theta, and its gradient in z space, for the active terms.
+    """The residual vector over the active terms, as ``residual(theta, jac=False)``.
 
-    The objective is ``_excess``: the constant sum_{active} eff_i * v_hat_i is
-    left out, so the stopping tests see the residuals r_i - m_hat_i down to
-    float64 resolution.  Callers add ``_loss_constant`` back when reporting.
+    rho_i = sqrt(eff_i * w_i(d_i)) * d_i with d_i = r_i - m_hat_i; with
+    ``jac`` the result is (rho, d rho / d theta).  None where theta is
+    outside the domain or rho is not finite.  v_hat is left out, so
+    the solvers see the residuals down to float64 resolution; callers add
+    ``_loss_constant`` back when reporting.
     """
     eff = weights.effective
     active = _active_terms(eff)
-    m = em.m_hat
-    domain = model.domain
+    eff_a = eff[active]
+    kinds_a = [kinds[i] for i in active]
+    m_a = em.m_hat[active]
 
-    def f_theta(theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                r = model.moments(theta)
-            except DomainError:
-                return math.inf
-            out = _excess(eff, kinds, r, m, active)
-        return out if np.isfinite(out) else math.inf
+    def residual(theta, jac=False):
+        try:
+            d = model.moments(theta)[active] - m_a
+        except DomainError:
+            return None
+        s = np.sqrt(eff_a * [k.weight(x) for k, x in zip(kinds_a, d)])
+        rho = s * d
+        if not np.isfinite(rho).all():
+            return None
+        # moment_jacobian checks the same domain as moments did.
+        return (rho, s[:, None] * model.moment_jacobian(theta)[active]) if jac else rho
 
-    def grad(z):
-        theta = _from_z(z, domain)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = model.moments(theta)
-            jac = model.moment_jacobian(theta)
-            dl_dr = np.zeros(len(r))
-            for i in active:
-                dl_dr[i] = eff[i] * kinds[i].derivative(r[i], m[i])
-            g = (dl_dr @ jac) * _dtheta_dz(z, domain)
-        return g
-
-    return f_theta, grad, active
+    return residual, active
 
 
-def _run_solver(f, grad, z0, config):
+def _sq(rho) -> float:
+    """rho . rho, or inf where the residual is undefined."""
+    return math.inf if rho is None else float(rho @ rho)
+
+
+def _run_solver(fun, z0, config):
+    args = (z0, config.max_iters, config.tol_loss, config.tol_step)
+    if config.method == "levenberg_marquardt":
+        return _levenberg_marquardt(fun, *args)
+
+    def f(z):
+        return _sq(fun(z))
+
     if config.method == "gradient_descent":
-        return _gradient_descent(f, grad, z0, config.max_iters, config.tol_loss, config.tol_step)
-    return _nelder_mead(f, z0, config.max_iters, config.tol_loss, config.tol_step)
+        def grad(z):
+            out = fun(z, jac=True)
+            return None if out is None else 2.0 * (out[1].T @ out[0])
+
+        return _gradient_descent(f, grad, *args)
+    return _nelder_mead(f, *args)
 
 
 def _starts(x0, domain, config, extra):
@@ -411,59 +517,68 @@ def _starts(x0, domain, config, extra):
     return [x0, *(_from_z(z0 + off, domain) for off in offsets), *extra]
 
 
-def _best_of_starts(f_theta, theta_of, domain, starts, config, grad=None):
+def _best_of_starts(residual, domain, starts, config, theta_of=None):
     """Run the solver from every start in x space; pick (loss, lexicographic theta).
 
     x lives in ``domain`` and is searched in its z reparameterization.
-    ``theta_of(x)`` decodes x into the full theta, or None when x is
-    infeasible.  ``grad`` is the z-space gradient; without one, a central
-    difference is used (x must then be 1-D).  Each raw start is itself a
-    candidate, evaluated without the z round trip, so a start sitting
-    exactly on the minimizer is returned bit-exact.
+    Without ``theta_of``, x is theta and the Jacobian is analytic.  With it,
+    x is the one free coordinate of an eliminated problem, ``theta_of(x)``
+    decodes it into the full theta (None when infeasible), and the Jacobian
+    is a central difference in z.  Each raw start is itself a candidate,
+    evaluated without the z round trip, so a start sitting exactly on the
+    minimizer is returned bit-exact.
 
-    Returns ((theta, loss, converged, start), total iterations), with None
+    Returns ((theta, loss, termination, start), total iterations), with None
     in place of the tuple when no candidate is feasible.
     """
+    decode = (lambda x: x) if theta_of is None else theta_of
 
-    def f_x(x):
-        theta = theta_of(x)
-        return math.inf if theta is None else f_theta(theta)
+    def rho_x(x):
+        theta = decode(x)
+        return None if theta is None else residual(theta)
 
-    def f(z):
-        return f_x(_from_z(z, domain))
-
-    if grad is None:
-        def grad(z):  # the decoded path is 1-D and cheap
-            h = 1e-6 * (1.0 + abs(float(z[0])))
-            return np.array([(f(z + h) - f(z - h)) / (2.0 * h)])
+    def fun(z, jac=False):
+        if not jac:
+            return rho_x(_from_z(z, domain))
+        if theta_of is None:
+            out = residual(_from_z(z, domain), jac=True)
+            return None if out is None else (out[0], out[1] * _dtheta_dz(z, domain))
+        h = 1e-6 * (1.0 + abs(float(z[0])))
+        rho, up, down = (rho_x(_from_z(z + dz, domain)) for dz in (0.0, h, -h))
+        if rho is None or up is None or down is None:
+            return None
+        return rho, ((up - down) / (2.0 * h))[:, None]
 
     best = None
     total_iters = 0
-    for start in starts:
-        z, fz, iters, conv = _run_solver(f, grad, _to_z(start, domain), config)
-        total_iters += iters
-        for x, fx in ((_from_z(z, domain), fz), (start, f_x(start))):
-            theta = theta_of(x)
-            if theta is None:
-                continue
-            key = (fx, tuple(theta))
-            if best is None or key < best[0]:
-                best = (key, (theta, fx, conv, start))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in starts:
+            z, fz, iters, termination = _run_solver(fun, _to_z(start, domain), config)
+            total_iters += iters
+            for x, fx in ((_from_z(z, domain), fz), (start, _sq(rho_x(start)))):
+                theta = decode(x)
+                if theta is None:
+                    continue
+                key = (fx, tuple(theta))
+                if best is None or key < best[0]:
+                    best = (key, (theta, fx, termination, start))
     return (None if best is None else best[1]), total_iters
 
 
-def _solution(theta, r_star, loss, kinds, em, converged=True, n_iters=0, start_used=None,
-              clamped=False) -> Solution:
+def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
+              start_used=None, clamped=False, converged=True) -> Solution:
+    """A Solution; it has not converged after max_iters or without a finite loss."""
     theta = np.asarray(theta)
     return Solution(
         theta_star=theta,
         r_star=r_star,
         loss=float(loss),
         sub_losses=sub_loss_vector(kinds, r_star, em),
-        converged=converged,
+        converged=converged and termination != "max_iters" and math.isfinite(loss),
         n_iters=n_iters,
         start_used=theta if start_used is None else np.asarray(start_used),
         clamped=clamped,
+        termination=termination,
     )
 
 
@@ -516,7 +631,7 @@ def minimize(
     if inf_idx is not None:
         return _minimize_constrained(model, inf_idx, weights, em, kinds, config, extra_starts)
 
-    f_theta, grad, active = _finite_objective(model, weights, em, kinds)
+    residual, active = _finite_objective(model, weights, em, kinds)
     if not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
 
@@ -526,33 +641,35 @@ def minimize(
         # below then finds the boundary-side optimum.
         sol = _minimize_constrained(model, active[0], weights, em, kinds, config)
         if not sol.clamped:
-            return sol
+            return replace(sol, termination="exact_fit")
 
     init = _resolve_init(model, weights, em, kinds, config)
     extra = [interior_start(model, s) for s in extra_starts]
     starts = _starts(init, model.domain, config, extra)
-    (theta, fz, conv, start_used), iters = _best_of_starts(
-        f_theta, lambda x: x, model.domain, starts, config, grad
+    (theta, fz, termination, start_used), iters = _best_of_starts(
+        residual, model.domain, starts, config
     )
     loss = fz + _loss_constant(weights.effective, em, active)
-    return _solution(theta, model.moments(theta), loss, kinds, em, conv, iters, start_used)
+    return _solution(theta, model.moments(theta), loss, kinds, em, termination, iters,
+                     start_used)
 
 
 def _minimize_constrained(model, i, weights, em, kinds, config, extra_starts=()):
-    """Minimize the excess loss of the finite-weight terms subject to r_i(theta) = m_hat_i."""
+    """Minimize the residuals of the finite-weight terms subject to r_i(theta) = m_hat_i."""
     target = float(em.m_hat[i])
-    f_theta, _, active = _finite_objective(model, weights, em, kinds)
+    residual, active = _finite_objective(model, weights, em, kinds)
     constant = _loss_constant(weights.effective, em, active)
 
     if model.theta_dim == 1:
         theta_c, clamped = _solve_constrained_1p(model, i, target)
         theta = np.array([theta_c])
-        r_star = model.moments(theta)
-        loss = _excess(weights.effective, kinds, r_star, em.m_hat, active) + constant
-        return _solution(theta, r_star, loss, kinds, em, clamped=clamped)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = _sq(residual(theta)) + constant
+        return _solution(theta, model.moments(theta), loss, kinds, em, "constraint",
+                         clamped=clamped)
 
     # Two-parameter models: eliminate one coordinate through the constraint
-    # and minimize the remaining excess loss over the free coordinate.
+    # and minimize the remaining residuals over the free coordinate.
     free_idx, build = model.eliminate_for_moment(i, target)
     free_domain = (model.domain[free_idx],)
 
@@ -576,16 +693,16 @@ def _minimize_constrained(model, i, weights, em, kinds, config, extra_starts=())
         if s.size == model.theta_dim:
             extra.append(np.array([s[free_idx]]))
     starts = _starts(np.array([init_full[free_idx]]), free_domain, config, extra)
-    found, iters = _best_of_starts(f_theta, theta_of, free_domain, starts, config)
+    found, iters = _best_of_starts(residual, free_domain, starts, config, theta_of)
     if found is None:
         raise OutOfImage(
             f"{model.name}: constraint r_{i + 1} = {target} admits no interior solution"
         )
-    theta, fz, conv, start_used = found
+    theta, fz, termination, start_used = found
     r_star = model.moments(theta)
-    if abs(r_star[i] - target) > CONSTRAINT_RTOL * (1.0 + abs(target)):
-        conv = False
-    return _solution(theta, r_star, fz + constant, kinds, em, conv, iters, start_used)
+    on_constraint = abs(r_star[i] - target) <= CONSTRAINT_RTOL * (1.0 + abs(target))
+    return _solution(theta, r_star, fz + constant, kinds, em, termination, iters, start_used,
+                     converged=on_constraint)
 
 
 # ---------------------------------------------------------------------------

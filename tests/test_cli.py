@@ -62,7 +62,7 @@ class TestRun:
         cfg_path, out = write_config(tmp_path)
         main(["run", str(cfg_path)])
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["optimizer"]["method"] == "nelder_mead"
+        assert manifest["optimizer"]["method"] == "levenberg_marquardt"
         assert manifest["optimizer"]["tol_loss"] == 1e-12
         assert manifest["base_weights"] == "ones"
         assert manifest["sweep"]["fixed_weights"] == [1.0, 1.0]

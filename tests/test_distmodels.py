@@ -93,6 +93,15 @@ class TestJacobians:
         jac = m.moment_jacobian([0.0, 1.0])
         assert np.allclose(jac[:, 0], [1 * r[0], 2 * r[1], 3 * r[2]], rtol=1e-15)
 
+    def test_lognormal_overflows_to_inf_like_moments(self):
+        m = make_model("lognormal")
+        with np.errstate(over="ignore"):
+            r = m.moments([300.0, 1.0])
+            jac = m.moment_jacobian([300.0, 1.0])
+        assert np.isfinite(r[:2]).all() and np.isinf(r[2])
+        assert np.isfinite(jac[:2]).all() and np.isinf(jac[2]).all()
+        assert np.allclose(jac[:2, 0], [r[0], 2 * r[1]], rtol=1e-15)
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_matches_finite_differences(self, name):
         fixed = {**ONE_PARAM, **TWO_PARAM}[name]

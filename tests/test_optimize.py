@@ -1,21 +1,26 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elicit import analytic_moments, make_model, minimize
+from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
+from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import EmptyGrid
-from elicit.losses import WeightVector, empirical_moments
+from elicit.losses import WeightVector, empirical_moments, renormalize_base
 from elicit.optimize import (
     OptimizerConfig,
     default_box,
     meshgrid_oracle,
     moment_match_init,
 )
+from elicit.theory import CONTAINMENT_SLACK
 
 POISSON = make_model("poisson")
 SWEEP_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "sweeps"
@@ -139,6 +144,168 @@ class TestExcessLoss:
         sol = minimize(exp.model, exp.spec.weights_at(0.0), exp.em, config=exp.spec.optimizer)
         assert abs(sol.r_star[1] - m2) <= 1e-9 * (1.0 + abs(m2))
         assert sol.converged
+
+
+def lognormal_9_sample_moments():
+    """The heavy-tailed sample behind criterion 08: lognormal(0, 9), n = 1000, seed 17."""
+    return empirical_moments(sample(SamplingTemplate("lognormal", (0.0, 9.0), 1000, seed=17)), 3)
+
+
+class TestLevenbergMarquardt:
+    def test_is_the_default_and_the_others_stay_selectable(self, poisson_em_3_15):
+        assert OptimizerConfig().method == "levenberg_marquardt"
+        w = WeightVector.of([1.0, 1.0])
+        losses = [minimize(POISSON, w, poisson_em_3_15, config=OptimizerConfig(method=m)).loss
+                  for m in optimize.METHODS]
+        assert max(losses) - min(losses) <= 1e-9 * (1.0 + min(losses))
+
+    def test_undefined_trial_points_are_rejected_without_warnings(self, monkeypatch):
+        # From (0, 1) on the renormalized lognormal(0, 9) problem, some trial
+        # steps land where r_3 or its Jacobian overflows.
+        model = make_model("lognormal")
+        em = lognormal_9_sample_moments()
+        w = WeightVector.of([1.0, 1.0, 1.0], renormalize_base(em))
+        reference = minimize(model, w, em)
+        undefined = []
+        lm_point = optimize._lm_point
+
+        def counting(fun, z):
+            out = lm_point(fun, z)
+            undefined.append(out is None)
+            return out
+
+        monkeypatch.setattr(optimize, "_lm_point", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = minimize(model, w, em, config=OptimizerConfig(multistart=0, init=(0.0, 1.0)))
+        assert any(undefined)
+        assert sol.converged
+        assert sol.loss <= reference.loss + 1e-9 * (1.0 + abs(reference.loss))
+
+    def test_undefined_region_ends_in_no_descent(self):
+        # rho = z - 3 is undefined beyond z = 1.5: the solver walks to the
+        # edge and stops there.
+        def fun(z, jac=False):
+            if z[0] > 1.5:
+                return None
+            rho = np.array([z[0] - 3.0])
+            return (rho, np.ones((1, 1))) if jac else rho
+
+        z, f, _, termination = optimize._levenberg_marquardt(fun, np.zeros(1), 1000, 1e-12, 1e-10)
+        assert termination == "no_descent"
+        assert 1.5 - 1e-6 < z[0] <= 1.5
+        assert f == (z[0] - 3.0) ** 2
+
+    def test_damping_follows_the_curvature_from_far_starts(self):
+        # rho_1 = exp(z) - 2: from z0 a Gauss-Newton step lowers z by about 1
+        # while J^T J falls by e^2, so 20 more units of start distance cost
+        # about 20 more steps.  A damping fixed in absolute units lags behind
+        # J^T J and took 68 more.
+        def fun(z, jac=False):
+            rho = np.array([math.exp(z[0]) - 2.0, 0.5 * (z[0] - 1.0)])
+            return (rho, np.array([[math.exp(z[0])], [0.5]])) if jac else rho
+
+        iters = {}
+        for z0 in (10.0, 30.0):
+            z, _, iters[z0], termination = optimize._levenberg_marquardt(
+                fun, np.array([z0]), 1000, 1e-12, 1e-10)
+            assert termination == "converged"
+            assert z[0] == pytest.approx(0.7107536660, abs=1e-9)
+        assert iters[30.0] - iters[10.0] <= 25
+
+    def test_undefined_start_is_not_converged(self):
+        # r_3 overflows at v2 = 100, and no multistart offers a way out.
+        cfg = OptimizerConfig(multistart=0, init=(0.0, 100.0))
+        with np.errstate(over="ignore"):
+            sol = minimize(make_model("lognormal"), WeightVector.of([1.0, 1.0, 1.0]),
+                           lognormal_9_sample_moments(), config=cfg)
+        assert sol.termination == "no_descent"
+        assert sol.loss == math.inf and not sol.converged
+
+    def test_c0_is_an_exact_fit_on_two_param_sweeps(self, shipped_sweeps):
+        # At c = 0 two sub-losses are active on a 2-parameter model, so the
+        # minimizer fits both moments; the residual must sit far inside
+        # condition A's slack.
+        names = [name for name in shipped_sweeps if name.startswith("skew-")]
+        assert len(names) == 6
+        for name in names:
+            exp, curve = shipped_sweeps[name]
+            point = curve.points[0]
+            assert point.c_value == 0.0
+            eff = exp.spec.weights_at(0.0).effective
+            for j in range(len(eff)):
+                if not (np.isfinite(eff[j]) and eff[j] > 0.0):
+                    continue
+                m = exp.em.m_hat[j]
+                slack = CONTAINMENT_SLACK * (1.0 + abs(m))
+                assert abs(point.solution.r_star[j] - m) <= 1e-3 * slack, (name, j)
+
+
+class TestTermination:
+    def test_converged(self, poisson_em_3_15):
+        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15)
+        assert sol.termination == "converged" and sol.converged
+
+    def test_max_iters(self, poisson_em_3_15):
+        cfg = OptimizerConfig(max_iters=1, multistart=0)
+        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, config=cfg)
+        assert sol.termination == "max_iters" and not sol.converged
+
+    def test_no_descent(self):
+        # Criterion 08's gradient descent: the line search finds no descent.
+        cfg = OptimizerConfig(method="gradient_descent", multistart=0, init=(0.0, 3.0),
+                              max_iters=20000)
+        sol = minimize(make_model("lognormal"), WeightVector.of([1.0, 1.0, 1.0]),
+                       lognormal_9_sample_moments(), config=cfg)
+        assert sol.termination == "no_descent" and sol.converged
+
+    def test_exact_fit(self, poisson_em_3_15):
+        sol = minimize(POISSON, WeightVector.of([0.0, 1.0]), poisson_em_3_15)
+        assert sol.termination == "exact_fit" and sol.converged
+
+    def test_constraint(self, poisson_em_3_15):
+        sol = minimize(POISSON, WeightVector.of([np.inf, 1.0]), poisson_em_3_15)
+        assert sol.termination == "constraint" and sol.converged
+
+
+# (name, fixed params, a (lo, hi) range per coordinate of theta_0)
+PROPERTY_MODELS = [
+    ("poisson", (), [(0.5, 10.0)]),
+    ("chisq", (), [(0.5, 10.0)]),
+    ("exponential", (), [(0.5, 10.0)]),
+    ("gamma_fixed_shape", (2.0,), [(0.5, 10.0)]),
+    ("binomial_fixed_trials", (10.0,), [(0.05, 0.95)]),
+    ("lognormal", (), [(-1.0, 1.0), (0.1, 1.5)]),
+    ("gamma2", (), [(0.5, 5.0), (0.5, 3.0)]),
+    ("beta2", (), [(0.5, 8.0), (0.5, 8.0)]),
+    ("loglogistic", (), [(0.5, 3.0), (4.5, 10.0)]),
+]
+
+
+@st.composite
+def off_image_problems(draw):
+    """A model, moments r(theta_0) shifted by up to 20% per coordinate, finite weights."""
+    name, fixed, ranges = draw(st.sampled_from(PROPERTY_MODELS))
+    model = make_model(name, fixed)
+    theta0 = [draw(st.floats(lo, hi)) for lo, hi in ranges]
+    M = model.moment_order
+    shift = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=M, max_size=M)))
+    em = analytic_moments(model, theta0, perturb=shift * model.moments(theta0))
+    c = draw(st.lists(st.floats(0.0, 10.0), min_size=M, max_size=M).filter(any))
+    return model, em, WeightVector.of(c)
+
+
+class TestDefaultSolverProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(off_image_problems())
+    def test_no_worse_than_simplex_or_grid(self, problem):
+        model, em, w = problem
+        sol = minimize(model, w, em)
+        simplex = minimize(model, w, em, config=OptimizerConfig(method="nelder_mead"))
+        grid = meshgrid_oracle(model, w, em, box=default_box(model, em), width=0.05)
+        tol = 1e-9 * (1.0 + abs(sol.loss))
+        assert sol.loss <= simplex.loss + tol
+        assert sol.loss <= grid.loss + tol
 
 
 class TestMomentMatchInit:
