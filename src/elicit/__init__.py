@@ -26,7 +26,14 @@ from .losses import (
     sub_loss,
     total_loss,
 )
-from .optimize import OptimizerConfig, Solution, meshgrid_oracle, minimize, moment_match_init
+from .optimize import (
+    OptimizerConfig,
+    Solution,
+    meshgrid_oracle,
+    minimize,
+    minimize_many,
+    moment_match_init,
+)
 from .sweep import SweepCurve, SweepSpec, best_weight, classify_monotonicity, run_sweep
 from .theory import (
     check_condition_A,
@@ -65,6 +72,7 @@ __all__ = [
     "OptimizerConfig",
     "Solution",
     "minimize",
+    "minimize_many",
     "meshgrid_oracle",
     "moment_match_init",
     "SweepSpec",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,20 @@ LOGLOGISTIC_SHAPE_FLOOR = 3.5
 Bound = tuple[float | None, float | None]
 
 
-def _check_domain(name, theta, domain, closed) -> None:
+# Each acts elementwise on arrays and directly on floats.
+_BOUND_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _bounds(domain, closed) -> list[tuple[int, str, float]]:
+    """Every finite bound as (j, op, bound): theta[j] op bound must hold."""
+    out = []
     for j, (lo, hi) in enumerate(domain):
         lo_closed, hi_closed = closed[j] if closed is not None else (False, False)
-        x = theta[j]
-        if not np.isfinite(x):
-            raise DomainError(f"{name}: theta[{j}] = {x} is not finite")
-        if lo is not None and (x < lo if lo_closed else x <= lo):
-            op = ">=" if lo_closed else ">"
-            raise DomainError(f"{name}: theta[{j}] = {x} violates theta[{j}] {op} {lo}")
-        if hi is not None and (x > hi if hi_closed else x >= hi):
-            op = "<=" if hi_closed else "<"
-            raise DomainError(f"{name}: theta[{j}] = {x} violates theta[{j}] {op} {hi}")
+        if lo is not None:
+            out.append((j, ">=" if lo_closed else ">", lo))
+        if hi is not None:
+            out.append((j, "<=" if hi_closed else "<", hi))
+    return out
 
 
 class ParametricModel:
@@ -68,22 +71,41 @@ class ParametricModel:
 
     def __init__(self, fixed_params: tuple[float, ...] = ()):
         self.fixed_params = tuple(float(p) for p in fixed_params)
+        self._bounds = _bounds(self.domain, self.domain_closed)
 
     # -- hooks -------------------------------------------------------------
 
     def _raw_moments(self, cols: list[np.ndarray]) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def _raw_jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def _raw_jacobian(self, cols: list[np.ndarray]) -> list[list]:
+        """Rows dr_i / dtheta_j over broadcasting columns; entries may be scalars."""
         raise NotImplementedError
 
     # -- public surface ----------------------------------------------------
 
-    def moments(self, theta) -> np.ndarray:
+    def in_domain(self, thetas) -> np.ndarray:
+        """(n,) mask of the rows of an (n, d) array that are finite and inside the domain."""
+        thetas = np.asarray(thetas, dtype=float)
+        ok = np.isfinite(thetas).all(axis=1)
+        for j, op, bound in self._bounds:
+            ok &= _BOUND_OPS[op](thetas[:, j], bound)
+        return ok
+
+    def _checked_cols(self, theta) -> list[np.ndarray]:
+        """One theta as 0-d columns, after the rule of ``in_domain`` names any violated bound."""
         theta = np.asarray(theta, dtype=float).reshape(self.theta_dim)
-        _check_domain(self.name, theta, self.domain, self.domain_closed)
-        cols = [np.asarray(theta[j]) for j in range(self.theta_dim)]
-        return np.array([float(m) for m in self._raw_moments(cols)])
+        for j, x in enumerate(theta):
+            if not math.isfinite(x):
+                raise DomainError(f"{self.name}: theta[{j}] = {x} is not finite")
+            for jj, op, bound in self._bounds:
+                if jj == j and not _BOUND_OPS[op](x, bound):
+                    raise DomainError(
+                        f"{self.name}: theta[{j}] = {x} violates theta[{j}] {op} {bound}")
+        return [np.asarray(x) for x in theta]
+
+    def moments(self, theta) -> np.ndarray:
+        return np.array([float(m) for m in self._raw_moments(self._checked_cols(theta))])
 
     def moments_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized moment map over an (n, d) array of interior points."""
@@ -91,10 +113,19 @@ class ParametricModel:
         cols = [thetas[:, j] for j in range(self.theta_dim)]
         return np.column_stack(self._raw_moments(cols))
 
+    def jacobian_grid(self, thetas: np.ndarray) -> np.ndarray:
+        """Vectorized moment Jacobian, (n, M, d), over an (n, d) array of interior points."""
+        thetas = np.asarray(thetas, dtype=float)
+        rows = self._raw_jacobian([thetas[:, j] for j in range(self.theta_dim)])
+        out = np.empty((len(thetas), self.moment_order, self.theta_dim))
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                out[:, i, j] = entry
+        return out
+
     def moment_jacobian(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(self.theta_dim)
-        _check_domain(self.name, theta, self.domain, self.domain_closed)
-        return self._raw_jacobian(theta)
+        rows = self._raw_jacobian(self._checked_cols(theta))
+        return np.array([[float(x) for x in row] for row in rows])
 
     def r1_image(self) -> tuple[float, float]:
         """Open-interval image of the first moment (1-parameter models)."""
@@ -145,9 +176,9 @@ class PoissonModel(ParametricModel):
         (t,) = cols
         return [t, t + t * t]
 
-    def _raw_jacobian(self, theta):
-        t = theta[0]
-        return np.array([[1.0], [1.0 + 2.0 * t]])
+    def _raw_jacobian(self, cols):
+        (t,) = cols
+        return [[1.0], [1.0 + 2.0 * t]]
 
     def r1_image(self):
         return (0.0, math.inf)
@@ -165,9 +196,9 @@ class ChiSqModel(ParametricModel):
         (t,) = cols
         return [t, 2.0 * t + t * t]
 
-    def _raw_jacobian(self, theta):
-        t = theta[0]
-        return np.array([[1.0], [2.0 + 2.0 * t]])
+    def _raw_jacobian(self, cols):
+        (t,) = cols
+        return [[1.0], [2.0 + 2.0 * t]]
 
     def r1_image(self):
         return (0.0, math.inf)
@@ -185,9 +216,9 @@ class ExponentialModel(ParametricModel):
         (t,) = cols
         return [t, 2.0 * t * t]
 
-    def _raw_jacobian(self, theta):
-        t = theta[0]
-        return np.array([[1.0], [4.0 * t]])
+    def _raw_jacobian(self, cols):
+        (t,) = cols
+        return [[1.0], [4.0 * t]]
 
     def r1_image(self):
         return (0.0, math.inf)
@@ -212,10 +243,10 @@ class GammaFixedShapeModel(ParametricModel):
         K = self.K
         return [K * t, K * (K + 1.0) * t * t]
 
-    def _raw_jacobian(self, theta):
-        t = theta[0]
+    def _raw_jacobian(self, cols):
+        (t,) = cols
         K = self.K
-        return np.array([[K], [2.0 * K * (K + 1.0) * t]])
+        return [[K], [2.0 * K * (K + 1.0) * t]]
 
     def r1_image(self):
         return (0.0, math.inf)
@@ -242,10 +273,10 @@ class BinomialFixedTrialsModel(ParametricModel):
         K = self.K
         return [K * p, K * p * (1.0 - p) + (K * p) ** 2]
 
-    def _raw_jacobian(self, theta):
-        p = theta[0]
+    def _raw_jacobian(self, cols):
+        (p,) = cols
         K = self.K
-        return np.array([[K], [K + 2.0 * (K * K - K) * p]])
+        return [[K], [K + 2.0 * (K * K - K) * p]]
 
     def r1_image(self):
         return (0.0, self.K)
@@ -272,12 +303,14 @@ class LogNormalModel(ParametricModel):
         u, v2 = cols
         return [np.exp(i * u + 0.5 * i * i * v2) for i in (1, 2, 3)]
 
-    def _raw_jacobian(self, theta):
-        u, v2 = theta
-        i = np.array([1.0, 2.0, 3.0])
-        # np.exp overflows to inf, as in _raw_moments.
-        r = np.exp(i * u + 0.5 * i * i * v2)
-        return np.column_stack([i * r, 0.5 * i * i * r])
+    def _raw_jacobian(self, cols):
+        u, v2 = cols
+        rows = []
+        for i in (1, 2, 3):
+            # np.exp overflows to inf, as in _raw_moments.
+            r = np.exp(i * u + 0.5 * i * i * v2)
+            rows.append([i * r, 0.5 * i * i * r])
+        return rows
 
     def eliminate_for_moment(self, i, target):
         if target <= 0:
@@ -311,15 +344,15 @@ class Gamma2Model(ParametricModel):
         a, b = cols
         return [b**k * self._rising(a, k) for k in (1, 2, 3)]
 
-    def _raw_jacobian(self, theta):
-        a, b = theta
+    def _raw_jacobian(self, cols):
+        a, b = cols
         rows = []
         for k in (1, 2, 3):
-            rk = b**k * self._rising(a, k)
-            d_a = rk * sum(1.0 / (a + j) for j in range(k))
-            d_b = k * b ** (k - 1) * self._rising(a, k)
+            rising = self._rising(a, k)
+            d_a = b**k * rising * sum(1.0 / (a + j) for j in range(k))
+            d_b = k * b ** (k - 1) * rising
             rows.append([d_a, d_b])
-        return np.array(rows)
+        return rows
 
     def eliminate_for_moment(self, i, target):
         if target <= 0:
@@ -352,18 +385,15 @@ class Beta2Model(ParametricModel):
             out.append(acc)
         return out
 
-    def _raw_jacobian(self, theta):
-        a, b = theta
+    def _raw_jacobian(self, cols):
+        a, b = cols
         s = a + b
         rows = []
-        for k in (1, 2, 3):
-            rk = 1.0
-            for j in range(k):
-                rk *= (a + j) / (s + j)
+        for k, rk in zip((1, 2, 3), self._raw_moments(cols)):
             d_a = rk * sum(1.0 / (a + j) - 1.0 / (s + j) for j in range(k))
             d_b = rk * sum(-1.0 / (s + j) for j in range(k))
             rows.append([d_a, d_b])
-        return np.array(rows)
+        return rows
 
     def eliminate_for_moment(self, i, target):
         # Given shape a, r_k is strictly decreasing in b with range (0, 1);
@@ -413,18 +443,18 @@ class LogLogisticModel(ParametricModel):
             out.append(a**k * c / np.sin(c))
         return out
 
-    def _raw_jacobian(self, theta):
-        a, b = theta
+    def _raw_jacobian(self, cols):
+        a, b = cols
         rows = []
         for k in (1, 2, 3):
-            c = k * math.pi / b
-            g = c / math.sin(c)
+            c = k * np.pi / b
+            sin_c = np.sin(c)
             # dg/dc = (sin c - c cos c) / sin^2 c;  dc/db = -k*pi/b^2
-            dg_dc = (math.sin(c) - c * math.cos(c)) / math.sin(c) ** 2
-            d_a = k * a ** (k - 1) * g
-            d_b = a**k * dg_dc * (-k * math.pi / (b * b))
+            dg_dc = (sin_c - c * np.cos(c)) / sin_c**2
+            d_a = k * a ** (k - 1) * (c / sin_c)
+            d_b = a**k * dg_dc * (-k * np.pi / (b * b))
             rows.append([d_a, d_b])
-        return np.array(rows)
+        return rows
 
     def eliminate_for_moment(self, i, target):
         if target <= 0:

@@ -6,9 +6,13 @@ total loss at every grid value, and records the target-property value at
 each constrained optimum.  The curve is then classified for monotonicity
 and for which endpoint (or interior weight) best matches the plug-in truth.
 
-The grid is walked once, in order, in one thread: each point is solved
-exactly once from the optimizer's own starts, independently of its
-neighbours, so a point's result does not depend on the rest of the grid.
+All grid points are solved by one ``minimize_many`` call: the finite-weight
+points and their starts advance together as the lanes of one batched
+Levenberg-Marquardt loop, and the endpoints take their own exact or
+constrained paths.  Each point is solved exactly once from the optimizer's
+own starts, and every lane is computed independently of the others, so a
+point's result does not depend on the rest of the grid: it equals
+``minimize`` on that point alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import ElicitError, EndpointMissing, TooFewPoints
 from .links import LinkFunction, link_value
 from .losses import EmpiricalMoments, WeightVector, default_kinds
-from .optimize import OptimizerConfig, Solution, minimize
+from .optimize import OptimizerConfig, Solution, minimize, minimize_many
 
 DEFAULT_GRID_POINTS = 41
 DEFAULT_GRID_LO = 1e-3
@@ -116,26 +120,50 @@ class SweepCurve:
         return sum(not p.converged for p in self.points) / len(self.points)
 
 
-def _solve_point(spec: SweepSpec, c_value: float) -> SweepPoint:
+def _point(spec: SweepSpec, c_value: float, solved) -> SweepPoint:
+    """The sweep point for a solve's outcome: a Solution or the ElicitError it raised."""
     is_endpoint = c_value == 0.0 or math.isinf(c_value)
+    if not isinstance(solved, ElicitError):
+        try:
+            return SweepPoint(c_value, solved, link_value(spec.link, solved.r_star), is_endpoint)
+        except ElicitError as exc:
+            solved = exc
+    return SweepPoint(c_value, None, math.nan, is_endpoint, error=str(solved))
+
+
+def _solve_point(spec: SweepSpec, c_value: float) -> SweepPoint:
     try:
-        sol = minimize(
+        solved = minimize(
             spec.model,
             spec.weights_at(c_value),
             spec.em,
             kinds=spec.kinds,
             config=spec.optimizer,
         )
-        gamma = link_value(spec.link, sol.r_star)
     except ElicitError as exc:
-        return SweepPoint(c_value, None, math.nan, is_endpoint, error=str(exc))
-    return SweepPoint(c_value, sol, gamma, is_endpoint)
+        solved = exc
+    return _point(spec, c_value, solved)
+
+
+def _solve_points(spec: SweepSpec, values: list[float]) -> list[SweepPoint]:
+    """Every value's point, the solves as one batch."""
+    solved: list = []
+    for c_value in values:
+        try:
+            solved.append(spec.weights_at(c_value))
+        except ElicitError as exc:
+            solved.append(exc)
+    todo = [k for k, w in enumerate(solved) if not isinstance(w, ElicitError)]
+    batch = minimize_many(spec.model, [solved[k] for k in todo], spec.em, kinds=spec.kinds,
+                          config=spec.optimizer)
+    for k, sol in zip(todo, batch):
+        solved[k] = sol
+    return [_point(spec, v, s) for v, s in zip(values, solved)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepCurve:
     """Evaluate the sweep; classify monotonicity and the best weight."""
-    values = [0.0, *spec.grid.tolist(), math.inf]
-    points = [_solve_point(spec, v) for v in values]
+    points = _solve_points(spec, [0.0, *spec.grid.tolist(), math.inf])
 
     gamma_hat = link_value(spec.link, spec.em.m_hat)
     curve = SweepCurve(spec=spec, points=points, gamma_hat=gamma_hat)

@@ -98,19 +98,86 @@ class TestJacobians:
         with np.errstate(over="ignore"):
             r = m.moments([300.0, 1.0])
             jac = m.moment_jacobian([300.0, 1.0])
+            batch = m.jacobian_grid(np.array([[300.0, 1.0], [0.0, 1.0]]))
         assert np.isfinite(r[:2]).all() and np.isinf(r[2])
         assert np.isfinite(jac[:2]).all() and np.isinf(jac[2]).all()
         assert np.allclose(jac[:2, 0], [r[0], 2 * r[1]], rtol=1e-15)
+        assert np.array_equal(batch[0], jac)
+        assert np.isfinite(batch[1]).all()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_batch_equals_moment_jacobian_row_by_row(self, name):
+        model = make_model(name, {**ONE_PARAM, **TWO_PARAM}[name])
+        thetas = np.array(INTERIOR_GRIDS[name], dtype=float)
+        batch = model.jacobian_grid(thetas)
+        assert batch.shape == (len(thetas), model.moment_order, model.theta_dim)
+        for theta, row in zip(thetas, batch):
+            assert np.array_equal(row, model.moment_jacobian(theta)), (name, theta)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_matches_finite_differences(self, name):
         fixed = {**ONE_PARAM, **TWO_PARAM}[name]
         model = make_model(name, fixed)
-        for theta in INTERIOR_GRIDS[name]:
-            an = model.moment_jacobian(theta)
+        batch = model.jacobian_grid(np.array(INTERIOR_GRIDS[name], dtype=float))
+        for theta, row in zip(INTERIOR_GRIDS[name], batch):
             fd = fd_jacobian(model, theta)
-            rel = np.abs(fd - an) / np.maximum(np.abs(an), 1e-10)
-            assert rel.max() < 1e-5, f"{name} at theta={theta}: rel err {rel.max():.2e}"
+            for an in (model.moment_jacobian(theta), row):
+                rel = np.abs(fd - an) / np.maximum(np.abs(an), 1e-10)
+                assert rel.max() < 1e-5, f"{name} at theta={theta}: rel err {rel.max():.2e}"
+
+
+def outside_by_old_rule(model, theta):
+    """The per-coordinate domain rule the vectorized mask replaced: True when theta is outside."""
+    for j, (lo, hi) in enumerate(model.domain):
+        lo_closed, hi_closed = model.domain_closed[j] if model.domain_closed else (False, False)
+        x = theta[j]
+        if not np.isfinite(x):
+            return True
+        if lo is not None and (x < lo if lo_closed else x <= lo):
+            return True
+        if hi is not None and (x > hi if hi_closed else x >= hi):
+            return True
+    return False
+
+
+def points_around_bounds(model):
+    """For every bound: points on it, just inside and just outside, other coordinates interior."""
+    center = model.domain_center()
+    points = []
+    for j, bounds in enumerate(model.domain):
+        for bound in bounds:
+            if bound is None:
+                continue
+            for x in (bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf),
+                      bound - 1e-3, bound + 1e-3, np.nan, np.inf):
+                theta = center.copy()
+                theta[j] = x
+                points.append(theta)
+    return np.array(points)
+
+
+class TestDomainMask:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_agrees_with_the_per_coordinate_rule(self, name):
+        model = make_model(name, {**ONE_PARAM, **TWO_PARAM}[name])
+        points = points_around_bounds(model)
+        mask = model.in_domain(points)
+        for theta, inside in zip(points, mask):
+            assert inside == (not outside_by_old_rule(model, theta)), (name, theta)
+            if inside:
+                model.moments(theta)
+            else:
+                with pytest.raises(DomainError):
+                    model.moments(theta)
+                with pytest.raises(DomainError):
+                    model.moment_jacobian(theta)
+
+    def test_covers_closed_and_open_bounds(self):
+        # binomial is closed at both ends and lognormal's v2 at 0: the bound itself is inside.
+        assert make_model("binomial_fixed_trials", (10.0,)).in_domain([[0.0], [1.0]]).all()
+        assert make_model("lognormal").in_domain([[0.0, 0.0]]).all()
+        assert not make_model("poisson").in_domain([[0.0]]).any()
+        assert not make_model("loglogistic").in_domain([[1.0, 3.5]]).any()
 
 
 class TestModelCurve:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
-from elicit.errors import EmptyGrid
+from elicit.errors import DomainError, EmptyGrid
 from elicit.losses import WeightVector, empirical_moments, renormalize_base
 from elicit.optimize import (
     OptimizerConfig,
@@ -169,9 +169,9 @@ class TestLevenbergMarquardt:
         undefined = []
         lm_point = optimize._lm_point
 
-        def counting(fun, z):
-            out = lm_point(fun, z)
-            undefined.append(out is None)
+        def counting(fun, z, lanes):
+            out = lm_point(fun, z, lanes)
+            undefined.append(not out[3].all())
             return out
 
         monkeypatch.setattr(optimize, "_lm_point", counting)
@@ -185,38 +185,40 @@ class TestLevenbergMarquardt:
     def test_undefined_region_ends_in_no_descent(self):
         # rho = z - 3 is undefined beyond z = 1.5: the solver walks to the
         # edge and stops there.
-        def fun(z, jac=False):
-            if z[0] > 1.5:
-                return None
-            rho = np.array([z[0] - 3.0])
-            return (rho, np.ones((1, 1))) if jac else rho
+        def fun(z, lanes, jac=False):
+            return z - 3.0, np.ones((len(z), 1, 1)), z[:, 0] <= 1.5
 
-        z, f, _, termination = optimize._levenberg_marquardt(fun, np.zeros(1), 1000, 1e-12, 1e-10)
-        assert termination == "no_descent"
-        assert 1.5 - 1e-6 < z[0] <= 1.5
-        assert f == (z[0] - 3.0) ** 2
+        z, f, _, termination, _ = optimize._levenberg_marquardt(
+            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.zeros((1, 1)),
+            1000, 1e-12, 1e-10)
+        assert termination[0] == "no_descent"
+        assert 1.5 - 1e-6 < z[0, 0] <= 1.5
+        assert f[0] == (z[0, 0] - 3.0) ** 2
 
     def test_damping_follows_the_curvature_from_far_starts(self):
         # rho_1 = exp(z) - 2: from z0 a Gauss-Newton step lowers z by about 1
         # while J^T J falls by e^2, so 20 more units of start distance cost
         # about 20 more steps.  A damping fixed in absolute units lags behind
-        # J^T J and took 68 more.
-        def fun(z, jac=False):
-            rho = np.array([math.exp(z[0]) - 2.0, 0.5 * (z[0] - 1.0)])
-            return (rho, np.array([[math.exp(z[0])], [0.5]])) if jac else rho
+        # J^T J and took 68 more.  Both starts run as lanes of one batch.
+        def fun(z, lanes, jac=False):
+            e = np.exp(z[:, 0])
+            rho = np.column_stack([e - 2.0, 0.5 * (z[:, 0] - 1.0)])
+            J = np.stack([e, np.full_like(e, 0.5)], axis=1)[:, :, None]
+            return rho, J, np.ones(len(z), dtype=bool)
 
-        iters = {}
-        for z0 in (10.0, 30.0):
-            z, _, iters[z0], termination = optimize._levenberg_marquardt(
-                fun, np.array([z0]), 1000, 1e-12, 1e-10)
-            assert termination == "converged"
-            assert z[0] == pytest.approx(0.7107536660, abs=1e-9)
-        assert iters[30.0] - iters[10.0] <= 25
+        z, _, iters, termination, _ = optimize._levenberg_marquardt(
+            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.array([[10.0], [30.0]]),
+            1000, 1e-12, 1e-10)
+        assert list(termination) == ["converged", "converged"]
+        assert z[:, 0] == pytest.approx([0.7107536660] * 2, abs=1e-9)
+        assert iters[1] - iters[0] <= 25
 
     def test_undefined_start_is_not_converged(self):
-        # r_3 overflows at v2 = 100, and no multistart offers a way out.
+        # r_3 overflows at v2 = 100, and no multistart offers a way out.  The
+        # overflow stays inside the solver: no warning escapes.
         cfg = OptimizerConfig(multistart=0, init=(0.0, 100.0))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = minimize(make_model("lognormal"), WeightVector.of([1.0, 1.0, 1.0]),
                            lognormal_9_sample_moments(), config=cfg)
         assert sol.termination == "no_descent"
@@ -239,6 +241,56 @@ class TestLevenbergMarquardt:
                 m = exp.em.m_hat[j]
                 slack = CONTAINMENT_SLACK * (1.0 + abs(m))
                 assert abs(point.solution.r_star[j] - m) <= 1e-3 * slack, (name, j)
+
+
+class TestBatch:
+    def test_each_problem_equals_its_own_minimize(self, poisson_em_3_15):
+        weights = [WeightVector.of(c) for c in ([1.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [3.0, 0.2])]
+        batch = optimize.minimize_many(POISSON, weights, poisson_em_3_15)
+        for w, sol in zip(weights, batch):
+            alone = minimize(POISSON, w, poisson_em_3_15)
+            assert np.array_equal(sol.theta_star, alone.theta_star)
+            assert (sol.loss, sol.termination, sol.n_iters) == (
+                alone.loss, alone.termination, alone.n_iters)
+
+    def test_an_infeasible_problem_leaves_the_others_solved(self, poisson_em_3_15):
+        good, bad = WeightVector.of([1.0, 1.0]), WeightVector.of([1.0, 1.0, 1.0])
+        sol, err = optimize.minimize_many(POISSON, [good, bad], poisson_em_3_15)
+        assert sol.converged
+        assert isinstance(err, DomainError)
+        with pytest.raises(DomainError, match="moment order"):
+            minimize(POISSON, bad, poisson_em_3_15)
+        with pytest.raises(DomainError, match="one sequence of starts per weight vector"):
+            optimize.minimize_many(POISSON, [good, good], poisson_em_3_15, extra_starts=[()])
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
+    def test_start_index_names_the_start_used(self, shipped_sweeps, name):
+        exp, curve = shipped_sweeps[name]
+        cfg = exp.spec.optimizer
+        init = optimize._resolve_init(exp.model, None, exp.em, exp.spec.kinds, cfg)
+        starts = optimize._starts(init, exp.model.domain, cfg)
+        for point in curve.points:
+            sol = point.solution
+            assert sol.n_evals >= sol.n_iters >= 0
+            if sol.termination in ("exact_fit", "constraint"):
+                assert sol.start_index is None
+            elif math.isfinite(point.c_value):
+                assert np.array_equal(sol.start_used, starts[sol.start_index])
+            else:
+                assert 0 <= sol.start_index <= cfg.multistart
+        assert len(starts) == cfg.multistart + 1
+
+    def test_extra_starts_follow_the_configured_ones(self, poisson_em_3_15):
+        cfg = OptimizerConfig(multistart=2)
+        extra = [[2.0], [7.0]]
+        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, config=cfg,
+                       extra_starts=extra)
+        starts = optimize._starts(moment_match_init(POISSON, poisson_em_3_15), POISSON.domain,
+                                  cfg) + [np.array(s) for s in extra]
+        assert np.array_equal(sol.start_used, starts[sol.start_index])
+        assert sol.n_evals >= sol.n_iters + len(starts)
 
 
 class TestTermination:

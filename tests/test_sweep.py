@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from elicit import link_value, make_link, make_model, minimize
+from elicit.config import resolve
 from elicit.errors import EndpointMissing, TooFewPoints
 from elicit.losses import WeightVector
 from elicit.optimize import Solution
@@ -17,7 +19,9 @@ from elicit.sweep import (
     run_sweep,
 )
 
-from conftest import make_variance_spec
+from elicit.theory import check_condition_A
+
+from conftest import DIAGNOSTIC_CONFIG_DIR, make_variance_spec
 
 
 def _stub_point(c_value, gamma, r_star=None, converged=True, is_endpoint=False):
@@ -85,6 +89,34 @@ class TestRunSweep:
                             kinds=spec.kinds, config=spec.optimizer,
                             extra_starts=[prev.solution.theta_star])
             assert warm.loss >= point.solution.loss, point.c_value
+
+    @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
+    def test_a_point_does_not_depend_on_the_rest_of_the_grid(self, shipped_sweeps, name):
+        # The curve is solved as one batch; each point equals its solve alone.
+        exp, curve = shipped_sweeps[name]
+        spec = exp.spec
+        for point in curve.points:
+            alone = minimize(spec.model, spec.weights_at(point.c_value), spec.em,
+                             kinds=spec.kinds, config=spec.optimizer)
+            sol = point.solution
+            assert np.array_equal(sol.theta_star, alone.theta_star), point.c_value
+            assert sol.loss == alone.loss, point.c_value
+            assert sol.termination == alone.termination, point.c_value
+            assert (sol.n_iters, sol.n_evals) == (alone.n_iters, alone.n_evals), point.c_value
+
+    def test_unit_base_weights_on_heavy_tailed_lognormal(self):
+        # The diagnostic config without renormalization: the moments of the
+        # lognormal(0, 9) sample span many orders of magnitude.
+        cfg = json.loads((DIAGNOSTIC_CONFIG_DIR / "renorm-ones-lognormal.json").read_text())
+        exp = resolve(cfg)
+        curve = run_sweep(exp.spec)
+        assert len(curve.points) == 43 and len(curve.converged_points()) == 43
+        vals = [p.solution.sub_losses[exp.spec.index] for p in curve.points]
+        for a, b in zip(vals, vals[1:]):
+            assert b <= a + 1e-8 + 1e-6 * abs(a)
+        assert check_condition_A(curve, exp.em.m_hat).verdict == "pass"
+        assert curve.monotonicity.direction == "increasing"
+        assert curve.best.kind == "zero"
 
     def test_large_finite_weight_approximates_infinite_endpoint(self, poisson_em_3_15):
         model = make_model("poisson")
