@@ -26,8 +26,7 @@ from .config import Experiment, load_config, resolve
 from .distmodels import make_model
 from .errors import ConfigError, ElicitError, EmptyGrid
 from .links import make_link
-# minimize stays a name here: bench/smoke.py checks that tracing restores it.
-from .optimize import default_box, meshgrid_oracle, minimize, minimize_many  # noqa: F401
+from .optimize import default_box, meshgrid_oracle, minimize
 from .sweep import SweepCurve, run_sweep
 from .theory import (
     check_condition_A,
@@ -191,8 +190,7 @@ def cmd_oracle(config_path, width):
 
     Runs at the config's fixed weights with the swept entry set to 1, from
     the configured starts and from those plus the grid minimizer as a start,
-    both in one batched solve, and logs the target-property value reached
-    from each.
+    and logs the target-property value reached from each.
     """
     cfg = load_config(config_path)
     exp = resolve(cfg)
@@ -208,12 +206,11 @@ def cmd_oracle(config_path, width):
 
     from .links import link_value
 
-    solved = minimize_many(exp.model, [weights, weights], exp.em, kinds, exp.spec.optimizer,
-                           extra_starts=[(), [oracle.theta_star]])
-    for sol in solved:
-        if isinstance(sol, ElicitError):
-            raise sol
-    sol_cfg, sol_grid = solved
+    config = exp.spec.optimizer
+    sol_cfg = minimize(exp.model, weights, exp.em, kinds, config)
+    from_grid = minimize(exp.model, weights, exp.em, kinds,
+                         dataclasses.replace(config, init=tuple(oracle.theta_star), multistart=0))
+    sol_grid = min(sol_cfg, from_grid, key=lambda sol: (sol.loss, tuple(sol.theta_star)))
     for tag, sol in (("configured start", sol_cfg), ("grid-minimum start", sol_grid)):
         gamma = link_value(exp.link, sol.r_star)
         click.echo(

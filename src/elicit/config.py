@@ -8,6 +8,7 @@ spec) and returns the fully-defaulted config dict for the manifest.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,7 +102,7 @@ CONFIG_SCHEMA = {
                 "multistart": {"type": "integer", "minimum": 0},
                 "init": {
                     "oneOf": [
-                        {"enum": ["moment_match", "meshgrid_min"]},
+                        {"enum": ["moment_match"]},
                         {"type": "array", "items": {"type": "number"}},
                     ]
                 },
@@ -115,15 +116,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_OPTIMIZER_DEFAULTS = {
-    "method": "levenberg_marquardt",
-    "max_iters": 10000,
-    "tol_loss": 1e-12,
-    "tol_step": 1e-10,
-    "multistart": 4,
-    "init": "moment_match",
-    "seed": 0,
-}
+_OPTIMIZER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
 
 _TEMPLATE_N_DEFAULT = 1000
 

@@ -53,6 +53,14 @@ def _bounds(domain, closed) -> list[tuple[int, str, float]]:
     return out
 
 
+def _rising(a, k):
+    """The rising product a (a+1) ... (a+k-1)."""
+    out = 1.0
+    for j in range(k):
+        out = out * (a + j)
+    return out
+
+
 class ParametricModel:
     """A named moment map theta -> r(theta) with domain and Jacobian.
 
@@ -138,9 +146,11 @@ class ParametricModel:
     def eliminate_for_moment(self, i: int, target: float):
         """Solve r_i(theta) = target for one coordinate (2-parameter models).
 
-        Returns ``(free_index, build)`` where ``build(x)`` maps a value of
-        the free coordinate to a full theta satisfying the constraint, or
-        raises OutOfImage when no parameter can reach the target.
+        Returns ``(free_index, build)``, or raises OutOfImage when no
+        parameter can reach the target.  ``build(x)`` maps an (n,) array of
+        the free coordinate to the (n, 2) thetas that satisfy the constraint,
+        in closed form; a row that leaves the domain is left for
+        ``in_domain`` to reject.
         """
         raise NotImplementedError
 
@@ -318,9 +328,8 @@ class LogNormalModel(ParametricModel):
         k = i + 1
         log_t = math.log(target)
 
-        def build(v2: float) -> np.ndarray:
-            u = (log_t - 0.5 * k * k * v2) / k
-            return np.array([u, v2])
+        def build(v2):
+            return np.column_stack([(log_t - 0.5 * k * k * v2) / k, v2])
 
         return 1, build
 
@@ -333,22 +342,15 @@ class Gamma2Model(ParametricModel):
     moment_order = 3
     domain = ((0.0, None), (0.0, None))
 
-    @staticmethod
-    def _rising(a, k):
-        out = 1.0
-        for j in range(k):
-            out = out * (a + j)
-        return out
-
     def _raw_moments(self, cols):
         a, b = cols
-        return [b**k * self._rising(a, k) for k in (1, 2, 3)]
+        return [b**k * _rising(a, k) for k in (1, 2, 3)]
 
     def _raw_jacobian(self, cols):
         a, b = cols
         rows = []
         for k in (1, 2, 3):
-            rising = self._rising(a, k)
+            rising = _rising(a, k)
             d_a = b**k * rising * sum(1.0 / (a + j) for j in range(k))
             d_b = k * b ** (k - 1) * rising
             rows.append([d_a, d_b])
@@ -359,9 +361,8 @@ class Gamma2Model(ParametricModel):
             raise OutOfImage(f"gamma2: moment {i + 1} is positive, target {target} unreachable")
         k = i + 1
 
-        def build(a: float) -> np.ndarray:
-            b = (target / self._rising(a, k)) ** (1.0 / k)
-            return np.array([a, b])
+        def build(a):
+            return np.column_stack([a, (target / _rising(a, k)) ** (1.0 / k)])
 
         return 0, build
 
@@ -396,28 +397,33 @@ class Beta2Model(ParametricModel):
         return rows
 
     def eliminate_for_moment(self, i, target):
-        # Given shape a, r_k is strictly decreasing in b with range (0, 1);
-        # bracket and bisect on b.
+        # Given shape a, prod_{j<k} (a+b+j) - prod_{j<k} (a+j) = D with
+        # D = prod_{j<k} (a+j) * (1 - t) / t: a polynomial in b with no
+        # constant term, increasing and convex on b > 0.
         if not 0.0 < target < 1.0:
             raise OutOfImage(f"beta2: moment {i + 1} lies in (0, 1), target {target} unreachable")
         k = i + 1
+        odds = (1.0 - target) / target
 
-        def build(a: float) -> np.ndarray:
-            from scipy.optimize import brentq
-
-            def resid(b):
-                rk = 1.0
-                for j in range(k):
-                    rk *= (a + j) / (a + b + j)
-                return rk - target
-
-            lo, hi = 1e-12, 1.0
-            while resid(hi) > 0:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise OutOfImage(f"beta2: cannot bracket b for moment {k} = {target}")
-            b = brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            return np.array([a, b])
+        def build(a):
+            D = _rising(a, k) * odds
+            if k == 1:
+                b = D
+            elif k == 2:
+                # Root of b^2 + (2a+1) b = D, in a form without cancellation.
+                b = 2.0 * D / ((2.0 * a + 1.0) + np.sqrt((2.0 * a + 1.0) ** 2 + 4.0 * D))
+            else:
+                # Newton on b^3 + c2 b^2 + c1 b = D from above the root (each
+                # term is positive, so D / c1 and D^(1/3) both bound it): the
+                # iterates fall monotonically until a step no longer lowers b.
+                c2, c1 = 3.0 * (a + 1.0), 3.0 * a * a + 6.0 * a + 2.0
+                b = np.minimum(D / c1, np.cbrt(D))
+                for _ in range(100):
+                    lower = b - (((b + c2) * b + c1) * b - D) / ((3.0 * b + 2.0 * c2) * b + c1)
+                    if not (lower < b).any():
+                        break
+                    b = np.fmin(lower, b)
+            return np.column_stack([a, b])
 
         return 0, build
 
@@ -429,11 +435,6 @@ class LogLogisticModel(ParametricModel):
     theta_dim = 2
     moment_order = 3
     domain = ((0.0, None), (LOGLOGISTIC_SHAPE_FLOOR, None))
-
-    @staticmethod
-    def _g(k, b):
-        c = k * math.pi / b
-        return c / math.sin(c)
 
     def _raw_moments(self, cols):
         a, b = cols
@@ -461,9 +462,9 @@ class LogLogisticModel(ParametricModel):
             raise OutOfImage(f"loglogistic: moment {i + 1} is positive, target {target} unreachable")
         k = i + 1
 
-        def build(b: float) -> np.ndarray:
-            a = (target / self._g(k, b)) ** (1.0 / k)
-            return np.array([a, b])
+        def build(b):
+            c = k * np.pi / b
+            return np.column_stack([(target / (c / np.sin(c))) ** (1.0 / k), b])
 
         return 1, build
 

@@ -191,11 +191,6 @@ class WeightVector:
         idx = np.flatnonzero(np.isinf(self.c))
         return int(idx[0]) if idx.size else None
 
-    def with_entry(self, i: int, value: float) -> "WeightVector":
-        c = self.c.copy()
-        c[i] = value
-        return WeightVector(c=c, k=self.k)
-
 
 def total_loss(weights: WeightVector, r, em: EmpiricalMoments, kinds=None):
     """Sum of effective-weighted sub-losses; zero-weight terms contribute exactly 0.

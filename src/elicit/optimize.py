@@ -47,11 +47,16 @@ same inversion as the constrained path whenever m_hat_i lies in the model's
 image.
 
 An infinite weight on coordinate i is never summed into the objective; it
-becomes the hard constraint r_i(theta) = m_hat_i, solved by inverting the
-moment map (1-parameter models) or by eliminating one coordinate and
-minimizing the remaining residuals over the other (2-parameter models).
-There the lanes are the problem's own starts, and the Jacobian is a central
-difference over the free coordinate.
+becomes the hard constraint r_i(theta) = m_hat_i.  A 1-parameter model
+solves it by inverting the moment map.  A 2-parameter model eliminates one
+coordinate through the constraint in closed form and minimizes the remaining
+residuals over the other; its starts are lanes of the same batch as the
+finite-weight problems.  Such a lane keeps 0 in the z of the eliminated
+coordinate, and its Jacobian column for the free coordinate f is
+J_f + J_e * d theta_e / d theta_f, with d theta_e / d theta_f =
+-(d r_i / d theta_f) / (d r_i / d theta_e), while the eliminated column is
+0, so a Levenberg-Marquardt step never moves it.  Nelder-Mead and gradient
+descent see only the free coordinate of such a lane.
 
 A brute-force meshgrid oracle provides an independent cross-check on the
 iterative solvers.
@@ -121,8 +126,7 @@ class Solution:
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
     problem's starts.  ``start_index`` is the winning start's place in the
     start list: 0 for the configured init, 1..multistart for the random
-    offsets, then any extra starts; None when no start was used (inversion
-    or the meshgrid).
+    offsets; None when no start was used (inversion or the meshgrid).
     """
 
     theta_star: np.ndarray
@@ -400,37 +404,48 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
     return z, float(fz), n_iters, termination
 
 
-def _run_lane(fun, lane, z0, config):
-    """Nelder-Mead or gradient descent on one lane: (z, f, iterations, termination, evals)."""
+def _run_lane(fun, lane, z0, free, config):
+    """Nelder-Mead or gradient descent on one lane: (z, f, iterations, termination, evals).
+
+    The solver moves only the coordinates of z0 flagged in ``free``.
+    """
     lanes = np.array([lane])
     evals = 0
 
-    def f(z):
+    def full(x):
+        z = z0.copy()
+        z[free] = x
+        return z[None]
+
+    def f(x):
         nonlocal evals
         evals += 1
-        rho, _, ok = fun(z[None], lanes)
+        rho, _, ok = fun(full(x), lanes)
         return float(_sq(rho, ok)[0])
 
-    def grad(z):
+    def grad(x):
         nonlocal evals
         evals += 1
-        rho, J, ok = fun(z[None], lanes, jac=True)
-        return 2.0 * (J * rho[:, :, None]).sum(axis=1)[0] if ok[0] else None
+        rho, J, ok = fun(full(x), lanes, jac=True)
+        return 2.0 * (J * rho[:, :, None]).sum(axis=1)[0, free] if ok[0] else None
 
-    args = (z0, config.max_iters, config.tol_loss, config.tol_step)
+    args = (z0[free], config.max_iters, config.tol_loss, config.tol_step)
     if config.method == "gradient_descent":
-        out = _gradient_descent(f, grad, *args)
+        x, *out = _gradient_descent(f, grad, *args)
     else:
-        out = _nelder_mead(f, *args)
-    return (*out, evals)
+        x, *out = _nelder_mead(f, *args)
+    return (full(x)[0], *out, evals)
 
 
-def _run_solver(fun, z0, config):
-    """Solve every lane (row of z0): z, f, iterations, terminations and evaluations."""
+def _run_solver(fun, z0, free, config):
+    """Solve every lane (row of z0): z, f, iterations, terminations and evaluations.
+
+    ``free`` flags, per lane, the coordinates of z the solver may move.
+    """
     if config.method == "levenberg_marquardt":
         return _levenberg_marquardt(lambda z, lanes: _lm_point(fun, z, lanes), z0,
                                     config.max_iters, config.tol_loss, config.tol_step)
-    runs = [_run_lane(fun, k, z, config) for k, z in enumerate(z0)]
+    runs = [_run_lane(fun, k, z, free[k], config) for k, z in enumerate(z0)]
     z, f, iters, term, evals = zip(*runs)
     return (np.array(z), np.array(f), np.array(iters), np.array(term, dtype=object),
             np.array(evals))
@@ -505,15 +520,10 @@ def _multistart_offsets(config: OptimizerConfig, dim: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(config.multistart, dim))
 
 
-def _resolve_init(model, weights, em, kinds, config) -> np.ndarray:
+def _resolve_init(model, em, config) -> np.ndarray:
     if isinstance(config.init, str):
         if config.init == "moment_match":
             return moment_match_init(model, em)
-        if config.init == "meshgrid_min":
-            sol = meshgrid_oracle(
-                model, weights, em, kinds, box=default_box(model, em), width=0.1
-            )
-            return interior_start(model, sol.theta_star)
         raise DomainError(f"unknown init setting {config.init!r}")
     return interior_start(model, np.asarray(config.init, dtype=float))
 
@@ -578,72 +588,47 @@ def _finite_objective(model, em, kinds):
     return residual
 
 
-def _direct(residual, domain, eff):
-    """``fun`` for lanes that search theta itself, one row of ``eff`` per lane."""
+def _lane_objective(model, residual, eff, eliminated):
+    """``fun`` over the z rows of a batch, and ``thetas(z, lanes)`` decoding them.
+
+    ``eff`` holds one row of effective weights per lane.  ``eliminated``
+    lists (lo, hi, free index, constraint index, build) per constrained
+    problem: its lanes lo..hi-1 search the free coordinate, and ``build``
+    supplies the other one from the constraint.
+    """
+
+    def thetas(z, lanes):
+        theta, dtheta = _from_z(z, model.domain)
+        for lo, hi, f, _, build in eliminated:
+            rows = (lanes >= lo) & (lanes < hi)
+            theta[rows] = build(theta[rows, f])
+        return theta, dtheta
 
     def fun(z, lanes, jac=False):
-        theta, dtheta = _from_z(z, domain)
+        theta, dtheta = thetas(z, lanes)
         rho, J, ok = residual(theta, eff[lanes], jac)
-        return rho, (J * dtheta[:, None, :] if jac else None), ok
-
-    return fun
-
-
-def _as_theta(x):
-    """``decode`` for lanes that search theta itself."""
-    return x, np.ones(len(x), dtype=bool)
-
-
-def _eliminated(residual, domain, eff, decode):
-    """``fun`` over the one free coordinate of a constrained problem.
-
-    The Jacobian is a central difference in z over the residual of the
-    decoded theta.
-    """
-
-    def rho_z(z):
-        theta, ok = decode(_from_z(z, domain)[0])
-        rho, _, ok_r = residual(theta, eff)
-        return rho, ok & ok_r
-
-    def fun(z, lanes, jac=False):
         if not jac:
-            rho, ok = rho_z(z)
             return rho, None, ok
-        n = len(z)
-        h = 1e-6 * (1.0 + np.abs(z))
-        rho, ok = rho_z(np.concatenate([z, z + h, z - h]))
-        up, down = rho[n:2 * n], rho[2 * n:]
-        J = ((up - down) / (2.0 * h))[:, :, None]
-        return rho[:n], J, ok[:n] & ok[n:2 * n] & ok[2 * n:]
+        Jz = J * dtheta[:, None, :]
+        for lo, hi, f, i, _ in eliminated:
+            rows = (lanes >= lo) & (lanes < hi)
+            e = 1 - f
+            grad_i = model.jacobian_grid(theta[rows])[:, i]
+            slope = -grad_i[:, f] / grad_i[:, e]
+            Jz[rows] = 0.0
+            Jz[rows, :, f] = ((J[rows, :, f] + J[rows, :, e] * slope[:, None])
+                              * dtheta[rows, f, None])
+        return rho, Jz, ok
 
-    return fun
-
-
-def _solve_starts(fun, decode, residual, eff, domain, starts, config):
-    """Run the solver from every start (rows of x) and score each raw start.
-
-    ``decode(x)`` gives the rows of theta and where they exist.  Each raw
-    start is itself a candidate, evaluated without the z round trip, so a
-    start sitting exactly on the minimizer is returned bit-exact.  Returns
-    the per-lane candidates ((theta, f, ok) at the solver's end and at the
-    raw start) plus iterations, terminations and evaluations.
-    """
-    starts = np.asarray(starts, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, f_end, iters, term, evals = _run_solver(fun, _to_z(starts, domain), config)
-        theta_end, ok_end = decode(_from_z(z, domain)[0])
-        theta_start, ok_start = decode(starts)
-        rho, _, ok = residual(theta_start, eff)
-        f_start = _sq(rho, ok & ok_start)
-    return (theta_end, f_end, ok_end), (theta_start, f_start, ok_start), iters, term, evals + 1
+    return fun, thetas
 
 
-def _best_lane(lanes, end, start, term, starts):
+def _best_lane(lanes, end, start, term):
     """The (loss, lexicographic theta) best candidate over the given lanes.
 
-    Returns (theta, loss, termination, start, start index), or None when no
-    candidate decodes to a theta.
+    ``end`` and ``start`` hold (theta, f, ok) per lane at the solver's end
+    and at the raw start.  Returns (theta, loss, termination, start, start
+    index), or None when no candidate has a theta in the domain.
     """
     best = None
     for index, lane in enumerate(lanes):
@@ -652,7 +637,8 @@ def _best_lane(lanes, end, start, term, starts):
                 continue
             key = (float(f[lane]), tuple(theta[lane]))
             if best is None or key < best[0]:
-                best = (key, (theta[lane].copy(), key[0], str(term[lane]), starts[index], index))
+                best = (key, (theta[lane].copy(), key[0], str(term[lane]),
+                              start[0][lane].copy(), index))
     return None if best is None else best[1]
 
 
@@ -709,13 +695,15 @@ def _solve_constrained_1p(model, i, target):
     return float(theta), clamped
 
 
-def _own_path(model, weights, em, kinds, config, extra_starts):
-    """The Solution of a problem that is not a finite-weight multistart solve, else None."""
+def _own_path(model, weights, em, kinds):
+    """The Solution of a problem solved by inverting the moment map, else None."""
     if len(weights.c) != em.moment_order:
         raise DomainError("weight vector length must match the moment order")
     inf_idx = weights.infinite_index
     if inf_idx is not None:
-        return _minimize_constrained(model, inf_idx, weights, em, kinds, config, extra_starts)
+        if model.theta_dim == 1:
+            return _minimize_constrained(model, inf_idx, weights, em, kinds)
+        return None
     active = _active_terms(weights.effective)
     if not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
@@ -723,7 +711,7 @@ def _own_path(model, weights, em, kinds, config, extra_starts):
         # Exact fit: the minimizer solves r_i(theta) = m_hat_i.  A target
         # outside the model's image has no exact fit; the multistart solve
         # then finds the boundary-side optimum.
-        sol = _minimize_constrained(model, active[0], weights, em, kinds, config)
+        sol = _minimize_constrained(model, active[0], weights, em, kinds)
         if not sol.clamped:
             return replace(sol, termination="exact_fit")
     return None
@@ -735,57 +723,88 @@ def minimize_many(
     em: EmpiricalMoments,
     kinds=None,
     config: OptimizerConfig | None = None,
-    extra_starts=None,
 ) -> list[Solution | ElicitError]:
-    """``minimize`` for every weight vector, the finite-weight ones as one batch.
+    """``minimize`` for every weight vector, the iterative ones as one batch.
 
-    ``extra_starts``, when given, holds one sequence of extra starts per
-    weight vector.  Returns one Solution per weight vector, or the
-    ElicitError that its problem raised, so one infeasible problem leaves
-    the others solved.  Each result equals ``minimize`` on that weight
-    vector alone.
+    Returns one Solution per weight vector, or the ElicitError that its
+    problem raised, so one infeasible problem leaves the others solved.
+    Each result equals ``minimize`` on that weight vector alone.
     """
     config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
-    if extra_starts is None:
-        extra_starts = [()] * len(weights_list)
-    if len(extra_starts) != len(weights_list):
-        raise DomainError("extra_starts must hold one sequence of starts per weight vector")
     out: list = [None] * len(weights_list)
-    batch = []                      # (result index, weights, starts)
+    batch = []                      # (result index, weights, starts, (free index, build))
     base = None
-    for k, (weights, extra) in enumerate(zip(weights_list, extra_starts)):
+    for k, weights in enumerate(weights_list):
         try:
-            out[k] = _own_path(model, weights, em, kinds, config, extra)
-            if out[k] is None:
-                if base is None or config.init == "meshgrid_min":
-                    base = _starts(_resolve_init(model, weights, em, kinds, config),
-                                   model.domain, config)
-                batch.append((k, weights, base + [interior_start(model, s) for s in extra]))
+            out[k] = _own_path(model, weights, em, kinds)
+            if out[k] is not None:
+                continue
+            if base is None:
+                base = _starts(_resolve_init(model, em, config), model.domain, config)
+            i = weights.infinite_index
+            if i is None:
+                batch.append((k, weights, base, None))
+            else:
+                f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
+                starts = _starts(base[0][f:f + 1], model.domain[f:f + 1], config)
+                batch.append((k, weights, starts, (f, build)))
         except ElicitError as exc:
             out[k] = exc
     if not batch:
         return out
 
+    # Every start is one lane, and lanes lo..hi-1 hold one problem's starts.
+    # A constrained problem's lanes search its free coordinate f and hold 0
+    # in the z of the eliminated one.
+    spans = np.cumsum([0] + [len(starts) for _, _, starts, _ in batch])
+    n = spans[-1]
+    eff = np.repeat([_active_weights(w) for _, w, _, _ in batch], np.diff(spans), axis=0)
+    z0 = np.zeros((n, model.theta_dim))
+    theta0 = np.empty((n, model.theta_dim))
+    free = np.ones((n, model.theta_dim), dtype=bool)
+    eliminated = []
+    for (_, weights, starts, elim), lo, hi in zip(batch, spans, spans[1:]):
+        x = np.asarray(starts, dtype=float)
+        if elim is None:
+            z0[lo:hi], theta0[lo:hi] = _to_z(x, model.domain), x
+        else:
+            f, build = elim
+            z0[lo:hi, f] = _to_z(x, model.domain[f:f + 1])[:, 0]
+            theta0[lo:hi] = build(x[:, 0])
+            free[lo:hi, 1 - f] = False
+            eliminated.append((lo, hi, f, weights.infinite_index, build))
+
     residual = _finite_objective(model, em, kinds)
-    eff = np.array([_active_weights(w) for _, w, problem_starts in batch for _ in problem_starts])
-    starts = [s for _, _, problem_starts in batch for s in problem_starts]
-    end, start, iters, term, evals = _solve_starts(
-        _direct(residual, model.domain, eff), _as_theta, residual, eff, model.domain, starts,
-        config,
-    )
-    first = 0
-    for k, weights, problem_starts in batch:
-        lanes = range(first, first + len(problem_starts))
-        first += len(problem_starts)
-        theta, fz, termination, start_used, index = _best_lane(lanes, end, start, term,
-                                                                problem_starts)
-        eff_k = weights.effective
-        loss = fz + _loss_constant(eff_k, em, _active_terms(eff_k))
+    fun, thetas = _lane_objective(model, residual, eff, eliminated)
+    # Each raw start is itself a candidate, scored without the z round trip,
+    # so a start sitting exactly on the minimizer is returned bit-exact.  A
+    # lane searching theta itself always has a theta; an eliminated lane has
+    # one where the constraint's build lands inside the domain.
+    direct = free.all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, f_end, iters, term, evals = _run_solver(fun, z0, free, config)
+        theta_end = thetas(z, np.arange(n))[0]
+        rho, _, ok = residual(theta0, eff)
+        start = (theta0, _sq(rho, ok), direct | model.in_domain(theta0))
+        end = (theta_end, f_end, direct | model.in_domain(theta_end))
+    for (k, weights, _, _), lo, hi in zip(batch, spans, spans[1:]):
+        found = _best_lane(range(lo, hi), end, start, term)
+        i = weights.infinite_index
         try:
-            out[k] = _solution(theta, model.moments(theta), loss, kinds, em, termination,
-                               iters[lanes].sum(), start_used, start_index=index,
-                               n_evals=evals[lanes].sum())
+            if found is None:
+                raise OutOfImage(f"{model.name}: constraint r_{i + 1} = {float(em.m_hat[i])} "
+                                 "admits no interior solution")
+            theta, fz, termination, start_used, index = found
+            r_star = model.moments(theta)
+            on_constraint = i is None or (abs(r_star[i] - em.m_hat[i])
+                                          <= CONSTRAINT_RTOL * (1.0 + abs(em.m_hat[i])))
+            eff_k = weights.effective
+            # Scoring each raw start is one evaluation on top of the solver's.
+            out[k] = _solution(theta, r_star, fz + _loss_constant(eff_k, em, _active_terms(eff_k)),
+                               kinds, em, termination, iters[lo:hi].sum(), start_used,
+                               converged=on_constraint, start_index=index,
+                               n_evals=evals[lo:hi].sum() + hi - lo)
         except ElicitError as exc:
             out[k] = exc
     return out
@@ -797,75 +816,25 @@ def minimize(
     em: EmpiricalMoments,
     kinds=None,
     config: OptimizerConfig | None = None,
-    extra_starts=(),
 ) -> Solution:
-    """Best Solution over the configured starts (plus any extra warm starts)."""
-    (out,) = minimize_many(model, [weights], em, kinds, config, [extra_starts])
+    """Best Solution over the configured starts."""
+    (out,) = minimize_many(model, [weights], em, kinds, config)
     if isinstance(out, ElicitError):
         raise out
     return out
 
 
-def _minimize_constrained(model, i, weights, em, kinds, config, extra_starts=()):
-    """Minimize the residuals of the finite-weight terms subject to r_i(theta) = m_hat_i."""
-    target = float(em.m_hat[i])
-    residual = _finite_objective(model, em, kinds)
+def _minimize_constrained(model, i, weights, em, kinds):
+    """The 1-parameter theta with r_i(theta) = m_hat_i, scored on the finite-weight terms."""
+    theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
+    theta = np.array([theta_c])
     eff = _active_weights(weights)
     constant = _loss_constant(weights.effective, em, _active_terms(weights.effective))
-
-    if model.theta_dim == 1:
-        theta_c, clamped = _solve_constrained_1p(model, i, target)
-        theta = np.array([theta_c])
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho, _, ok = residual(theta[None], eff)
-            loss = float(_sq(rho, ok)[0]) + constant
-        return _solution(theta, model.moments(theta), loss, kinds, em, "constraint",
-                         clamped=clamped, n_evals=1)
-
-    # Two-parameter models: eliminate one coordinate through the constraint
-    # and minimize the remaining residuals over the free coordinate.
-    free_idx, build = model.eliminate_for_moment(i, target)
-    free_domain = (model.domain[free_idx],)
-
-    def decode(x):
-        """Full thetas for rows of the free coordinate, and where they are strictly interior."""
-        theta = np.full((len(x), model.theta_dim), math.nan)
-        for k, v in enumerate(x[:, 0]):
-            try:
-                theta[k] = build(float(v))
-            except (OutOfImage, ValueError, OverflowError):
-                pass
-        ok = np.ones(len(x), dtype=bool)
-        for j, (lo, hi) in enumerate(model.domain):
-            if lo is not None:
-                ok &= theta[:, j] > lo
-            if hi is not None:
-                ok &= theta[:, j] < hi
-        return theta, ok
-
-    init_full = _resolve_init(model, weights, em, kinds, replace(config, init="moment_match")
-                              if config.init == "meshgrid_min" else config)
-    extra = []
-    for s in extra_starts:
-        s = np.asarray(s, dtype=float)
-        if s.size == model.theta_dim:
-            extra.append(np.array([s[free_idx]]))
-    starts = _starts(np.array([init_full[free_idx]]), free_domain, config) + extra
-    end, start, iters, term, evals = _solve_starts(
-        _eliminated(residual, free_domain, eff, decode), decode, residual, eff, free_domain,
-        starts, config,
-    )
-    found = _best_lane(range(len(starts)), end, start, term, starts)
-    if found is None:
-        raise OutOfImage(
-            f"{model.name}: constraint r_{i + 1} = {target} admits no interior solution"
-        )
-    theta, fz, termination, start_used, index = found
-    r_star = model.moments(theta)
-    on_constraint = abs(r_star[i] - target) <= CONSTRAINT_RTOL * (1.0 + abs(target))
-    return _solution(theta, r_star, fz + constant, kinds, em, termination, iters.sum(),
-                     start_used, converged=on_constraint, start_index=index,
-                     n_evals=evals.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, _, ok = _finite_objective(model, em, kinds)(theta[None], eff)
+        loss = float(_sq(rho, ok)[0]) + constant
+    return _solution(theta, model.moments(theta), loss, kinds, em, "constraint",
+                     clamped=clamped, n_evals=1)
 
 
 # ---------------------------------------------------------------------------

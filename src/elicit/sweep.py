@@ -6,13 +6,14 @@ total loss at every grid value, and records the target-property value at
 each constrained optimum.  The curve is then classified for monotonicity
 and for which endpoint (or interior weight) best matches the plug-in truth.
 
-All grid points are solved by one ``minimize_many`` call: the finite-weight
-points and their starts advance together as the lanes of one batched
-Levenberg-Marquardt loop, and the endpoints take their own exact or
-constrained paths.  Each point is solved exactly once from the optimizer's
-own starts, and every lane is computed independently of the others, so a
-point's result does not depend on the rest of the grid: it equals
-``minimize`` on that point alone.
+All grid points are solved by one ``minimize_many`` call: every point that
+needs an iterative solve, the infinite-weight endpoint of a 2-parameter
+model included, contributes its starts as lanes of one batched
+Levenberg-Marquardt loop; only the points that a 1-parameter model solves
+by inverting its moment map take no lanes.  Each point is solved exactly
+once from the optimizer's own starts, and every lane is computed
+independently of the others, so a point's result does not depend on the
+rest of the grid: it equals ``minimize`` on that point alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ElicitError, EndpointMissing, TooFewPoints
 from .links import LinkFunction, link_value
 from .losses import EmpiricalMoments, WeightVector, default_kinds
-from .optimize import OptimizerConfig, Solution, minimize, minimize_many
+from .optimize import OptimizerConfig, Solution, minimize_many
 
 DEFAULT_GRID_POINTS = 41
 DEFAULT_GRID_LO = 1e-3
@@ -131,20 +132,6 @@ def _point(spec: SweepSpec, c_value: float, solved) -> SweepPoint:
     return SweepPoint(c_value, None, math.nan, is_endpoint, error=str(solved))
 
 
-def _solve_point(spec: SweepSpec, c_value: float) -> SweepPoint:
-    try:
-        solved = minimize(
-            spec.model,
-            spec.weights_at(c_value),
-            spec.em,
-            kinds=spec.kinds,
-            config=spec.optimizer,
-        )
-    except ElicitError as exc:
-        solved = exc
-    return _point(spec, c_value, solved)
-
-
 def _solve_points(spec: SweepSpec, values: list[float]) -> list[SweepPoint]:
     """Every value's point, the solves as one batch."""
     solved: list = []
@@ -173,7 +160,7 @@ def run_sweep(spec: SweepSpec) -> SweepCurve:
     except TooFewPoints:
         curve.monotonicity = None
     try:
-        curve.best = best_weight(curve, evaluate=lambda c: _solve_point(spec, c).gamma)
+        curve.best = best_weight(curve, evaluate=lambda c: _solve_points(spec, [c])[0].gamma)
     except EndpointMissing:
         curve.best = None
     return curve

@@ -210,7 +210,8 @@ def check_md_slice_premise(
 
     For each fixed value of the remaining coordinate the slice is traced by
     solving the constraint along a grid of the model's free parameter, then
-    r_j is checked to be strictly monotone in r_i.
+    r_j is checked to be strictly monotone in r_i.  Grid points whose theta
+    leaves the domain are dropped.
     """
     if model.moment_order != 3 or model.theta_dim != 2:
         return CheckResult("slice_monotonicity", "not_applicable",
@@ -227,20 +228,14 @@ def check_md_slice_premise(
             skipped.append({"fixed_value": float(value), "reason": str(exc)})
             continue
         lo, hi = free_interval if free_interval is not None else _default_free_interval(model, free_idx)
-        pts = []
-        for x in np.linspace(lo, hi, n_grid):
-            try:
-                theta = build(float(x))
-                r = model.moments(theta)
-            except Exception:
-                continue
-            pts.append((float(r[i]), float(r[j])))
-        if len(pts) < 3:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            thetas = build(np.linspace(lo, hi, n_grid))
+            r = model.moments_grid(thetas[model.in_domain(thetas)])
+        if len(r) < 3:
             skipped.append({"fixed_value": float(value), "reason": "slice empty on the grid"})
             continue
-        pts.sort()
-        ri = np.array([p[0] for p in pts])
-        rj = np.array([p[1] for p in pts])
+        order = np.lexsort((r[:, j], r[:, i]))
+        ri, rj = r[order, i], r[order, j]
         if np.any(np.diff(ri) <= 0):
             # Distinct grid points collapsing in r_i would break functionality.
             keep = np.concatenate([[True], np.diff(ri) > 0])
@@ -288,10 +283,7 @@ def check_linear_trajectory(curve: SweepCurve) -> CheckResult:
     direction = vt[0]
     residuals = centered - np.outer(centered @ direction, direction)
     max_orth = float(np.linalg.norm(residuals, axis=1).max())
-    diameter = 0.0
-    for a in range(len(r)):
-        for b in range(a + 1, len(r)):
-            diameter = max(diameter, float(np.linalg.norm(r[a] - r[b])))
+    diameter = float(np.linalg.norm(r[:, None, :] - r[None, :, :], axis=2).max())
     ratio = max_orth / diameter if diameter > 0 else 0.0
     verdict = "pass" if ratio < LINEAR_RESIDUAL_PASS else "fail"
     return CheckResult(

@@ -180,6 +180,37 @@ class TestDomainMask:
         assert not make_model("loglogistic").in_domain([[1.0, 3.5]]).any()
 
 
+# Targets of each moment and values of the free coordinate for elimination.
+ELIMINATION_CASES = {
+    "lognormal": ([0.5, 5.0, 50.0], np.linspace(0.01, 5.0, 25)),
+    "gamma2": ([0.3, 4.0, 200.0], np.geomspace(0.05, 50.0, 25)),
+    "beta2": ([1e-6, 0.02, 0.3, 0.7, 1.0 - 1e-9], np.geomspace(0.01, 100.0, 25)),
+    "loglogistic": ([0.3, 4.0, 200.0], np.linspace(3.6, 40.0, 25)),
+}
+
+
+class TestElimination:
+    @pytest.mark.parametrize("name", sorted(TWO_PARAM))
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_build_meets_the_constraint(self, name, i):
+        model = make_model(name)
+        targets, free = ELIMINATION_CASES[name]
+        for target in targets:
+            f, build = model.eliminate_for_moment(i, target)
+            thetas = build(free)
+            assert thetas.shape == (len(free), 2)
+            assert np.array_equal(thetas[:, f], free)
+            assert model.in_domain(thetas).all()
+            np.testing.assert_allclose(model.moments_grid(thetas)[:, i], target,
+                                       rtol=1e-14, atol=0.0, err_msg=f"{name} {target}")
+
+    @pytest.mark.parametrize("name, target", [("lognormal", 0.0), ("gamma2", -1.0),
+                                              ("beta2", 1.0), ("loglogistic", 0.0)])
+    def test_unreachable_target_raises(self, name, target):
+        with pytest.raises(OutOfImage):
+            make_model(name).eliminate_for_moment(1, target)
+
+
 class TestModelCurve:
     def test_poisson(self):
         assert model_curve_value(make_model("poisson"), 3.0) == pytest.approx(12.0, abs=1e-12)

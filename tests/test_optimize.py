@@ -13,7 +13,7 @@ from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import DomainError, EmptyGrid
-from elicit.losses import WeightVector, empirical_moments, renormalize_base
+from elicit.losses import WeightVector, default_kinds, empirical_moments, renormalize_base
 from elicit.optimize import (
     OptimizerConfig,
     default_box,
@@ -260,8 +260,38 @@ class TestBatch:
         assert isinstance(err, DomainError)
         with pytest.raises(DomainError, match="moment order"):
             minimize(POISSON, bad, poisson_em_3_15)
-        with pytest.raises(DomainError, match="one sequence of starts per weight vector"):
-            optimize.minimize_many(POISSON, [good, good], poisson_em_3_15, extra_starts=[()])
+
+
+class TestEliminatedLanes:
+    @pytest.mark.parametrize("name, theta0", [("lognormal", [0.3, 1.2]), ("gamma2", [2.0, 3.0]),
+                                              ("beta2", [2.0, 5.0]), ("loglogistic", [1.0, 6.0])])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_jacobian_matches_central_difference(self, name, theta0, i):
+        # A lane of the constrained problem r_i = m_hat_i searches the free
+        # coordinate; its Jacobian in z is the total derivative through the
+        # elimination, and the eliminated column is 0.
+        model = make_model(name)
+        em = analytic_moments(model, theta0)
+        em = analytic_moments(model, theta0, perturb=0.01 * em.m_hat * np.array([1.0, -1.0, 1.0]))
+        c = np.ones(3)
+        c[i] = np.inf
+        f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
+        free = theta0[f] * np.array([0.7, 1.0, 1.5, 2.0])
+        z = np.zeros((len(free), 2))
+        z[:, f] = optimize._to_z(free[:, None], model.domain[f:f + 1])[:, 0]
+        eff = np.tile(optimize._active_weights(WeightVector.of(c)), (len(free), 1))
+        residual = optimize._finite_objective(model, em, default_kinds(3))
+        fun, _ = optimize._lane_objective(model, residual, eff,
+                                          [(0, len(free), f, i, build)])
+        lanes = np.arange(len(free))
+        _, J, ok = fun(z, lanes, jac=True)
+        assert ok.all()
+        assert (J[:, :, 1 - f] == 0.0).all()
+        h = np.zeros_like(z)
+        h[:, f] = 1e-6 * (1.0 + np.abs(z[:, f]))
+        fd = (fun(z + h, lanes)[0] - fun(z - h, lanes)[0]) / (2.0 * h[:, f, None])
+        scale = np.abs(J[:, :, f]).max(axis=1, keepdims=True)
+        assert (np.abs(J[:, :, f] - fd) <= 1e-6 * scale).all()
 
 
 class TestTelemetry:
@@ -269,7 +299,7 @@ class TestTelemetry:
     def test_start_index_names_the_start_used(self, shipped_sweeps, name):
         exp, curve = shipped_sweeps[name]
         cfg = exp.spec.optimizer
-        init = optimize._resolve_init(exp.model, None, exp.em, exp.spec.kinds, cfg)
+        init = optimize._resolve_init(exp.model, exp.em, cfg)
         starts = optimize._starts(init, exp.model.domain, cfg)
         for point in curve.points:
             sol = point.solution
@@ -281,16 +311,6 @@ class TestTelemetry:
             else:
                 assert 0 <= sol.start_index <= cfg.multistart
         assert len(starts) == cfg.multistart + 1
-
-    def test_extra_starts_follow_the_configured_ones(self, poisson_em_3_15):
-        cfg = OptimizerConfig(multistart=2)
-        extra = [[2.0], [7.0]]
-        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, config=cfg,
-                       extra_starts=extra)
-        starts = optimize._starts(moment_match_init(POISSON, poisson_em_3_15), POISSON.domain,
-                                  cfg) + [np.array(s) for s in extra]
-        assert np.array_equal(sol.start_used, starts[sol.start_index])
-        assert sol.n_evals >= sol.n_iters + len(starts)
 
 
 class TestTermination:

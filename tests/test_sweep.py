@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from elicit import link_value, make_link, make_model, minimize
+from elicit import link_value, make_link, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.errors import EndpointMissing, TooFewPoints
 from elicit.losses import WeightVector
@@ -21,7 +22,7 @@ from elicit.sweep import (
 
 from elicit.theory import check_condition_A
 
-from conftest import DIAGNOSTIC_CONFIG_DIR, make_variance_spec
+from conftest import DIAGNOSTIC_CONFIG_DIR, SWEEP_CONFIG_DIR, make_variance_spec
 
 
 def _stub_point(c_value, gamma, r_star=None, converged=True, is_endpoint=False):
@@ -80,15 +81,30 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
     def test_previous_point_as_start_never_improves(self, shipped_sweeps, name):
-        # Each point is solved once, from its own starts.  Adding the previous
-        # point's minimizer as a further start finds no lower loss.
+        # Each point is solved once, from its own starts.  A solve from the
+        # previous point's minimizer alone finds no lower loss.
         exp, curve = shipped_sweeps[name]
         spec = exp.spec
         for prev, point in zip(curve.points, curve.points[1:-1]):
+            config = replace(spec.optimizer, init=tuple(prev.solution.theta_star), multistart=0)
             warm = minimize(spec.model, spec.weights_at(point.c_value), spec.em,
-                            kinds=spec.kinds, config=spec.optimizer,
-                            extra_starts=[prev.solution.theta_star])
+                            kinds=spec.kinds, config=config)
             assert warm.loss >= point.solution.loss, point.c_value
+
+    def test_two_param_curve_is_one_levenberg_marquardt_call(self, monkeypatch):
+        # Every grid point and the c = inf endpoint advance as lanes of one batch.
+        exp = resolve(json.loads((SWEEP_CONFIG_DIR / "skew-gamma2.json").read_text()))
+        lanes = []
+        solve = optimize._levenberg_marquardt
+
+        def counted(point, z0, *args):
+            lanes.append(len(z0))
+            return solve(point, z0, *args)
+
+        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
+        curve = run_sweep(exp.spec)
+        assert lanes == [len(curve.points) * (exp.spec.optimizer.multistart + 1)]
+        assert curve.points[-1].c_value == math.inf and curve.points[-1].converged
 
     @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
     def test_a_point_does_not_depend_on_the_rest_of_the_grid(self, shipped_sweeps, name):

@@ -126,16 +126,19 @@ class _NonMonotoneSurface:
     moment_order = 3
     domain = ((None, None), (None, None))
 
-    def moments(self, theta):
-        x, y = float(theta[0]), float(theta[1])
-        return np.array([x, y, (x - 1.0) ** 2])
+    def moments_grid(self, thetas):
+        x, y = thetas[:, 0], thetas[:, 1]
+        return np.column_stack([x, y, (x - 1.0) ** 2])
+
+    def in_domain(self, thetas):
+        return np.isfinite(thetas).all(axis=1)
 
     def eliminate_for_moment(self, i, target):
         if i != 1:
             raise ValueError("only the second coordinate is invertible here")
 
         def build(x):
-            return np.array([x, target])
+            return np.column_stack([x, np.full_like(x, target)])
 
         return 0, build
 
