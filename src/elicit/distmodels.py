@@ -8,8 +8,9 @@ set and a generic empirical moment vector lies off it.
 Deterministic sampling lives here too.  The repository-wide generator is
 numpy's Philox4x64 (counter-based); per-template substreams are keyed by
 ``(seed << 64) | blake2b64(template_name)``.  All families are sampled by
-inverse-CDF transform of the substream's uniforms, so identical
-(name, params, n_samples, seed) reproduce identical bytes.
+inverse-CDF transform of the substream's uniforms, with the inverses taken
+from ``scipy.special``, so identical (name, params, n_samples, seed)
+reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, OutOfImage
 
@@ -580,6 +581,13 @@ def _normal_from_uniform(u, mean, variance):
     return mean + math.sqrt(variance) * special.ndtri(u)
 
 
+def _discrete_quantile(u, x, cdf):
+    """Smallest integer k with cdf(k) >= u, given the continuous inverse x of the cdf at u."""
+    v = np.ceil(x)
+    below = np.maximum(v - 1.0, 0.0)
+    return np.where(cdf(below) >= u, below, v)
+
+
 def sample(template: SamplingTemplate) -> np.ndarray:
     """Draw template.n_samples values, bit-identical for identical inputs."""
     n = template.n_samples
@@ -613,11 +621,11 @@ def sample(template: SamplingTemplate) -> np.ndarray:
     if name == "poisson":
         if p[0] < 0:
             raise DomainError("poisson: mean must be nonnegative")
-        return np.asarray(stats.poisson.ppf(u, mu=p[0]), dtype=float)
+        return _discrete_quantile(u, special.pdtrik(u, p[0]), lambda k: special.pdtr(k, p[0]))
     if name == "chisq":
         if p[0] <= 0:
             raise DomainError("chisq: dof must be positive")
-        return np.asarray(stats.chi2.ppf(u, df=p[0]), dtype=float)
+        return 2.0 * special.gammaincinv(p[0] / 2.0, u)
     if name == "exponential":
         if p[0] <= 0:
             raise DomainError("exponential: mean must be positive")
@@ -626,17 +634,21 @@ def sample(template: SamplingTemplate) -> np.ndarray:
         shape, scale = p[0], p[1]
         if shape <= 0 or scale <= 0:
             raise DomainError(f"{name}: shape and scale must be positive")
-        return np.asarray(stats.gamma.ppf(u, a=shape, scale=scale), dtype=float)
+        return special.gammaincinv(shape, u) * scale
     if name == "binomial_fixed_trials":
         K, prob = p[0], p[1]
         if K < 1 or not 0.0 <= prob <= 1.0:
             raise DomainError("binomial_fixed_trials: need K >= 1 and p in [0, 1]")
-        return np.asarray(stats.binom.ppf(u, n=int(K), p=prob), dtype=float)
+        if prob == 0.0:
+            return np.zeros(n)  # bdtrik is nan at p = 0, where every draw is 0.
+        K = int(K)
+        q = _discrete_quantile(u, special.bdtrik(u, K, prob), lambda k: special.bdtr(k, K, prob))
+        return np.minimum(q, K)
     if name == "beta2":
         a, b = p[0], p[1]
         if a <= 0 or b <= 0:
             raise DomainError("beta2: a and b must be positive")
-        return np.asarray(stats.beta.ppf(u, a=a, b=b), dtype=float)
+        return special.betaincinv(a, b, u)
     if name == "loglogistic":
         a, b = p[0], p[1]
         if a <= 0 or b <= 0:

@@ -17,10 +17,6 @@ class DegenerateMoments(ElicitError):
     """Moment vector has (numerically) zero variance; link undefined."""
 
 
-class EmptyContour(ElicitError):
-    """No point on the requested link-function contour."""
-
-
 class VerticalContour(ElicitError):
     """Contour slope undefined: d(link)/d(r2) is numerically zero."""
 

@@ -6,8 +6,7 @@ A link maps a raw-moment vector r to the target property:
     skewness:  t(r) = (r3 - 3*r1*(r2 - r1^2) - r1^3) / (r2 - r1^2)^(3/2)
 
 For two-moment links the level set {t(r) = t0} is handled as a function
-r2 = T(r1; t0), with a closed form for variance and a bracketed root-find
-otherwise.
+r2 = T(r1; t0), in closed form for variance, the only two-moment link.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegenerateMoments, DomainError, EmptyContour, VerticalContour
+from .errors import DegenerateMoments, DomainError, VerticalContour
 
 VARIANCE_EPS = 1e-12
 SLOPE_EPS = 1e-14
@@ -79,29 +77,7 @@ def contour_value(link: LinkFunction, r1: float, t0: float) -> float:
     """T(r1; t0): the r2 with t(r1, r2) = t0.  Two-moment links only."""
     if link.moment_order != 2:
         raise DomainError(f"contours as functions of r1 need a 2-moment link, got {link.name}")
-    if link.name == "variance":
-        return float(t0 + r1 * r1)
-    return _contour_root(link, r1, t0)
-
-
-def _contour_root(link: LinkFunction, r1: float, t0: float, span: float = 1.0) -> float:
-    """Generic contour solve: bracket in r2, then Brent to |t - t0| < 1e-10."""
-
-    def resid(r2):
-        return link_value(link, (r1, r2)) - t0
-
-    lo = hi = 0.0
-    for _ in range(200):
-        if resid(lo) * resid(hi) < 0 or resid(lo) == 0.0:
-            break
-        lo, hi = lo - span, hi + span
-        span *= 2.0
-    else:
-        raise EmptyContour(f"{link.name}: no contour point at r1={r1}, t0={t0}")
-    r2 = brentq(resid, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    if abs(resid(r2)) > 1e-10:
-        raise EmptyContour(f"{link.name}: contour residual {resid(r2)} at r1={r1}")
-    return float(r2)
+    return float(t0 + r1 * r1)
 
 
 def contour_slope(link: LinkFunction, r) -> float:

@@ -68,7 +68,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, logit
 
 from .distmodels import ParametricModel, clamp_to_image
@@ -402,6 +401,56 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
             termination = "converged"
             break
     return z, float(fz), n_iters, termination
+
+
+def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    The steps of scipy.optimize.brentq, so the same root to the bit.  Raises
+    ValueError on equal signs at the ends or a nan, RuntimeError after maxiter.
+    """
+    def fx(x):
+        if math.isnan(y := float(f(x))):
+            raise ValueError(f"the function value at x={x} is nan")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
 
 
 def _run_lane(fun, lane, z0, free, config):

@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distmodels import ParametricModel, model_curve_value
 from .errors import DomainError, MixedCase, SliceEmpty, TooFewPoints
 from .links import LinkFunction, contour_slope
+from .optimize import brentq
 from .sweep import SweepCurve, monotone_trend
 
 CONTAINMENT_SLACK = 1e-9
@@ -158,6 +158,10 @@ def classify_2d_case(
         tp = contour_slope(link, (r1, model_curve_value(model, r1)))
         return rp, tp
 
+    def slope_gap(r1: float) -> float:
+        rp, tp = slopes(r1)
+        return rp - tp
+
     pairs = [slopes(r1) for r1 in grid]
     diffs = np.array([rp - tp for rp, tp in pairs])
     cases = [_point_case(rp, tp) for rp, tp in pairs]
@@ -165,9 +169,7 @@ def classify_2d_case(
     boundaries = [float(grid[k]) for k in range(len(grid)) if diffs[k] == 0.0]
     for k in range(len(grid) - 1):
         if diffs[k] * diffs[k + 1] < 0:
-            boundaries.append(
-                float(brentq(lambda r1: slopes(r1)[0] - slopes(r1)[1], grid[k], grid[k + 1]))
-            )
+            boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
     boundaries.sort()
 
     distinct = {c for c in cases if c != "boundary"}

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,3 +225,16 @@ class TestCommittedOutputs:
         for fname in ("curve.csv", "report.json"):
             committed = (REPO_ROOT / "out" / name / fname).read_bytes()
             assert (tmp_path / name / fname).read_bytes() == committed, fname
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # Both packages cost most of the interpreter start-up; scipy.special
+    # covers the inverse CDFs and optimize.brentq the 1-D roots.
+    code = ("import sys, elicit.cli; "
+            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
-from elicit import make_link, make_model
-from elicit.distmodels import MODEL_NAMES, SamplingTemplate, model_curve_value, sample
+from elicit import distmodels, make_link, make_model
+from elicit.distmodels import (
+    MODEL_NAMES,
+    SamplingTemplate,
+    _substream,
+    _uniform_open,
+    model_curve_value,
+    sample,
+)
 from elicit.errors import DomainError, OutOfImage
 from elicit.links import link_value
 
@@ -296,6 +304,45 @@ class TestSampling:
     def test_sum_lognormal_exceeds_parts(self):
         pair = sample(SamplingTemplate("sum_lognormal", (0.0, 1.0, 0.0, 4.0), 500, seed=11))
         assert np.all(pair > 0)
+
+    PPF_CASES = [
+        ("poisson", (0.0,), lambda u: stats.poisson.ppf(u, mu=0.0)),
+        ("poisson", (0.5,), lambda u: stats.poisson.ppf(u, mu=0.5)),
+        ("poisson", (3.0,), lambda u: stats.poisson.ppf(u, mu=3.0)),
+        ("poisson", (10.0,), lambda u: stats.poisson.ppf(u, mu=10.0)),
+        # bdtrik is nan at p = 0; the draws must still be the ppf's zeros.
+        ("binomial_fixed_trials", (10.0, 0.0), lambda u: stats.binom.ppf(u, n=10, p=0.0)),
+        ("binomial_fixed_trials", (10.0, 0.1), lambda u: stats.binom.ppf(u, n=10, p=0.1)),
+        ("binomial_fixed_trials", (10.0, 0.9), lambda u: stats.binom.ppf(u, n=10, p=0.9)),
+        ("binomial_fixed_trials", (10.0, 1.0), lambda u: stats.binom.ppf(u, n=10, p=1.0)),
+        ("binomial_fixed_trials", (1.0, 0.3), lambda u: stats.binom.ppf(u, n=1, p=0.3)),
+        ("gamma2", (0.7, 1.5), lambda u: stats.gamma.ppf(u, a=0.7, scale=1.5)),
+        ("gamma_fixed_shape", (2.0, 3.0), lambda u: stats.gamma.ppf(u, a=2.0, scale=3.0)),
+        ("chisq", (4.0,), lambda u: stats.chi2.ppf(u, df=4.0)),
+        ("beta2", (2.0, 5.0), lambda u: stats.beta.ppf(u, a=2.0, b=5.0)),
+    ]
+
+    @pytest.mark.parametrize("name,params,ppf", PPF_CASES)
+    def test_inverse_cdf_matches_scipy_stats(self, name, params, ppf):
+        # The scipy.special inverses must reproduce scipy.stats' ppf bit for
+        # bit on the same clipped uniforms, so samples never change.
+        n, seed = 100_000, 31
+        u = _uniform_open(_substream(seed, name), n)
+        got = sample(SamplingTemplate(name, params, n, seed=seed))
+        assert np.array_equal(got, np.asarray(ppf(u), dtype=float))
+
+    @pytest.mark.parametrize("name,params,cdf", [
+        ("poisson", (3.0,), lambda k: special.pdtr(k, 3.0)),
+        ("binomial_fixed_trials", (10.0, 0.1), lambda k: special.bdtr(k, 10, 0.1)),
+        ("binomial_fixed_trials", (10.0, 0.9), lambda k: special.bdtr(k, 10, 0.9)),
+    ])
+    def test_discrete_draw_at_a_cdf_value_is_that_integer(self, monkeypatch, name, params, cdf):
+        # At u = cdf(k) the continuous inverse is k itself, and rounding can
+        # lift its ceiling to k + 1; the draw must be k, the smallest integer
+        # whose cdf reaches u.
+        k = np.arange(10.0)
+        monkeypatch.setattr(distmodels, "_uniform_open", lambda rng, shape: cdf(k))
+        assert np.array_equal(sample(SamplingTemplate(name, params, len(k), seed=0)), k)
 
     MC_CASES = [
         # family, params, closed-form first three raw moments

@@ -5,7 +5,7 @@ import pytest
 
 from elicit import make_link, make_model
 from elicit.errors import DegenerateMoments, DomainError, VerticalContour
-from elicit.links import _contour_root, contour_slope, contour_value, link_gradient, link_value
+from elicit.links import contour_slope, contour_value, link_gradient, link_value
 
 VAR = make_link("variance")
 SKEW = make_link("skewness")
@@ -80,12 +80,6 @@ class TestContour:
     def test_skewness_rejected(self):
         with pytest.raises(DomainError):
             contour_value(SKEW, 1.0, 1.0)
-
-    def test_generic_root_matches_closed_form(self):
-        for r1 in (-1.0, 0.0, 2.5):
-            for t0 in (0.5, 3.0, 10.0):
-                got = _contour_root(VAR, r1, t0)
-                assert got == pytest.approx(t0 + r1 * r1, abs=1e-10)
 
     def test_consistency_over_grid(self):
         # t(r1, T(r1; t0)) must return t0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
@@ -20,7 +21,8 @@ from elicit.optimize import (
     meshgrid_oracle,
     moment_match_init,
 )
-from elicit.theory import CONTAINMENT_SLACK
+from elicit.links import make_link
+from elicit.theory import CONTAINMENT_SLACK, classify_2d_case
 
 POISSON = make_model("poisson")
 SWEEP_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "sweeps"
@@ -462,3 +464,85 @@ class TestMeshgridOracle:
         sparse = meshgrid_oracle(model, w, em, box=box, width=0.1)
         dense = meshgrid_oracle(model, w, em, box=box, width=0.01)
         assert dense.loss <= sparse.loss + 1e-12 * (1 + abs(sparse.loss))
+
+
+class TestBrentq:
+    """optimize.brentq takes the same steps as scipy.optimize.brentq."""
+
+    @staticmethod
+    def assert_same_steps(f, xa, xb, **tols):
+        # Same evaluation points and the same root, compared as bit patterns.
+        ours, theirs = [], []
+        root = optimize.brentq(lambda x: ours.append(x) or f(x), xa, xb, **tols)
+        want = scipy_brentq(lambda x: theirs.append(x) or f(x), xa, xb, **tols)
+        assert [float(x).hex() for x in ours] == [float(x).hex() for x in theirs]
+        assert float(root).hex() == float(want).hex()
+
+    @staticmethod
+    def recorded_calls(monkeypatch, module, run):
+        calls = []
+        real = optimize.brentq
+
+        def spy(f, xa, xb, **tols):
+            calls.append((f, xa, xb, tols))
+            return real(f, xa, xb, **tols)
+
+        monkeypatch.setattr(module, "brentq", spy)
+        run()
+        monkeypatch.undo()
+        assert calls
+        return calls
+
+    @pytest.mark.parametrize("name,fixed,theta", [
+        ("poisson", (), 3.0), ("chisq", (), 4.0), ("exponential", (), 2.0),
+        ("gamma_fixed_shape", (2.0,), 1.5), ("binomial_fixed_trials", (10.0,), 0.3),
+    ])
+    def test_constrained_inversion_site(self, monkeypatch, name, fixed, theta):
+        model = make_model(name, fixed)
+        targets = [model.moments([theta])[1] * s for s in (0.9, 1.0, 1.1)]
+        calls = self.recorded_calls(monkeypatch, optimize, lambda: [
+            optimize._solve_constrained_1p(model, 1, t) for t in targets])
+        for f, xa, xb, tols in calls:
+            self.assert_same_steps(f, xa, xb, **tols)
+
+    def test_loglogistic_start_site(self, monkeypatch):
+        model = make_model("loglogistic")
+        ems = [analytic_moments(model, [1.0, b]) for b in (4.0, 6.0, 25.0)]
+        calls = self.recorded_calls(monkeypatch, optimize, lambda: [
+            moment_match_init(model, em) for em in ems])
+        for f, xa, xb, tols in calls:
+            self.assert_same_steps(f, xa, xb, **tols)
+
+    def test_slope_crossing_site(self, monkeypatch):
+        from elicit import theory
+
+        model = make_model("binomial_fixed_trials", (10.0,))
+        # The crossing at r1 = 5 lies between grid points on both intervals.
+        calls = self.recorded_calls(monkeypatch, theory, lambda: [
+            classify_2d_case(model, make_link("variance"), (0.5, 9.0)),
+            classify_2d_case(model, make_link("variance"), (0.3, 9.2), n_grid=40)])
+        for f, xa, xb, tols in calls:
+            self.assert_same_steps(f, xa, xb, **tols)
+
+    def test_smooth_functions(self):
+        self.assert_same_steps(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)
+        self.assert_same_steps(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0,
+                               xtol=1e-15, rtol=8.9e-16)
+        for ratio in (1.01, 1.2, 1.39):
+            self.assert_same_steps(
+                lambda b: math.tan(math.pi / b) / (math.pi / b) - ratio,
+                3.5 + 1e-6, 1e8, xtol=1e-12)
+        self.assert_same_steps(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-15,
+                               rtol=8.9e-16)
+
+    def test_root_at_an_end(self):
+        assert optimize.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert optimize.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_same_signs_raise_value_error(self):
+        with pytest.raises(ValueError):
+            optimize.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_no_convergence_raises_runtime_error(self):
+        with pytest.raises(RuntimeError):
+            optimize.brentq(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0, maxiter=3)
