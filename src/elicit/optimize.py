@@ -82,6 +82,7 @@ from .losses import (
 
 CONSTRAINT_RTOL = 1e-9
 METHODS = ("levenberg_marquardt", "nelder_mead", "gradient_descent")
+GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
 
 
 @dataclass(frozen=True)
@@ -772,12 +773,15 @@ def minimize_many(
     em: EmpiricalMoments,
     kinds=None,
     config: OptimizerConfig | None = None,
+    starts=None,
 ) -> list[Solution | ElicitError]:
     """``minimize`` for every weight vector, the iterative ones as one batch.
 
     Returns one Solution per weight vector, or the ElicitError that its
     problem raised, so one infeasible problem leaves the others solved.
     Each result equals ``minimize`` on that weight vector alone.
+    ``starts``, when given, holds per weight vector None or theta starts that
+    replace the configured ones of a finite-weight problem, pulled inside the domain.
     """
     config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
@@ -789,9 +793,12 @@ def minimize_many(
             out[k] = _own_path(model, weights, em, kinds)
             if out[k] is not None:
                 continue
+            i = weights.infinite_index
+            if i is None and starts is not None and starts[k] is not None:
+                batch.append((k, weights, [interior_start(model, x) for x in starts[k]], None))
+                continue
             if base is None:
                 base = _starts(_resolve_init(model, em, config), model.domain, config)
-            i = weights.infinite_index
             if i is None:
                 batch.append((k, weights, base, None))
             else:
@@ -914,9 +921,14 @@ def meshgrid_oracle(
     box=None,
     width: float = 0.1,
 ) -> Solution:
-    """Exhaustive grid minimizer; ties broken by lexicographically smallest theta."""
-    if width <= 0:
-        raise DomainError("grid width must be positive")
+    """Exhaustive grid minimizer, GRID_SLAB points at a time: the first minimum in C order.
+
+    Axis j holds lo_j + width * k up to hi_j, so C order sorts the grid
+    lexicographically by theta and the first minimum has the smallest theta.
+    A nan loss counts as inf; if every loss is inf the first point wins.
+    """
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"grid width must be positive and finite, got {width}")
     if weights.infinite_index is not None:
         raise DomainError("meshgrid oracle needs finite weights")
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
@@ -926,6 +938,8 @@ def meshgrid_oracle(
 
     axes = []
     for j, (lo, hi) in enumerate(box):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"box coordinate {j}: bounds ({lo}, {hi}) must be finite")
         if lo > hi:
             raise EmptyGrid(f"box coordinate {j}: lo = {lo} > hi = {hi}")
         if lo < hi and width > (hi - lo):
@@ -935,14 +949,18 @@ def meshgrid_oracle(
         n_steps = int(math.floor((hi - lo) / width + 1e-12)) if hi > lo else 0
         axes.append(lo + width * np.arange(n_steps + 1))
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    thetas = np.column_stack([m.ravel() for m in mesh])
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_matrix = model.moments_grid(thetas)
-        losses = total_loss(weights, r_matrix, em, kinds)
-    losses = np.where(np.isfinite(losses), losses, math.inf)
-
-    keys = tuple(thetas[:, j] for j in reversed(range(thetas.shape[1]))) + (losses,)
-    idx = int(np.lexsort(keys)[0])
-    return _solution(thetas[idx], r_matrix[idx], losses[idx], kinds, em, n_iters=len(thetas),
-                     n_evals=len(thetas))
+    shape = tuple(len(a) for a in axes)
+    n = math.prod(shape)
+    best = None
+    for start in range(0, n, GRID_SLAB):
+        index = np.unravel_index(np.arange(start, min(start + GRID_SLAB, n)), shape)
+        thetas = np.column_stack([a[i] for a, i in zip(axes, index)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_matrix = model.moments_grid(thetas)
+            losses = total_loss(weights, r_matrix, em, kinds)
+        losses = np.where(np.isfinite(losses), losses, math.inf)
+        k = int(np.argmin(losses))
+        # Strict: on a tie the earlier slab, so the earlier grid point, wins.
+        if best is None or losses[k] < best[2]:
+            best = (thetas[k], r_matrix[k], losses[k])
+    return _solution(*best, kinds, em, n_iters=n, n_evals=n)

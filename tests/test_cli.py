@@ -3,12 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from elicit import verify
-from elicit.cli import main
+from elicit import optimize, verify
+from elicit.cli import _oracle_solutions, main
+from elicit.config import load_config, resolve
+from elicit.optimize import minimize
 
 from conftest import DIAGNOSTIC_CONFIG_DIR, REPO_ROOT, SWEEP_CONFIG_DIR
 
@@ -164,6 +168,42 @@ class TestOracle:
     def test_width_larger_than_box(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert main(["oracle", str(cfg_path), "--width", "50"]) == 1
+
+    def test_nan_width_exits_1(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["oracle", str(cfg_path), "--width", "nan"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["var-gamma", "skew-gamma2"])
+    def test_one_levenberg_marquardt_call_per_run(self, monkeypatch, capsys, name):
+        # The configured starts and the grid minimizer are lanes of one batch,
+        # and both answers equal those of two separate solves.
+        cfg_path = SWEEP_CONFIG_DIR / f"{name}.json"
+        exp = resolve(load_config(cfg_path))
+        config = exp.spec.optimizer
+        lanes = []
+        solve = optimize._levenberg_marquardt
+
+        def counted(point, z0, *args):
+            lanes.append(len(z0))
+            return solve(point, z0, *args)
+
+        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
+        assert main(["oracle", str(cfg_path), "--width", "0.01"]) == 0
+        assert lanes == [config.multistart + 2]
+        printed = capsys.readouterr().out
+        grid, configured, grid_start = _oracle_solutions(exp, 0.01)
+        monkeypatch.undo()
+
+        weights = exp.spec.weights_at(1.0)
+        alone = minimize(exp.model, weights, exp.em, exp.spec.kinds, config)
+        from_grid = minimize(exp.model, weights, exp.em, exp.spec.kinds,
+                             replace(config, init=tuple(grid.theta_star), multistart=0))
+        best = min(alone, from_grid, key=lambda sol: (sol.loss, tuple(sol.theta_star)))
+        for got, want in ((configured, alone), (grid_start, best)):
+            assert np.array_equal(got.theta_star, want.theta_star)
+            assert got.loss == want.loss
+            assert f"loss = {want.loss:.6e}" in printed
 
     def test_sensitivity_config_logs_two_gammas(self, capsys):
         code = main(["oracle", str(DIAGNOSTIC_CONFIG_DIR / "sensitivity-lognormal.json"),

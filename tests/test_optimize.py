@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,13 @@ from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import DomainError, EmptyGrid
-from elicit.losses import WeightVector, default_kinds, empirical_moments, renormalize_base
+from elicit.losses import (
+    WeightVector,
+    default_kinds,
+    empirical_moments,
+    renormalize_base,
+    total_loss,
+)
 from elicit.optimize import (
     OptimizerConfig,
     default_box,
@@ -464,6 +471,93 @@ class TestMeshgridOracle:
         sparse = meshgrid_oracle(model, w, em, box=box, width=0.1)
         dense = meshgrid_oracle(model, w, em, box=box, width=0.01)
         assert dense.loss <= sparse.loss + 1e-12 * (1 + abs(sparse.loss))
+
+
+def lexsort_oracle(model, weights, em, box, width):
+    """Reference meshgrid oracle: the whole grid at once, the first row of a lexsort."""
+    steps = [int(math.floor((hi - lo) / width + 1e-12)) if hi > lo else 0 for lo, hi in box]
+    axes = [lo + width * np.arange(n + 1) for (lo, _), n in zip(box, steps)]
+    thetas = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = model.moments_grid(thetas)
+        losses = total_loss(weights, r, em, default_kinds(em.moment_order))
+    losses = np.where(np.isfinite(losses), losses, math.inf)
+    idx = np.lexsort(tuple(thetas[:, j] for j in reversed(range(thetas.shape[1]))) + (losses,))[0]
+    return thetas[idx], r[idx], losses[idx]
+
+
+class TestSlabbedMeshgrid:
+    """The slab-by-slab argmin picks the point a lexsort of the whole grid picks."""
+
+    @staticmethod
+    def assert_matches_reference(model, weights, em, box, width):
+        sol = meshgrid_oracle(model, weights, em, box=box, width=width)
+        theta, r, loss = lexsort_oracle(model, weights, em, box, width)
+        assert np.array_equal(sol.theta_star, theta)
+        assert np.array_equal(sol.r_star, r, equal_nan=True)
+        assert sol.loss == loss
+        return sol
+
+    @pytest.mark.parametrize("slab", [optimize.GRID_SLAB, 7])
+    @pytest.mark.parametrize("name,fixed,ranges", PROPERTY_MODELS,
+                             ids=[m[0] for m in PROPERTY_MODELS])
+    def test_every_model(self, monkeypatch, name, fixed, ranges, slab):
+        monkeypatch.setattr(optimize, "GRID_SLAB", slab)
+        model = make_model(name, fixed)
+        theta0 = [(lo + hi) / 2 for lo, hi in ranges]
+        r0 = model.moments(theta0)
+        em = analytic_moments(model, theta0, perturb=0.1 * r0 * (-1.0) ** np.arange(len(r0)))
+        weights = WeightVector.of(np.ones(model.moment_order))
+        self.assert_matches_reference(model, weights, em, default_box(model, em), 0.05)
+
+    def test_several_slabs_and_a_partial_one(self):
+        model = make_model("gamma2")
+        em = analytic_moments(model, [2.0, 1.5], perturb=[0.1, -0.5, 2.0])
+        box = [(0.5, 3.5), (0.5, 2.5)]
+        sol = self.assert_matches_reference(model, WeightVector.of([1.0, 1.0, 1.0]), em, box, 0.01)
+        assert sol.n_evals > 3 * optimize.GRID_SLAB and sol.n_evals % optimize.GRID_SLAB
+        assert sol.n_iters == sol.n_evals == 301 * 201
+
+    def test_one_point_axis(self):
+        model = make_model("gamma2")
+        em = analytic_moments(model, [2.0, 1.5], perturb=[0.1, -0.5, 2.0])
+        sol = self.assert_matches_reference(model, WeightVector.of([1.0, 1.0, 1.0]), em,
+                                            [(2.0, 2.0), (0.5, 3.0)], 0.01)
+        assert sol.theta_star[0] == 2.0 and sol.n_evals == 251
+
+    @pytest.mark.parametrize("slab", [optimize.GRID_SLAB, 7])
+    def test_all_overflow_returns_the_first_point(self, monkeypatch, slab):
+        monkeypatch.setattr(optimize, "GRID_SLAB", slab)
+        model = make_model("lognormal")
+        em = analytic_moments(model, [0.0, 1.0])
+        sol = self.assert_matches_reference(model, WeightVector.of([1.0, 1.0, 1.0]), em,
+                                            [(800.0, 801.0), (0.5, 1.5)], 0.1)
+        assert sol.loss == math.inf and np.array_equal(sol.theta_star, [800.0, 0.5])
+
+    def test_memory_is_bounded_by_the_slab(self):
+        exp = resolve(json.loads((SWEEP_CONFIG_DIR / "skew-gamma2.json").read_text()))
+        box = default_box(exp.model, exp.em)
+        tracemalloc.start()
+        try:
+            sol = meshgrid_oracle(exp.model, exp.spec.weights_at(1.0), exp.em, exp.spec.kinds,
+                                  box=box, width=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.n_evals > 300_000
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("box,width", [
+        ([(0.1, 6.0)], math.nan),
+        ([(0.1, 6.0)], math.inf),
+        ([(-math.inf, 6.0)], 0.1),
+        ([(0.1, math.inf)], 0.1),
+        ([(0.1, math.nan)], 0.1),
+    ])
+    def test_non_finite_grid_rejected(self, poisson_em_3_15, box, width):
+        with pytest.raises(DomainError, match="finite"):
+            meshgrid_oracle(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15,
+                            box=box, width=width)
 
 
 class TestBrentq:
