@@ -118,8 +118,9 @@ def _report(exp: Experiment, curve: SweepCurve) -> dict:
             classification = classify_2d_case(
                 exp.model, exp.link, (min(r1_values), max(r1_values)), n_grid=101
             )
-            report["classification_2d"] = dataclasses.asdict(classification)
-            del report["classification_2d"]["per_point_cases"]
+            report["classification_2d"] = {
+                key: value for key, value in vars(classification).items()
+                if key != "per_point_cases"}
         else:
             report["classification_2d"] = None
     else:

@@ -12,6 +12,7 @@ residuals alone and adds the weighted v_hat back to the reported loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,8 +141,10 @@ def sub_loss(kind: LossKind, i: int, r_i: float, em: EmpiricalMoments) -> float:
 
 
 def sub_loss_vector(kinds, r, em: EmpiricalMoments) -> np.ndarray:
+    """The sub-losses of a moment vector, or of each row of an (n, M) moment matrix."""
     r = np.asarray(r, dtype=float)
-    return np.array([kinds[i].value(r[i], em.m_hat[i], em.v_hat[i]) for i in range(len(r))])
+    return np.stack([kinds[i].value(r[..., i], em.m_hat[i], em.v_hat[i])
+                     for i in range(r.shape[-1])], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +169,14 @@ class WeightVector:
         k = np.asarray(self.k, dtype=float)
         if c.ndim != 1 or c.shape != k.shape:
             raise DomainError("c and k must be 1-D arrays of equal length")
-        if np.any(c < 0) or np.any(np.isnan(c)):
+        cs = c.tolist()  # M <= 3: the checks run on Python floats
+        if any(x < 0 or math.isnan(x) for x in cs):
             raise DomainError("weights must lie in [0, +inf]")
-        if np.all(c == 0):
+        if all(x == 0 for x in cs):
             raise DomainError("all-zero weight vector rejected: the total loss would vanish")
-        if np.count_nonzero(np.isinf(c)) > 1:
+        if sum(map(math.isinf, cs)) > 1:
             raise DomainError("at most one weight may be infinite")
-        if np.any(k <= 0) or np.any(~np.isfinite(k)):
+        if not all(0 < x < math.inf for x in k.tolist()):
             raise DomainError("base weights k must be finite and strictly positive")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "k", k)
@@ -188,8 +192,7 @@ class WeightVector:
 
     @property
     def infinite_index(self) -> int | None:
-        idx = np.flatnonzero(np.isinf(self.c))
-        return int(idx[0]) if idx.size else None
+        return next((i for i, x in enumerate(self.c.tolist()) if math.isinf(x)), None)
 
 
 def total_loss(weights: WeightVector, r, em: EmpiricalMoments, kinds=None):

@@ -74,6 +74,7 @@ from .distmodels import ParametricModel, clamp_to_image
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
     EmpiricalMoments,
+    SquaredLoss,
     WeightVector,
     default_kinds,
     sub_loss_vector,
@@ -217,94 +218,102 @@ def _sq(rho, ok) -> np.ndarray:
 
 
 def _lm_point(fun, z, lanes):
-    """f, J^T J and J^T rho per row, and where all three are defined and finite."""
+    """f, J^T J as (d, d, n) and J^T rho as (d, n), and where all are defined and finite.
+
+    Lanes on the last axis make each term one long elementwise pass.  The
+    sums over moment rows run from 0.0 in row order, as numpy's reduction.
+    """
     rho, J, ok = fun(z, lanes, jac=True)
     f = (rho * rho).sum(axis=1)
-    A = (J[:, :, :, None] * J[:, :, None, :]).sum(axis=1)
-    g = (J * rho[:, :, None]).sum(axis=1)
-    ok = ok & np.isfinite(f) & np.isfinite(A).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+    A = g = 0.0
+    for Jm, rm in zip(J.transpose(1, 2, 0).copy(), rho.T.copy()):
+        A = A + Jm[:, None] * Jm[None, :]
+        g = g + Jm * rm
+    ok = ok & np.isfinite(f) & np.isfinite(A).all(axis=(0, 1)) & np.isfinite(g).all(axis=0)
     return f, A, g, ok
 
 
 def _damped_step(A, damping, g):
-    """h solving (A + damping * I) h = -g per row, in closed form for d <= 2.
+    """h solving (A + damping * I) h = -g per lane (last axis), in closed form for d <= 2.
 
     nan where the damped matrix is singular, so the step is rejected.
     """
-    if g.shape[1] == 1:
-        return -g / (A[:, 0] + damping[:, None])
-    a = A[:, 0, 0] + damping
-    c = A[:, 1, 1] + damping
-    b = A[:, 0, 1]
+    if len(g) == 1:
+        return -g / (A[0] + damping)
+    a = A[0, 0] + damping
+    c = A[1, 1] + damping
+    b = A[0, 1]
     det = a * c - b * b
     det = np.where(det == 0.0, math.nan, det)
-    return np.stack([(b * g[:, 1] - c * g[:, 0]) / det, (b * g[:, 0] - a * g[:, 1]) / det], axis=1)
+    return np.stack([(b * g[1] - c * g[0]) / det, (b * g[0] - a * g[1]) / det])
 
 
 def _levenberg_marquardt(point, z0, max_iters, tol_loss, tol_step):
     """Damped Gauss-Newton on f = rho . rho, every row of z0 a lane.
 
     ``point(z, lanes)`` gives (f, J^T J, J^T rho, ok) for the rows z of the
-    given lanes.  Each lane's step solves (J^T J + mu * s * I) h = -J^T rho,
-    where s is the largest diagonal entry of J^T J at its current point, so
-    mu is relative to the curvature there.  From a start whose moments miss
-    the data by many orders of magnitude, J^T J falls by as many orders
-    within a few steps; an absolute damping would lag behind it for dozens
-    of short steps.  A step is accepted when it lowers f, and mu then
-    follows Nielsen's update; otherwise mu grows by a doubling factor.  A
-    lane has converged when f reaches 0 or J^T rho vanishes, or when a step
-    of at most tol_step * (1 + |z|) lowers f by at most tol_loss * f (a
-    rejected step lowers it by nothing); it ends in no_descent when such a
-    step lands where rho or J is undefined, or when its start is undefined.
-    A lane leaves the batch once it stops.
+    given lanes, laid out as by ``_lm_point``.  Each lane's step solves
+    (J^T J + mu * s * I) h = -J^T rho, where s is the largest diagonal entry
+    of J^T J at its current point, so mu is relative to the curvature there.
+    From a start whose moments miss the data by many orders of magnitude,
+    J^T J falls by as many orders within a few steps; an absolute damping
+    would lag behind it for dozens of short steps.  A step is accepted when
+    it lowers f, and mu then follows Nielsen's update; otherwise mu grows by
+    a doubling factor.  A lane has converged when f reaches 0 or J^T rho
+    vanishes, or when a step of at most tol_step * (1 + |z|) lowers f by at
+    most tol_loss * f (a rejected step lowers it by nothing); it ends in
+    no_descent when such a step lands where rho or J is undefined, or when
+    its start is undefined.  A lane leaves the batch once it stops.  z and h
+    are (d, n), so reducing over the d <= 2 coordinates is elementwise.
 
     Returns z, f, iterations, termination and evaluations, one per lane.
     """
-    n = len(z0)
+    n, d = z0.shape
     z_out = np.array(z0, dtype=float)
     f_out = np.full(n, math.inf)
     iters = np.zeros(n, dtype=int)
     evals = np.ones(n, dtype=int)
     term = np.full(n, "no_descent", dtype=object)
+    diagonal = np.arange(d)
 
     f, A, g, ok = point(z_out, np.arange(n))
     lanes = np.flatnonzero(ok)
-    z, f, A, g = z_out[lanes], f[lanes], A[lanes], g[lanes]
+    z, f, A, g = z_out[lanes].T, f[lanes], A[..., lanes], g[:, lanes]
     mu, nu = np.full(len(lanes), 1e-3), np.full(len(lanes), 2.0)
     for it in range(1, max_iters + 1):
         if not lanes.size:
             break
-        flat = (f == 0.0) | ~g.any(axis=1)
-        damping = mu * np.diagonal(A, axis1=1, axis2=2).max(axis=1)
+        flat = (f == 0.0) | ~g.any(axis=0)
+        damping = mu * A[diagonal, diagonal].max(axis=0)
         h = _damped_step(A, damping, g)
         # A non-finite h is neither small nor tried: it is rejected and mu grows.
-        small = np.abs(h).max(axis=1) <= tol_step * (1.0 + np.abs(z).max(axis=1))
-        tried = ~flat & np.isfinite(h).all(axis=1)
+        small = np.abs(h).max(axis=0) <= tol_step * (1.0 + np.abs(z).max(axis=0))
+        tried = ~flat & np.isfinite(h).all(axis=0)
         # Untried lanes are evaluated where they stand, and the result is dropped.
-        f_t, A_t, g_t, ok_t = point(np.where(tried[:, None], z + h, z), lanes)
+        f_t, A_t, g_t, ok_t = point(np.where(tried, z + h, z).T, lanes)
         evals[lanes] += tried
         better = tried & ok_t & (f_t < f)
         df = f - f_t
-        predicted = (h * (damping[:, None] * h - g)).sum(axis=1)
+        predicted = (h * (damping * h - g)).sum(axis=0)
         gain = np.where(predicted > 0.0, df / predicted, 1.0)
         mu = np.where(better, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), mu * nu)
         nu = np.where(better, 2.0, 2.0 * nu)
-        z = np.where(better[:, None], z + h, z)
+        z = np.where(better, z + h, z)
         f = np.where(better, f_t, f)
-        A = np.where(better[:, None, None], A_t, A)
-        g = np.where(better[:, None], g_t, g)
+        A = np.where(better, A_t, A)
+        g = np.where(better, g_t, g)
         # A small step that does not lower f meets the stopping rule; one that
         # lands where rho or J is undefined leaves no descent to take.
         rejected = ~flat & ~better & small
         stop = flat | rejected | (better & small & (df <= tol_loss * f))
         if stop.any():
             done = lanes[stop]
-            z_out[done], f_out[done] = z[stop], f[stop]
+            z_out[done], f_out[done] = z[:, stop].T, f[stop]
             iters[done] = it - flat[stop]
             term[done] = np.where((rejected & ~ok_t)[stop], "no_descent", "converged")
             keep = ~stop
-            lanes, z, f, A, g, mu, nu = (x[keep] for x in (lanes, z, f, A, g, mu, nu))
-    z_out[lanes], f_out[lanes] = z, f
+            lanes, z, f, A, g, mu, nu = (x[..., keep] for x in (lanes, z, f, A, g, mu, nu))
+    z_out[lanes], f_out[lanes] = z.T, f
     iters[lanes] = max_iters
     term[lanes] = "max_iters"
     return z_out, f_out, iters, term, evals
@@ -590,61 +599,61 @@ def _starts(x0, domain, config):
 # ---------------------------------------------------------------------------
 
 
-def _active_terms(eff) -> list[int]:
-    """Indices of the finite, strictly positive effective weights."""
-    return [i for i in range(len(eff)) if np.isfinite(eff[i]) and eff[i] > 0.0]
-
-
-def _active_weights(weights: WeightVector) -> np.ndarray:
+def _active_weights(weights: WeightVector) -> list[float]:
     """Effective weights with every inactive term (zero or infinite weight) set to 0."""
-    eff = weights.effective
-    return np.where(np.isfinite(eff) & (eff > 0.0), eff, 0.0)
+    return [e if 0.0 < e < math.inf else 0.0 for e in weights.effective.tolist()]
 
 
-def _loss_constant(eff, em: EmpiricalMoments, active) -> float:
-    """sum_{active} eff_i * v_hat_i: the part of the total loss no theta can change."""
-    out = 0.0
-    for i in active:
-        out += eff[i] * em.v_hat[i]
-    return float(out)
+def _loss_constant(eff, em: EmpiricalMoments) -> np.ndarray:
+    """sum_i eff_i * v_hat_i, from 0.0 in order, per row of active weights: no theta moves it."""
+    return sum((eff[:, i] * em.v_hat[i] for i in range(eff.shape[1])), 0.0)
 
 
-def _finite_objective(model, em, kinds):
-    """The residual over the active terms, as ``residual(theta, eff, jac=False)``.
+def _finite_objective(model, em, kinds, eff):
+    """The residual over the active terms, as ``residual(theta, lanes, jac=False)``.
 
-    ``theta`` is (n, d) and ``eff`` holds the effective weights, (M,) or one
-    row per theta, with 0 on every inactive term.  rho_i = sqrt(eff_i *
-    w_i(d_i)) * d_i with d_i = r_i - m_hat_i on the active terms and 0 on the
-    others.  Returns (rho, d rho / d theta or None, ok), where ok marks the
-    rows inside the domain with a finite rho.  v_hat is left out, so the
-    solvers see the residuals down to float64 resolution; callers add
-    ``_loss_constant`` back when reporting.
+    ``eff`` holds one row of effective weights per lane, 0 on every inactive
+    term; row k of the (n, d) ``theta`` belongs to lane ``lanes[k]``.  rho_i
+    = sqrt(eff_i * w_i(d_i)) * d_i with d_i = r_i - m_hat_i on the active
+    terms and 0 on the others; squared losses have w_i = 1, so their roots
+    are taken once.  Returns (rho, d rho / d theta, moment Jacobian, ok),
+    the Jacobians None unless ``jac``; ok marks the rows inside the domain
+    with a finite rho.  v_hat is left out, so the solvers see the residuals
+    down to float64 resolution; callers add ``_loss_constant`` back.
     """
     m_hat = em.m_hat
+    active = eff > 0.0
+    squared = all(isinstance(kind, SquaredLoss) for kind in kinds)
+    root = np.sqrt(eff) if squared else None
 
-    def residual(theta, eff, jac=False):
-        active = eff > 0.0
+    def residual(theta, lanes, jac=False):
         d = model.moments_grid(theta) - m_hat
-        w = np.empty_like(d)
-        for i, kind in enumerate(kinds):
-            w[:, i] = kind.weight(d[:, i])
-        s = np.sqrt(eff * w)
-        rho = np.where(active, s * d, 0.0)
+        on = active[lanes]
+        if squared:
+            s = root[lanes]
+        else:
+            w = np.empty_like(d)
+            for i, kind in enumerate(kinds):
+                w[:, i] = kind.weight(d[:, i])
+            s = np.sqrt(eff[lanes] * w)
+        rho = np.where(on, s * d, 0.0)
         ok = model.in_domain(theta) & np.isfinite(rho).all(axis=1)
         if not jac:
-            return rho, None, ok
-        return rho, np.where(active[..., None], s[:, :, None] * model.jacobian_grid(theta), 0.0), ok
+            return rho, None, None, ok
+        jr = model.jacobian_grid(theta)
+        return rho, np.where(on[..., None], s[:, :, None] * jr, 0.0), jr, ok
 
     return residual
 
 
-def _lane_objective(model, residual, eff, eliminated):
+def _lane_objective(model, residual, eliminated):
     """``fun`` over the z rows of a batch, and ``thetas(z, lanes)`` decoding them.
 
-    ``eff`` holds one row of effective weights per lane.  ``eliminated``
-    lists (lo, hi, free index, constraint index, build) per constrained
-    problem: its lanes lo..hi-1 search the free coordinate, and ``build``
-    supplies the other one from the constraint.
+    ``residual`` is the batch's ``_finite_objective``.  ``eliminated`` lists
+    (lo, hi, free index, constraint index, build) per constrained problem:
+    its lanes lo..hi-1 search the free coordinate, ``build`` supplies the
+    other from the constraint, and the constraint's row d r_i / d theta is
+    read from the residual's moment Jacobian: one ``jacobian_grid`` each.
     """
 
     def thetas(z, lanes):
@@ -656,15 +665,14 @@ def _lane_objective(model, residual, eff, eliminated):
 
     def fun(z, lanes, jac=False):
         theta, dtheta = thetas(z, lanes)
-        rho, J, ok = residual(theta, eff[lanes], jac)
+        rho, J, jr, ok = residual(theta, lanes, jac)
         if not jac:
             return rho, None, ok
         Jz = J * dtheta[:, None, :]
         for lo, hi, f, i, _ in eliminated:
             rows = (lanes >= lo) & (lanes < hi)
             e = 1 - f
-            grad_i = model.jacobian_grid(theta[rows])[:, i]
-            slope = -grad_i[:, f] / grad_i[:, e]
+            slope = -jr[rows, i, f] / jr[rows, i, e]
             Jz[rows] = 0.0
             Jz[rows, :, f] = ((J[rows, :, f] + J[rows, :, e] * slope[:, None])
                               * dtheta[rows, f, None])
@@ -673,32 +681,30 @@ def _lane_objective(model, residual, eff, eliminated):
     return fun, thetas
 
 
-def _best_lane(lanes, end, start, term):
-    """The (loss, lexicographic theta) best candidate over the given lanes.
+def _winners(spans, end, start):
+    """Each problem's best candidate: its lane, theta, f and whether it is ok.
 
     ``end`` and ``start`` hold (theta, f, ok) per lane at the solver's end
-    and at the raw start.  Returns (theta, loss, termination, start, start
-    index), or None when no candidate has a theta in the domain.
+    and raw start; lanes spans[p]..spans[p+1]-1 are problem p's.  A stable
+    sort of the candidates (each lane's end, then its start, in lane order)
+    by (problem, not ok, f, theta) puts first the lowest ok (f, theta), the
+    earlier one on a tie; a problem with no ok candidate gets one not ok.
     """
-    best = None
-    for index, lane in enumerate(lanes):
-        for theta, f, ok in (end, start):
-            if not ok[lane]:
-                continue
-            key = (float(f[lane]), tuple(theta[lane]))
-            if best is None or key < best[0]:
-                best = (key, (theta[lane].copy(), key[0], str(term[lane]),
-                              start[0][lane].copy(), index))
-    return None if best is None else best[1]
+    theta, f, ok = (np.stack(pair, axis=1) for pair in zip(end, start))
+    theta, f, ok = theta.reshape(len(f) * 2, -1), f.ravel(), ok.ravel()
+    problem = np.repeat(np.arange(len(spans) - 1), 2 * np.diff(spans))
+    win = np.lexsort((*theta.T[::-1], f, ~ok, problem))[2 * spans[:-1]]
+    return win // 2, theta[win], f[win], ok[win]
 
 
 def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
               start_used=None, clamped=False, converged=True, start_index=None,
-              n_evals=0) -> Solution:
+              n_evals=0, sub_losses=None) -> Solution:
     """A Solution; it has not converged after max_iters or without a finite loss."""
     theta = np.asarray(theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sub_losses = sub_loss_vector(kinds, r_star, em)
+    if sub_losses is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sub_losses = sub_loss_vector(kinds, r_star, em)
     return Solution(
         theta_star=theta,
         r_star=r_star,
@@ -754,7 +760,7 @@ def _own_path(model, weights, em, kinds):
         if model.theta_dim == 1:
             return _minimize_constrained(model, inf_idx, weights, em, kinds)
         return None
-    active = _active_terms(weights.effective)
+    active = [i for i, e in enumerate(_active_weights(weights)) if e]
     if not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
     if model.theta_dim == 1 and len(active) == 1:
@@ -782,11 +788,12 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.
     ``starts``, when given, holds per weight vector None or theta starts that
     replace the configured ones of a finite-weight problem, pulled inside the domain.
+    Winners come from ``_winners``, their moments from one ``moments_grid``.
     """
     config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
     out: list = [None] * len(weights_list)
-    batch = []                      # (result index, weights, starts, (free index, build))
+    batch = []      # (result index, constraint index, active weights, starts, (free index, build))
     base = None
     for k, weights in enumerate(weights_list):
         try:
@@ -794,17 +801,17 @@ def minimize_many(
             if out[k] is not None:
                 continue
             i = weights.infinite_index
+            elim = None
             if i is None and starts is not None and starts[k] is not None:
-                batch.append((k, weights, [interior_start(model, x) for x in starts[k]], None))
-                continue
-            if base is None:
-                base = _starts(_resolve_init(model, em, config), model.domain, config)
-            if i is None:
-                batch.append((k, weights, base, None))
+                lanes = [interior_start(model, x) for x in starts[k]]
             else:
-                f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
-                starts = _starts(base[0][f:f + 1], model.domain[f:f + 1], config)
-                batch.append((k, weights, starts, (f, build)))
+                base = base or _starts(_resolve_init(model, em, config), model.domain, config)
+                lanes = base
+                if i is not None:
+                    f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
+                    lanes = _starts(base[0][f:f + 1], model.domain[f:f + 1], config)
+                    elim = (f, build)
+            batch.append((k, i, _active_weights(weights), lanes, elim))
         except ElicitError as exc:
             out[k] = exc
     if not batch:
@@ -813,15 +820,15 @@ def minimize_many(
     # Every start is one lane, and lanes lo..hi-1 hold one problem's starts.
     # A constrained problem's lanes search its free coordinate f and hold 0
     # in the z of the eliminated one.
-    spans = np.cumsum([0] + [len(starts) for _, _, starts, _ in batch])
-    n = spans[-1]
-    eff = np.repeat([_active_weights(w) for _, w, _, _ in batch], np.diff(spans), axis=0)
-    z0 = np.zeros((n, model.theta_dim))
-    theta0 = np.empty((n, model.theta_dim))
-    free = np.ones((n, model.theta_dim), dtype=bool)
+    spans = np.cumsum([0] + [len(lanes) for _, _, _, lanes, _ in batch])
+    n, d = spans[-1], model.theta_dim
+    eff_rows = np.array([eff for _, _, eff, _, _ in batch])
+    z0 = np.zeros((n, d))
+    theta0 = np.empty((n, d))
+    free = np.ones((n, d), dtype=bool)
     eliminated = []
-    for (_, weights, starts, elim), lo, hi in zip(batch, spans, spans[1:]):
-        x = np.asarray(starts, dtype=float)
+    for (_, i, _, lanes, elim), lo, hi in zip(batch, spans, spans[1:]):
+        x = np.asarray(lanes, dtype=float)
         if elim is None:
             z0[lo:hi], theta0[lo:hi] = _to_z(x, model.domain), x
         else:
@@ -829,38 +836,43 @@ def minimize_many(
             z0[lo:hi, f] = _to_z(x, model.domain[f:f + 1])[:, 0]
             theta0[lo:hi] = build(x[:, 0])
             free[lo:hi, 1 - f] = False
-            eliminated.append((lo, hi, f, weights.infinite_index, build))
+            eliminated.append((lo, hi, f, i, build))
 
-    residual = _finite_objective(model, em, kinds)
-    fun, thetas = _lane_objective(model, residual, eff, eliminated)
+    residual = _finite_objective(model, em, kinds, np.repeat(eff_rows, np.diff(spans), axis=0))
+    fun, thetas = _lane_objective(model, residual, eliminated)
     # Each raw start is itself a candidate, scored without the z round trip,
     # so a start sitting exactly on the minimizer is returned bit-exact.  A
     # lane searching theta itself always has a theta; an eliminated lane has
     # one where the constraint's build lands inside the domain.
-    direct = free.all(axis=1)
+    every, direct = np.arange(n), free.all(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, f_end, iters, term, evals = _run_solver(fun, z0, free, config)
-        theta_end = thetas(z, np.arange(n))[0]
-        rho, _, ok = residual(theta0, eff)
-        start = (theta0, _sq(rho, ok), direct | model.in_domain(theta0))
-        end = (theta_end, f_end, direct | model.in_domain(theta_end))
-    for (k, weights, _, _), lo, hi in zip(batch, spans, spans[1:]):
-        found = _best_lane(range(lo, hi), end, start, term)
-        i = weights.infinite_index
+        theta_end = thetas(z, every)[0]
+        rho, _, _, ok = residual(theta0, every)
+        lane, theta, excess, ok = _winners(
+            spans, (theta_end, f_end, direct | model.in_domain(theta_end)),
+            (theta0, _sq(rho, ok), direct | model.in_domain(theta0)))
+        r_star = model.moments_grid(theta)
+        sub_losses = sub_loss_vector(kinds, r_star, em)
+    loss = excess + _loss_constant(eff_rows, em)
+    inside = model.in_domain(theta)
+    n_iters = np.add.reduceat(iters, spans[:-1])
+    # Scoring each raw start is one evaluation on top of the solver's.
+    n_evals = np.add.reduceat(evals, spans[:-1]) + np.diff(spans)
+    m_hat = em.m_hat
+    for p, (k, i, _, _, _) in enumerate(batch):
         try:
-            if found is None:
-                raise OutOfImage(f"{model.name}: constraint r_{i + 1} = {float(em.m_hat[i])} "
+            if not ok[p]:
+                raise OutOfImage(f"{model.name}: constraint r_{i + 1} = {float(m_hat[i])} "
                                  "admits no interior solution")
-            theta, fz, termination, start_used, index = found
-            r_star = model.moments(theta)
-            on_constraint = i is None or (abs(r_star[i] - em.m_hat[i])
-                                          <= CONSTRAINT_RTOL * (1.0 + abs(em.m_hat[i])))
-            eff_k = weights.effective
-            # Scoring each raw start is one evaluation on top of the solver's.
-            out[k] = _solution(theta, r_star, fz + _loss_constant(eff_k, em, _active_terms(eff_k)),
-                               kinds, em, termination, iters[lo:hi].sum(), start_used,
-                               converged=on_constraint, start_index=index,
-                               n_evals=evals[lo:hi].sum() + hi - lo)
+            if not inside[p]:
+                model.moments(theta[p])  # raises the DomainError naming the bound
+            on_constraint = i is None or (abs(r_star[p, i] - m_hat[i])
+                                          <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i])))
+            out[k] = _solution(theta[p], r_star[p], loss[p], kinds, em, str(term[lane[p]]),
+                               n_iters[p], theta0[lane[p]], converged=on_constraint,
+                               start_index=int(lane[p] - spans[p]), n_evals=n_evals[p],
+                               sub_losses=sub_losses[p])
         except ElicitError as exc:
             out[k] = exc
     return out
@@ -884,11 +896,10 @@ def _minimize_constrained(model, i, weights, em, kinds):
     """The 1-parameter theta with r_i(theta) = m_hat_i, scored on the finite-weight terms."""
     theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
     theta = np.array([theta_c])
-    eff = _active_weights(weights)
-    constant = _loss_constant(weights.effective, em, _active_terms(weights.effective))
+    eff = np.array([_active_weights(weights)])
     with np.errstate(over="ignore", invalid="ignore"):
-        rho, _, ok = _finite_objective(model, em, kinds)(theta[None], eff)
-        loss = float(_sq(rho, ok)[0]) + constant
+        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta[None], [0])
+        loss = float(_sq(rho, ok)[0]) + _loss_constant(eff, em)[0]
     return _solution(theta, model.moments(theta), loss, kinds, em, "constraint",
                      clamped=clamped, n_evals=1)
 

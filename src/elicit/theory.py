@@ -146,9 +146,13 @@ def classify_2d_case(
     """
     if model.theta_dim != 1:
         raise DomainError(f"{model.name}: 2-D classification needs a 1-parameter model")
+    if link.moment_order != 2:
+        raise DomainError(f"{link.name}: 2-D classification needs a two-moment link")
     lo, hi = float(r1_interval[0]), float(r1_interval[1])
     if not lo < hi:
         raise DomainError(f"empty interval [{lo}, {hi}]")
+    if n_grid < 1:
+        raise DomainError(f"n_grid = {n_grid}: the r1 grid needs at least one point")
     grid = np.linspace(lo, hi, n_grid)
 
     def slopes(r1: float) -> tuple[float, float]:
@@ -162,14 +166,21 @@ def classify_2d_case(
         rp, tp = slopes(r1)
         return rp - tp
 
-    pairs = [slopes(r1) for r1 in grid]
-    diffs = np.array([rp - tp for rp, tp in pairs])
-    cases = [_point_case(rp, tp) for rp, tp in pairs]
+    # One pass; ``slopes`` raises the error of the first point off the domain or image.
+    thetas = np.array([[model.theta_from_r1(r1)] for r1 in grid.tolist()])
+    image_lo, image_hi = model.r1_image()
+    bad = ~model.in_domain(thetas) | ~((image_lo < grid) & (grid < image_hi))
+    if bad.any():
+        slopes(grid[bad.argmax()])
+    jac = model.jacobian_grid(thetas)
+    rp = jac[:, 1, 0] / jac[:, 0, 0]
+    tp = contour_slope(link, np.column_stack([grid, model.moments_grid(thetas)[:, 1]]))
+    diffs = rp - tp
+    cases = [_point_case(a, b) for a, b in zip(rp.tolist(), tp.tolist())]
 
-    boundaries = [float(grid[k]) for k in range(len(grid)) if diffs[k] == 0.0]
-    for k in range(len(grid) - 1):
-        if diffs[k] * diffs[k + 1] < 0:
-            boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
+    boundaries = grid[diffs == 0.0].tolist()
+    for k in np.flatnonzero(diffs[:-1] * diffs[1:] < 0).tolist():
+        boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
     boundaries.sort()
 
     distinct = {c for c in cases if c != "boundary"}

@@ -157,6 +157,17 @@ class TestClassify:
     def test_unknown_option(self):
         assert main(["classify", "--nonsense"]) == 1
 
+    @pytest.mark.parametrize("n_grid", ["0", "-3"])
+    def test_empty_grid_exits_1(self, capsys, n_grid):
+        assert main(["classify", "--model", "poisson", "--link", "variance",
+                     "--interval", "0.5,20", "--n-grid", n_grid]) == 1
+        assert "at least one point" in capsys.readouterr().err
+
+    def test_three_moment_link_exits_1(self, capsys):
+        assert main(["classify", "--model", "poisson", "--link", "skewness",
+                     "--interval", "0.5,20"]) == 1
+        assert "two-moment link" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_poisson_dominance(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,41 @@ class TestWeightVector:
     def test_effective(self):
         w = WeightVector(c=np.array([2.0, 6.0]), k=np.array([4.0, 3.0]))
         assert np.allclose(w.effective, [0.5, 2.0])
+
+    SHAPE = "c and k must be 1-D arrays of equal length"
+    RANGE = "weights must lie in [0, +inf]"
+    ZERO = "all-zero weight vector rejected: the total loss would vanish"
+    TWO_INF = "at most one weight may be infinite"
+    BASE = "base weights k must be finite and strictly positive"
+
+    @pytest.mark.parametrize("c,k,message", [
+        ([np.nan, 1.0], [1.0, 1.0], RANGE),
+        ([-1.0, 1.0], [1.0, 1.0], RANGE),
+        ([-np.inf, 1.0], [1.0, 1.0], RANGE),
+        ([0.0, 0.0], [1.0, 1.0], ZERO),
+        ([], [], ZERO),
+        ([np.inf, np.inf, 1.0], [1.0, 1.0, 1.0], TWO_INF),
+        ([1.0, 1.0], [1.0, 0.0], BASE),
+        ([1.0, 1.0], [-2.0, 1.0], BASE),
+        ([1.0, 1.0], [1.0, np.inf], BASE),
+        ([1.0, 1.0], [np.nan, 1.0], BASE),
+        ([1.0, 1.0], [1.0, 1.0, 1.0], SHAPE),
+        ([[1.0, 1.0]], [[1.0, 1.0]], SHAPE),
+        (1.0, 1.0, SHAPE),
+        # The first failing rule names the error.
+        ([0.0, 0.0], [0.0, 1.0], ZERO),
+        ([np.inf, np.inf], [np.nan, 1.0], TWO_INF),
+        ([np.nan, np.inf, np.inf], [0.0, 1.0, 1.0], RANGE),
+    ])
+    def test_each_invalid_input_names_its_rule(self, c, k, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            WeightVector(c=np.array(c), k=np.array(k))
+
+    @pytest.mark.parametrize("c", [[1.0, 2.0], [np.inf, 0.0, 1.0], [1.0, np.inf, 0.0],
+                                   [0.0, 1.0, np.inf], [0.0, 3.0]])
+    def test_infinite_index(self, c):
+        found = np.flatnonzero(np.isinf(c))
+        assert WeightVector.of(c).infinite_index == (int(found[0]) if found.size else None)
 
 
 class TestTotalLoss:

@@ -14,7 +14,7 @@ from scipy.optimize import brentq as scipy_brentq
 from elicit import analytic_moments, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
-from elicit.errors import DomainError, EmptyGrid
+from elicit.errors import DomainError, EmptyGrid, OutOfImage
 from elicit.losses import (
     WeightVector,
     default_kinds,
@@ -29,6 +29,7 @@ from elicit.optimize import (
     moment_match_init,
 )
 from elicit.links import make_link
+from elicit.sweep import run_sweep
 from elicit.theory import CONTAINMENT_SLACK, classify_2d_case
 
 POISSON = make_model("poisson")
@@ -271,6 +272,190 @@ class TestBatch:
             minimize(POISSON, bad, poisson_em_3_15)
 
 
+def assert_same_solution(a, b):
+    """Every field of two Solutions equal, arrays bit for bit."""
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
+class TestStartsArgument:
+    @pytest.mark.parametrize("constrained_first", [True, False])
+    @pytest.mark.parametrize("with_starts", [False, True])
+    def test_each_problem_equals_its_own_solve(self, constrained_first, with_starts):
+        # A 2-parameter c = inf problem builds a start list of its own; a
+        # finite-weight problem after it must still read its own starts.
+        exp = shipped_experiment("skew-lognormal")
+        spec = exp.spec
+        finite_starts = [[0.0, 0.5], [0.2, 1.0]] if with_starts else None
+        problems = [(spec.weights_at(math.inf), None), (spec.weights_at(1.0), finite_starts)]
+        if not constrained_first:
+            problems.reverse()
+        batch = optimize.minimize_many(exp.model, [w for w, _ in problems], exp.em, spec.kinds,
+                                       spec.optimizer,
+                                       starts=[s for _, s in problems] if with_starts else None)
+        for (w, s), sol in zip(problems, batch):
+            if s is None:
+                alone = minimize(exp.model, w, exp.em, spec.kinds, spec.optimizer)
+            else:
+                (alone,) = optimize.minimize_many(exp.model, [w], exp.em, spec.kinds,
+                                                  spec.optimizer, starts=[s])
+            assert_same_solution(sol, alone)
+
+
+def best_lane_reference(lanes, end, start, term):
+    """The (loss, lexicographic theta) best candidate over the given lanes, by a strict-< scan.
+
+    ``end`` and ``start`` hold (theta, f, ok) per lane at the solver's end
+    and at the raw start.  Returns (theta, loss, termination, start, start
+    index), or None when no candidate has a theta in the domain.
+    """
+    best = None
+    for index, lane in enumerate(lanes):
+        for theta, f, ok in (end, start):
+            if not ok[lane]:
+                continue
+            key = (float(f[lane]), tuple(theta[lane]))
+            if best is None or key < best[0]:
+                best = (key, (theta[lane].copy(), key[0], str(term[lane]),
+                              start[0][lane].copy(), index))
+    return None if best is None else best[1]
+
+
+def loss_constant_reference(weights, em):
+    """sum_{active} eff_i * v_hat_i, term by term."""
+    eff = weights.effective
+    out = 0.0
+    for i in range(len(eff)):
+        if np.isfinite(eff[i]) and eff[i] > 0.0:
+            out += eff[i] * em.v_hat[i]
+    return float(out)
+
+
+class TestWinnerSelection:
+    """The sort in ``_winners`` picks what the strict-< scan over lanes picked."""
+
+    @staticmethod
+    def solve_against_reference(monkeypatch, model, weights, em, kinds=None, config=None,
+                                starts=None):
+        seen = {}
+        run_solver, winners = optimize._run_solver, optimize._winners
+
+        def spy_solver(*args):
+            out = run_solver(*args)
+            seen["term"] = out[3]
+            return out
+
+        def spy_winners(spans, end, start):
+            seen.update(spans=spans, end=end, start=start, result=winners(spans, end, start))
+            return seen["result"]
+
+        monkeypatch.setattr(optimize, "_run_solver", spy_solver)
+        monkeypatch.setattr(optimize, "_winners", spy_winners)
+        sols = optimize.minimize_many(model, weights, em, kinds, config, starts=starts)
+        monkeypatch.undo()
+
+        spans, term = seen["spans"], seen["term"]
+        lane, theta, f, ok = seen["result"]
+        ref = [best_lane_reference(range(lo, hi), seen["end"], seen["start"], term)
+               for lo, hi in zip(spans, spans[1:])]
+        for p, r in enumerate(ref):
+            assert (r is None) == (not ok[p])
+            if r is not None:
+                r_theta, r_f, r_term, r_start, r_index = r
+                assert np.array_equal(theta[p], r_theta) and f[p] == r_f
+                assert term[lane[p]] == r_term and lane[p] - spans[p] == r_index
+                assert np.array_equal(seen["start"][0][lane[p]], r_start)
+        # The iterative problems' Solutions, in batch order, carry the winners.
+        iterative = [(w, s) for w, s in zip(weights, sols)
+                     if isinstance(s, optimize.Solution) and s.start_index is not None]
+        found = [r for r in ref if r is not None]
+        assert len(iterative) == len(found)
+        for (w, sol), (r_theta, r_f, r_term, r_start, r_index) in zip(iterative, found):
+            assert np.array_equal(sol.theta_star, r_theta)
+            assert sol.loss == r_f + loss_constant_reference(w, em)
+            assert (sol.termination, sol.start_index) == (r_term, r_index)
+            assert np.array_equal(sol.start_used, r_start)
+            assert np.array_equal(sol.r_star, model.moments(sol.theta_star))
+        return sols, seen
+
+    @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal", "skew-beta2"])
+    def test_shipped_sweep_batches(self, monkeypatch, name):
+        spec = shipped_experiment(name).spec
+        weights = [spec.weights_at(c) for c in [0.0, *spec.grid, math.inf]]
+        sols, _ = self.solve_against_reference(monkeypatch, spec.model, weights, spec.em,
+                                               spec.kinds, spec.optimizer)
+        assert all(isinstance(s, optimize.Solution) for s in sols)
+
+    def test_duplicate_starts_pick_the_earlier_lane(self, monkeypatch):
+        model = make_model("lognormal")
+        em = analytic_moments(model, [0.3, 1.2], perturb=[0.1, 0.5, 4.0])
+        (sol,), _ = self.solve_against_reference(
+            monkeypatch, model, [WeightVector.of([1.0, 1.0, 1.0])], em,
+            starts=[[[0.2, 1.0], [0.2, 1.0]]])
+        assert sol.start_index == 0
+
+    def test_start_on_the_minimizer_ends_where_it_starts(self, monkeypatch):
+        # Exponential moments at theta = 1: the start is the exact fit, and
+        # the z round trip of 1.0 is exact, so end and start tie.
+        model = make_model("exponential")
+        em = analytic_moments(model, [1.0])
+        (sol,), seen = self.solve_against_reference(
+            monkeypatch, model, [WeightVector.of([1.0, 1.0])], em)
+        end, start = seen["end"], seen["start"]
+        assert np.array_equal(end[0][0], start[0][0]) and end[1][0] == start[1][0] == 0.0
+        assert np.array_equal(sol.theta_star, [1.0]) and sol.start_index == 0
+
+    def test_constrained_problem_without_a_feasible_lane(self, monkeypatch):
+        class NoFeasibleBuild(type(make_model("lognormal"))):
+            def eliminate_for_moment(self, i, target):
+                f, _ = super().eliminate_for_moment(i, target)
+                return f, lambda v2: np.column_stack([np.full_like(v2, np.nan), v2])
+
+        model = NoFeasibleBuild()
+        em = analytic_moments(model, [0.3, 1.2], perturb=[0.1, 0.5, 4.0])
+        weights = [WeightVector.of([1.0, 1.0, 1.0]), WeightVector.of([np.inf, 1.0, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (sol, err), _ = self.solve_against_reference(monkeypatch, model, weights, em)
+        assert sol.converged
+        assert isinstance(err, OutOfImage) and "admits no interior solution" in str(err)
+
+    def test_r_star_is_the_scalar_moment_map_on_every_shipped_point(self, shipped_sweeps):
+        for name, (exp, curve) in shipped_sweeps.items():
+            for point in curve.points:
+                sol = point.solution
+                assert np.array_equal(sol.r_star, exp.model.moments(sol.theta_star)), name
+
+
+class TestOneJacobianPerEvaluation:
+    def test_skew_gamma2_sweep(self, monkeypatch):
+        # The c = inf lanes read their constraint row from the same Jacobian.
+        exp = shipped_experiment("skew-gamma2")
+        model = exp.model
+        jacobians, per_point = [], []
+        jacobian_grid, lm_point = model.jacobian_grid, optimize._lm_point
+
+        def counting_jacobian(thetas):
+            jacobians.append(len(thetas))
+            return jacobian_grid(thetas)
+
+        def counting_point(fun, z, lanes):
+            before = len(jacobians)
+            out = lm_point(fun, z, lanes)
+            per_point.append(len(jacobians) - before)
+            return out
+
+        monkeypatch.setattr(model, "jacobian_grid", counting_jacobian)
+        monkeypatch.setattr(optimize, "_lm_point", counting_point)
+        curve = run_sweep(exp.spec)
+        assert curve.points[-1].c_value == math.inf and curve.points[-1].converged
+        assert per_point and set(per_point) == {1}
+
+
 class TestEliminatedLanes:
     @pytest.mark.parametrize("name, theta0", [("lognormal", [0.3, 1.2]), ("gamma2", [2.0, 3.0]),
                                               ("beta2", [2.0, 5.0]), ("loglogistic", [1.0, 6.0])])
@@ -289,8 +474,8 @@ class TestEliminatedLanes:
         z = np.zeros((len(free), 2))
         z[:, f] = optimize._to_z(free[:, None], model.domain[f:f + 1])[:, 0]
         eff = np.tile(optimize._active_weights(WeightVector.of(c)), (len(free), 1))
-        residual = optimize._finite_objective(model, em, default_kinds(3))
-        fun, _ = optimize._lane_objective(model, residual, eff,
+        residual = optimize._finite_objective(model, em, default_kinds(3), eff)
+        fun, _ = optimize._lane_objective(model, residual,
                                           [(0, len(free), f, i, build)])
         lanes = np.arange(len(free))
         _, J, ok = fun(z, lanes, jac=True)

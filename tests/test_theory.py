@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import make_link, make_model
-from elicit.errors import DomainError, MixedCase, TooFewPoints
+from elicit import theory
+from elicit.distmodels import model_curve_value
+from elicit.errors import DomainError, MixedCase, OutOfImage, TooFewPoints
+from elicit.links import contour_slope
+from elicit.optimize import brentq
 from elicit.theory import (
     check_condition_A,
     check_condition_B,
@@ -116,6 +121,78 @@ class TestClassification:
             from elicit.links import link_value
 
             assert link_value(VAR, model.moments([theta])) == pytest.approx(theta, rel=1e-12)
+
+
+def classify_reference(model, link, r1_interval, n_grid):
+    """The point-by-point walk: (per-point cases, min and max of R' - T', boundaries)."""
+    grid = np.linspace(float(r1_interval[0]), float(r1_interval[1]), n_grid)
+
+    def slopes(r1):
+        jac = model.moment_jacobian([model.theta_from_r1(r1)])
+        return float(jac[1, 0] / jac[0, 0]), contour_slope(link, (r1, model_curve_value(model, r1)))
+
+    def slope_gap(r1):
+        rp, tp = slopes(r1)
+        return rp - tp
+
+    pairs = [slopes(r1) for r1 in grid]
+    diffs = np.array([rp - tp for rp, tp in pairs])
+    boundaries = [float(grid[k]) for k in range(len(grid)) if diffs[k] == 0.0]
+    for k in range(len(grid) - 1):
+        if diffs[k] * diffs[k + 1] < 0:
+            boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
+    return ([theory._point_case(rp, tp) for rp, tp in pairs], float(diffs.min()),
+            float(diffs.max()), sorted(boundaries))
+
+
+class TestOnePassClassification:
+    """classify_2d_case over the whole grid at once equals the point-by-point walk."""
+
+    @staticmethod
+    def assert_matches_reference(model, interval, n_grid):
+        res = classify_2d_case(model, VAR, interval, n_grid=n_grid)
+        cases, diff_min, diff_max, boundaries = classify_reference(model, VAR, interval, n_grid)
+        assert res.per_point_cases == cases
+        assert float(res.diff_min).hex() == diff_min.hex()
+        assert float(res.diff_max).hex() == diff_max.hex()
+        assert [float(b).hex() for b in res.boundaries] == [b.hex() for b in boundaries]
+        return res
+
+    def test_shipped_variance_intervals(self, shipped_sweeps):
+        names = [name for name in shipped_sweeps if name.startswith("var-")]
+        assert len(names) == 6
+        for name in names:
+            exp, curve = shipped_sweeps[name]
+            r1 = [p.solution.r_star[0] for p in curve.converged_points()]
+            self.assert_matches_reference(exp.model, (min(r1), max(r1)), 101)
+
+    @pytest.mark.parametrize("n_grid", [1, 2, 40, 101, 201])
+    def test_binomial_mixed_case(self, n_grid):
+        # Opposite directions below and above r1 = 5 = K / 2.
+        res = self.assert_matches_reference(make_model("binomial_fixed_trials", (10.0,)),
+                                            (0.5, 9.5), n_grid)
+        assert res.case == ("mixed" if n_grid > 1 else "b")
+
+    @pytest.mark.parametrize("name,fixed,interval,error", [
+        ("poisson", (), (-1.0, 5.0), DomainError),
+        ("binomial_fixed_trials", (10.0,), (0.5, 12.0), DomainError),
+        ("binomial_fixed_trials", (10.0,), (5.0, 10.0), OutOfImage),
+    ])
+    def test_first_failing_point_raises_the_walks_error(self, name, fixed, interval, error):
+        model = make_model(name, fixed)
+        with pytest.raises(error) as walked:
+            classify_reference(model, VAR, interval, 11)
+        with pytest.raises(error, match=re.escape(str(walked.value))):
+            classify_2d_case(model, VAR, interval, n_grid=11)
+
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_empty_grid_rejected(self, n_grid):
+        with pytest.raises(DomainError, match="at least one point"):
+            classify_2d_case(make_model("poisson"), VAR, (0.5, 20.0), n_grid=n_grid)
+
+    def test_three_moment_link_rejected(self):
+        with pytest.raises(DomainError, match="two-moment link"):
+            classify_2d_case(make_model("poisson"), make_link("skewness"), (0.5, 20.0))
 
 
 class _NonMonotoneSurface:
