@@ -8,9 +8,13 @@ set and a generic empirical moment vector lies off it.
 Deterministic sampling lives here too.  The repository-wide generator is
 numpy's Philox4x64 (counter-based); per-template substreams are keyed by
 ``(seed << 64) | blake2b64(template_name)``.  All families are sampled by
-inverse-CDF transform of the substream's uniforms, with the inverses taken
-from ``scipy.special``, so identical (name, params, n_samples, seed)
-reproduce identical bytes.
+inverse-CDF transform of the substream's uniforms, so identical (name,
+params, n_samples, seed) reproduce identical bytes.  The normal quantile is
+``_ndtri``, a port of Cephes ``ndtri`` (Moshier, *Methods and Programs for
+Mathematical Functions*, 1989) that reproduces ``scipy.special.ndtri`` bit
+for bit; the incomplete-gamma, incomplete-beta, Poisson and binomial
+inverses come from ``scipy.special``, which ``sample`` imports only for those
+families, so a run that needs none of them never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, OutOfImage
 
@@ -52,6 +55,16 @@ def _bounds(domain, closed) -> list[tuple[int, str, float]]:
         if hi is not None:
             out.append((j, "<=" if hi_closed else "<", hi))
     return out
+
+
+def libm(f, a) -> np.ndarray:
+    """A ``math`` function applied elementwise to an array.
+
+    ``math`` calls the C library, as scipy's compiled special functions do;
+    numpy's vectorized ``log``/``exp`` may differ from it in the last bit.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def _rising(a, k):
@@ -560,6 +573,11 @@ class SamplingTemplate:
             raise DomainError("n_samples must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
+        if not all(math.isfinite(p) for p in self.params):
+            raise DomainError(f"template {self.name!r}: params {list(self.params)} must be finite")
+        if self.name == "binomial_fixed_trials" and not all(K.is_integer() for K in self.params[:1]):
+            raise DomainError(f"template {self.name!r}: the number of trials K = "
+                              f"{self.params[0]} must be an integer")
 
 
 def _substream(seed: int, name: str) -> np.random.Generator:
@@ -573,12 +591,66 @@ def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
     return np.clip(u, 2.0**-53, float(np.nextafter(1.0, 0.0)))
 
 
+# Cephes ndtri: y - 1/2 in a rational function of (y - 1/2)^2 on the centre
+# (e^-2, 1 - e^-2); in the tails a rational function of 1/x, x = sqrt(-2 log y),
+# with (P1, Q1) for x < 8 and (P2, Q2) beyond.  Each Q omits its leading 1.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _horner(x, coef, leading_one=False):
+    """Cephes polevl (or p1evl, whose coefficient list omits a leading 1)."""
+    out = x + coef[0] if leading_one else coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y):
+    """Standard normal quantile, elementwise, bit-identical to ``scipy.special.ndtri``."""
+    y = np.asarray(y, dtype=float)
+    upper = y > 1.0 - _EXP_M2
+    t = np.where(upper, 1.0 - y, y)  # the tail probability, <= 1/2 off the centre
+    out = np.full(y.shape, np.nan)
+    out[y == 0.0] = -np.inf
+    out[y == 1.0] = np.inf
+    mid = t > _EXP_M2
+    c = t[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _horner(c2, _NDTRI_P0) / _horner(c2, _NDTRI_Q0, True))) * _SQRT_2PI
+    tail = (t > 0.0) & ~mid
+    x = np.sqrt(-2.0 * libm(math.log, t[tail]))
+    x0 = x - libm(math.log, x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1, True),
+                  z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2, True))
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out
+
+
 def _normal_from_uniform(u, mean, variance):
     if variance < 0:
         raise DomainError("normal: variance must be nonnegative")
     if variance == 0.0:
         return np.full_like(u, mean)
-    return mean + math.sqrt(variance) * special.ndtri(u)
+    return mean + math.sqrt(variance) * _ndtri(u)
 
 
 def _discrete_quantile(u, x, cdf):
@@ -618,6 +690,19 @@ def sample(template: SamplingTemplate) -> np.ndarray:
         if p[1] < 0:
             raise DomainError("lognormal: v2 must be nonnegative")
         return np.exp(_normal_from_uniform(u, p[0], p[1]))
+    if name == "exponential":
+        if p[0] <= 0:
+            raise DomainError("exponential: mean must be positive")
+        return -p[0] * np.log1p(-u)
+    if name == "loglogistic":
+        a, b = p[0], p[1]
+        if a <= 0 or b <= 0:
+            raise DomainError("loglogistic: a and b must be positive")
+        return a * (u / (1.0 - u)) ** (1.0 / b)
+    # Every remaining family inverts an incomplete gamma or beta function (the
+    # Poisson and binomial cdfs are such functions), so only these load scipy.special.
+    from scipy import special
+
     if name == "poisson":
         if p[0] < 0:
             raise DomainError("poisson: mean must be nonnegative")
@@ -626,10 +711,6 @@ def sample(template: SamplingTemplate) -> np.ndarray:
         if p[0] <= 0:
             raise DomainError("chisq: dof must be positive")
         return 2.0 * special.gammaincinv(p[0] / 2.0, u)
-    if name == "exponential":
-        if p[0] <= 0:
-            raise DomainError("exponential: mean must be positive")
-        return -p[0] * np.log1p(-u)
     if name == "gamma_fixed_shape" or name == "gamma2":
         shape, scale = p[0], p[1]
         if shape <= 0 or scale <= 0:
@@ -641,7 +722,7 @@ def sample(template: SamplingTemplate) -> np.ndarray:
             raise DomainError("binomial_fixed_trials: need K >= 1 and p in [0, 1]")
         if prob == 0.0:
             return np.zeros(n)  # bdtrik is nan at p = 0, where every draw is 0.
-        K = int(K)
+        K = int(K)  # integral, as SamplingTemplate checks
         q = _discrete_quantile(u, special.bdtrik(u, K, prob), lambda k: special.bdtr(k, K, prob))
         return np.minimum(q, K)
     if name == "beta2":
@@ -649,9 +730,4 @@ def sample(template: SamplingTemplate) -> np.ndarray:
         if a <= 0 or b <= 0:
             raise DomainError("beta2: a and b must be positive")
         return special.betaincinv(a, b, u)
-    if name == "loglogistic":
-        a, b = p[0], p[1]
-        if a <= 0 or b <= 0:
-            raise DomainError("loglogistic: a and b must be positive")
-        return a * (u / (1.0 - u)) ** (1.0 / b)
     raise DomainError(f"unknown template name {name!r}")  # pragma: no cover

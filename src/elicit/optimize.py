@@ -68,9 +68,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .distmodels import ParametricModel, clamp_to_image
+from .distmodels import ParametricModel, clamp_to_image, libm
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
     EmpiricalMoments,
@@ -152,6 +151,24 @@ _LOG_CLIP = 700.0
 _LOGIT_CLIP = 36.0
 
 
+# scipy.special's expit and logit, in the same floating-point operations and
+# the same libm calls, so z <-> theta keeps its bits without importing scipy.
+def _expit(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + libm(math.exp, -x))
+
+
+def _logit(p: np.ndarray) -> np.ndarray:
+    """log(p / (1 - p)), taken as log1p(s) - log1p(-s), s = 2 (p - 1/2), for p in [0.3, 0.65]."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    outer = (p < 0.3) | (p > 0.65)
+    q = p[outer]
+    out[outer] = libm(math.log, q / (1.0 - q))
+    s = 2.0 * (p[~outer] - 0.5)
+    out[~outer] = libm(math.log1p, s) - libm(math.log1p, -s)
+    return out
+
+
 def _to_z(theta: np.ndarray, domain) -> np.ndarray:
     """z for an (..., d) array of interior points."""
     theta = np.asarray(theta, dtype=float)
@@ -165,7 +182,7 @@ def _to_z(theta: np.ndarray, domain) -> np.ndarray:
         elif lo is None:
             z[..., j] = -np.log(hi - x)
         else:
-            z[..., j] = logit((x - lo) / (hi - lo))
+            z[..., j] = _logit((x - lo) / (hi - lo))
     return z
 
 
@@ -179,7 +196,7 @@ def _from_z(z: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
             theta[..., j] = x
             dtheta[..., j] = 1.0
         elif lo is not None and hi is not None:
-            s = expit(np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP))
+            s = _expit(np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP))
             theta[..., j] = lo + (hi - lo) * s
             dtheta[..., j] = (hi - lo) * s * (1.0 - s)
         else:

@@ -123,6 +123,21 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("template", [
+        {"name": "binomial_fixed_trials", "params": [10.5, 0.9]},
+        {"name": "normal", "params": [10, math.nan]},
+    ])
+    def test_bad_template_params_rejected_before_writing(self, tmp_path, capsys, template):
+        # A fractional number of trials was once truncated to B(10, 0.9).
+        cfg = json.loads((SWEEP_CONFIG_DIR / "var-binomial-hi.json").read_text())
+        cfg["template"] = {**template, "n_samples": 1000, "seed": 17}
+        cfg["output"] = str(tmp_path / "out")
+        path = tmp_path / "bad-template.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 1
+        assert f"template {template['name']!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestClassify:
     def test_poisson_case_b(self, capsys):
         code = main(["classify", "--model", "poisson", "--link", "variance",
@@ -289,3 +304,37 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_runs_without_scipy_special_leave_it_unloaded(tmp_path):
+    # scipy.special (with numpy.f2py behind it) is most of the start-up; only
+    # templates that invert an incomplete gamma or beta function load it.
+    paths = []
+    for name in ("var-poisson", "var-binomial-hi", "skew-lognormal"):
+        cfg = json.loads((SWEEP_CONFIG_DIR / f"{name}.json").read_text())
+        cfg["output"] = str(tmp_path / name)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    code = """
+import sys
+import elicit.cli
+from elicit.config import load_config, resolve
+def loaded(step):
+    print(step, *[m for m in ("scipy.special", "numpy.f2py") if m in sys.modules])
+loaded("import")
+for path in sys.argv[1:-1]:
+    if elicit.cli.main(["run", path]) != 0:
+        sys.exit(1)
+    loaded("run")
+resolve(load_config(sys.argv[-1]))
+loaded("gamma2")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, paths),
+                           str(SWEEP_CONFIG_DIR / "skew-gamma2.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    steps = [line.split() for line in done.stdout.splitlines() if not line.startswith("wrote")]
+    assert steps[:4] == [["import"], ["run"], ["run"], ["run"]]
+    assert steps[4][:2] == ["gamma2", "scipy.special"]

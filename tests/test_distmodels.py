@@ -8,6 +8,7 @@ from elicit import distmodels, make_link, make_model
 from elicit.distmodels import (
     MODEL_NAMES,
     SamplingTemplate,
+    _ndtri,
     _substream,
     _uniform_open,
     model_curve_value,
@@ -344,6 +345,35 @@ class TestSampling:
         monkeypatch.setattr(distmodels, "_uniform_open", lambda rng, shape: cdf(k))
         assert np.array_equal(sample(SamplingTemplate(name, params, len(k), seed=0)), k)
 
+    NORMAL_CASES = [
+        ("normal", (1.5, 4.0), lambda u: 1.5 + 2.0 * special.ndtri(u)),
+        ("abs_normal", (-0.5, 2.0), lambda u: np.abs(-0.5 + math.sqrt(2.0) * special.ndtri(u))),
+        ("lognormal", (0.3, 0.5), lambda u: np.exp(0.3 + math.sqrt(0.5) * special.ndtri(u))),
+        ("sum_lognormal", (0.0, 1.0, 0.5, 0.25),
+         lambda u: np.exp(0.0 + 1.0 * special.ndtri(u[0])) + np.exp(0.5 + 0.5 * special.ndtri(u[1]))),
+    ]
+
+    @pytest.mark.parametrize("name,params,quantile", NORMAL_CASES)
+    def test_normal_families_match_scipy_ndtri(self, name, params, quantile):
+        # The normal-based families draw through _ndtri; on the same clipped
+        # uniforms they must give scipy.special.ndtri's draws bit for bit.
+        n, seed = 100_000, 31
+        shape = (len(params) // 2, n) if name == "sum_lognormal" else n
+        u = _uniform_open(_substream(seed, name), shape)
+        got = sample(SamplingTemplate(name, params, n, seed=seed))
+        assert np.array_equal(got.view(np.int64), quantile(u).view(np.int64))
+
+    @pytest.mark.parametrize("name,params,match", [
+        ("binomial_fixed_trials", (10.5, 0.9), "number of trials K = 10.5"),
+        ("normal", (10.0, math.nan), "finite"),
+        ("poisson", (math.inf,), "finite"),
+        ("sum_lognormal", (0.0, 1.0, -math.inf, 1.0), "finite"),
+    ])
+    def test_template_rejects_fractional_trials_and_non_finite_params(self, name, params, match):
+        with pytest.raises(DomainError, match=match) as info:
+            SamplingTemplate(name, params, 10, seed=0)
+        assert repr(name) in str(info.value)
+
     MC_CASES = [
         # family, params, closed-form first three raw moments
         ("chisq", (5.0,), lambda p: [p[0], 2 * p[0] + p[0] ** 2]),
@@ -367,3 +397,23 @@ class TestSampling:
             xk = x**k
             se = xk.std() / math.sqrt(n)
             assert abs(xk.mean() - want) < 3.0 * se, f"{name} moment {k}"
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    # A port of Cephes ndtri: the centre, both tails with x < 8 (P1/Q1) and
+    # x >= 8 (P2/Q2, y < e^-32), the branch edges and their neighbours.
+    rng = np.random.default_rng(20250617)
+    e2 = math.exp(-2.0)
+    edges = [2.0**-53, 1.0 - 2.0**-53, 0.5, e2, 1.0 - e2, 1e-300, 5e-324]
+    edges += [float(np.nextafter(y, to)) for y in edges[:5] for to in (0.0, 1.0)]
+    y = np.concatenate([
+        rng.random(200_000),
+        np.exp(-rng.uniform(2.0, 40.0, 100_000)),
+        -np.expm1(-rng.uniform(2.0, 36.0, 100_000)),
+        2.0 ** -rng.uniform(44.0, 1074.0, 50_000),
+        edges,
+    ])
+    assert (y < math.exp(-32.0)).sum() > 50_000 and (y > 1.0 - e2).sum() > 50_000
+    assert np.array_equal(_ndtri(y).view(np.int64), special.ndtri(y).view(np.int64))
+    assert np.array_equal(_ndtri([0.0, 1.0]), [-np.inf, np.inf])
+    assert np.isnan(_ndtri([-0.25, 1.25])).all()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import brentq as scipy_brentq
 
 from elicit import analytic_moments, make_model, minimize, optimize
@@ -486,6 +487,44 @@ class TestEliminatedLanes:
         fd = (fun(z + h, lanes)[0] - fun(z - h, lanes)[0]) / (2.0 * h[:, f, None])
         scale = np.abs(J[:, :, f]).max(axis=1, keepdims=True)
         assert (np.abs(J[:, :, f] - fd) <= 1e-6 * scale).all()
+
+
+class TestReparameterization:
+    def test_expit_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        clip = optimize._LOGIT_CLIP
+        x = np.concatenate([rng.uniform(-clip, clip, 300_000), rng.normal(0.0, 1.0, 100_000),
+                            [clip, -clip, np.nextafter(clip, 0.0), np.nextafter(-clip, 0.0),
+                             0.0, -0.0, 1e-300, -1e-300]])
+        assert np.array_equal(optimize._expit(x).view(np.int64),
+                              special.expit(x).view(np.int64))
+
+    def test_logit_matches_scipy_bit_for_bit(self):
+        # Both branches, their edges at 0.3 and 0.65 with the neighbours, the
+        # images of +-_LOGIT_CLIP, and p down to 1e-300.
+        rng = np.random.default_rng(12)
+        clip = optimize._LOGIT_CLIP
+        edges = [0.3, 0.65, 0.5, 1e-300, 5e-324,
+                 float(special.expit(clip)), float(special.expit(-clip))]
+        edges += [float(np.nextafter(p, to)) for p in (0.3, 0.65) for to in (0.0, 1.0)]
+        p = np.concatenate([rng.random(200_000), rng.uniform(0.25, 0.7, 100_000),
+                            np.exp(-rng.uniform(0.0, 690.0, 50_000)),
+                            -np.expm1(-rng.uniform(0.0, clip, 50_000)), edges])
+        assert np.array_equal(optimize._logit(p).view(np.int64), special.logit(p).view(np.int64))
+
+    def test_z_maps_on_an_interval_match_the_scipy_forms(self):
+        # binomial_fixed_trials is the one model with an interval domain.
+        domain = make_model("binomial_fixed_trials", (10.0,)).domain
+        (lo, hi), = domain
+        rng = np.random.default_rng(13)
+        theta = rng.uniform(1e-6, 1.0 - 1e-6, (500, 1))
+        z = np.concatenate([rng.uniform(-40.0, 40.0, (500, 1)), optimize._to_z(theta, domain)])
+        want_z = special.logit((theta - lo) / (hi - lo))
+        s = special.expit(np.minimum(np.maximum(z, -optimize._LOGIT_CLIP), optimize._LOGIT_CLIP))
+        got_theta, got_dtheta = optimize._from_z(z, domain)
+        assert np.array_equal(optimize._to_z(theta, domain), want_z)
+        assert np.array_equal(got_theta, lo + (hi - lo) * s)
+        assert np.array_equal(got_dtheta, (hi - lo) * s * (1.0 - s))
 
 
 class TestTelemetry:
