@@ -12,8 +12,6 @@ from .distmodels import (
     SamplingTemplate,
     make_model,
     model_curve_value,
-    moment_jacobian,
-    moments,
     sample,
 )
 from .links import LinkFunction, contour_slope, contour_value, link_gradient, link_value, make_link
@@ -52,8 +50,6 @@ __all__ = [
     "ParametricModel",
     "SamplingTemplate",
     "make_model",
-    "moments",
-    "moment_jacobian",
     "model_curve_value",
     "sample",
     "LinkFunction",

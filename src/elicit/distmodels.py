@@ -5,6 +5,15 @@ r(theta) = (E[X], ..., E[X^M]).  One-parameter models carry M = 2 and
 two-parameter models M = 3, so the moment image is always a codimension-1
 set and a generic empirical moment vector lies off it.
 
+The five one-parameter families are one quadratic family, r(theta) =
+(a theta, b theta + c theta^2), with (a, b, c) per family in ``_QUADRATIC``.
+Both moments invert in closed form, and the model curve r2 = R(r1) is the
+parabola (b / a) r1 + (c / a^2) r1^2.  Against the variance contour's slope
+T'(r1) = 2 r1 that gives R' - T' = b / a + 2 (c / a^2 - 1) r1, which changes
+sign only for the binomial (c / a^2 = 1 - 1/K), at r1 = K / 2.  The
+two-parameter families each eliminate one coordinate through a moment
+constraint in closed form (``eliminate_for_moment``).
+
 Deterministic sampling lives here too.  The repository-wide generator is
 numpy's Philox4x64 (counter-based); per-template substreams are keyed by
 ``(seed << 64) | blake2b64(template_name)``.  All families are sampled by
@@ -19,6 +28,7 @@ families, so a run that needs none of them never loads it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -91,8 +101,20 @@ class ParametricModel:
     domain: tuple[Bound, ...] = ((0.0, None),)
     domain_closed: tuple[tuple[bool, bool], ...] | None = None
 
+    # (op, bound) for a family with a fixed shape or trial count K: the only
+    # fixed param, finite, and K op bound must hold.  Other families take none.
+    k_bound: tuple[str, float] | None = None
+
     def __init__(self, fixed_params: tuple[float, ...] = ()):
-        self.fixed_params = tuple(float(p) for p in fixed_params)
+        self.fixed_params = p = tuple(float(x) for x in fixed_params)
+        if self.k_bound is None:
+            ok, rule = not p, "()"
+        else:
+            op, bound = self.k_bound
+            ok = len(p) == 1 and math.isfinite(p[0]) and _BOUND_OPS[op](p[0], bound)
+            rule = f"(K,) with K {op} {bound}"
+        if not ok:
+            raise DomainError(f"{self.name}: fixed_params must be {rule}")
         self._bounds = _bounds(self.domain, self.domain_closed)
 
     # -- hooks -------------------------------------------------------------
@@ -149,14 +171,6 @@ class ParametricModel:
         rows = self._raw_jacobian(self._checked_cols(theta))
         return np.array([[float(x) for x in row] for row in rows])
 
-    def r1_image(self) -> tuple[float, float]:
-        """Open-interval image of the first moment (1-parameter models)."""
-        raise NotImplementedError
-
-    def theta_from_r1(self, r1: float) -> float:
-        """Closed-form inverse of the first moment (1-parameter models)."""
-        raise NotImplementedError
-
     def eliminate_for_moment(self, i: int, target: float):
         """Solve r_i(theta) = target for one coordinate (2-parameter models).
 
@@ -183,130 +197,68 @@ class ParametricModel:
         return np.array(center)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}(fixed_params={self.fixed_params})"
+        return f"{type(self).__name__}({self.name!r}, fixed_params={self.fixed_params})"
 
 
 # ---------------------------------------------------------------------------
 # One-parameter families (M = 2, variance experiments)
 # ---------------------------------------------------------------------------
 
-
-class PoissonModel(ParametricModel):
-    """r(theta) = (theta, theta + theta^2)."""
-
-    name = "poisson"
-
-    def _raw_moments(self, cols):
-        (t,) = cols
-        return [t, t + t * t]
-
-    def _raw_jacobian(self, cols):
-        (t,) = cols
-        return [[1.0], [1.0 + 2.0 * t]]
-
-    def r1_image(self):
-        return (0.0, math.inf)
-
-    def theta_from_r1(self, r1):
-        return float(r1)
+# r(theta) = (a theta, b theta + c theta^2) per family: (a, b, c) from the
+# fixed params, the bound on the shape or trial count K where the family has
+# one, and whether theta is a probability in [0, 1] rather than in (0, inf).
+_QUADRATIC = {
+    "poisson": (lambda: (1.0, 1.0, 1.0), None, False),
+    "chisq": (lambda: (1.0, 2.0, 1.0), None, False),  # theta degrees of freedom
+    "exponential": (lambda: (1.0, 0.0, 2.0), None, False),  # theta the mean
+    "gamma_fixed_shape": (lambda K: (K, 0.0, K * (K + 1.0)), (">", 0), False),  # theta the scale
+    "binomial_fixed_trials": (lambda K: (K, K, K * K - K), (">=", 1), True),
+}
 
 
-class ChiSqModel(ParametricModel):
-    """Chi-square with theta degrees of freedom: r = (theta, 2*theta + theta^2)."""
+class QuadraticModel(ParametricModel):
+    """A 1-parameter family with r(theta) = (a theta, b theta + c theta^2).
 
-    name = "chisq"
+    Both moments invert in closed form: theta = r1 / a, and theta = 2 r2 /
+    (b + sqrt(b^2 + 4 c r2)), the positive root of c theta^2 + b theta = r2
+    in a form without cancellation that also holds for b = 0 and for c = 0.
+    """
 
-    def _raw_moments(self, cols):
-        (t,) = cols
-        return [t, 2.0 * t + t * t]
-
-    def _raw_jacobian(self, cols):
-        (t,) = cols
-        return [[1.0], [2.0 + 2.0 * t]]
-
-    def r1_image(self):
-        return (0.0, math.inf)
-
-    def theta_from_r1(self, r1):
-        return float(r1)
-
-
-class ExponentialModel(ParametricModel):
-    """Exponential with mean theta (rate 1/theta): r = (theta, 2*theta^2)."""
-
-    name = "exponential"
-
-    def _raw_moments(self, cols):
-        (t,) = cols
-        return [t, 2.0 * t * t]
-
-    def _raw_jacobian(self, cols):
-        (t,) = cols
-        return [[1.0], [4.0 * t]]
-
-    def r1_image(self):
-        return (0.0, math.inf)
-
-    def theta_from_r1(self, r1):
-        return float(r1)
-
-
-class GammaFixedShapeModel(ParametricModel):
-    """Gamma with fixed shape K and free scale theta: r = (K*theta, K*(K+1)*theta^2)."""
-
-    name = "gamma_fixed_shape"
-
-    def __init__(self, fixed_params):
+    def __init__(self, name, fixed_params=()):
+        coefficients, self.k_bound, probability = _QUADRATIC[name]
+        self.name = name
+        if probability:
+            self.domain, self.domain_closed = ((0.0, 1.0),), ((True, True),)
         super().__init__(fixed_params)
-        if len(self.fixed_params) != 1 or self.fixed_params[0] <= 0:
-            raise DomainError("gamma_fixed_shape: fixed_params must be (K,) with K > 0")
-        self.K = self.fixed_params[0]
+        self.a, self.b, self.c = coefficients(*self.fixed_params)
 
     def _raw_moments(self, cols):
         (t,) = cols
-        K = self.K
-        return [K * t, K * (K + 1.0) * t * t]
+        return [self.a * t, self.b * t + self.c * t * t]
 
     def _raw_jacobian(self, cols):
         (t,) = cols
-        K = self.K
-        return [[K], [2.0 * K * (K + 1.0) * t]]
+        return [[self.a], [self.b + 2.0 * self.c * t]]
 
-    def r1_image(self):
-        return (0.0, math.inf)
+    def r1_image(self) -> tuple[float, float]:
+        """Open-interval image of the first moment."""
+        hi = self.domain[0][1]
+        return (0.0, math.inf if hi is None else self.a * hi)
 
-    def theta_from_r1(self, r1):
-        return float(r1) / self.K
+    def theta_from_r1(self, r1: float) -> float:
+        """Closed-form inverse of the first moment."""
+        return float(r1) / self.a
 
+    def theta_from_r2(self, r2: float) -> float:
+        """Closed-form inverse of the second moment, for r2 > 0.
 
-class BinomialFixedTrialsModel(ParametricModel):
-    """Binomial with fixed trial count K: r = (K*p, K*p*(1-p) + (K*p)^2)."""
-
-    name = "binomial_fixed_trials"
-    domain = ((0.0, 1.0),)
-    domain_closed = ((True, True),)
-
-    def __init__(self, fixed_params):
-        super().__init__(fixed_params)
-        if len(self.fixed_params) != 1 or self.fixed_params[0] < 1:
-            raise DomainError("binomial_fixed_trials: fixed_params must be (K,) with K >= 1")
-        self.K = self.fixed_params[0]
-
-    def _raw_moments(self, cols):
-        (p,) = cols
-        K = self.K
-        return [K * p, K * p * (1.0 - p) + (K * p) ** 2]
-
-    def _raw_jacobian(self, cols):
-        (p,) = cols
-        K = self.K
-        return [[K], [K + 2.0 * (K * K - K) * p]]
-
-    def r1_image(self):
-        return (0.0, self.K)
-
-    def theta_from_r1(self, r1):
-        return float(r1) / self.K
+        The root is taken halved throughout, r2 / (b/2 + sqrt(b^2/4 + c r2)),
+        the same bits, so that only c r2 can overflow; where it does, b is
+        negligible and the root is sqrt(r2 / c).
+        """
+        h = 0.5 * self.b
+        s = h * h + self.c * r2
+        return math.sqrt(r2 / self.c) if math.isinf(s) else r2 / (h + math.sqrt(s))
 
 
 # ---------------------------------------------------------------------------
@@ -483,39 +435,18 @@ class LogLogisticModel(ParametricModel):
         return 1, build
 
 
-_MODEL_CLASSES = {
-    cls.name: cls
-    for cls in (
-        PoissonModel,
-        ChiSqModel,
-        ExponentialModel,
-        GammaFixedShapeModel,
-        BinomialFixedTrialsModel,
-        LogNormalModel,
-        Gamma2Model,
-        Beta2Model,
-        LogLogisticModel,
-    )
+_MODELS = {
+    **{name: functools.partial(QuadraticModel, name) for name in _QUADRATIC},
+    **{cls.name: cls for cls in (LogNormalModel, Gamma2Model, Beta2Model, LogLogisticModel)},
 }
 
-MODEL_NAMES = tuple(sorted(_MODEL_CLASSES))
+MODEL_NAMES = tuple(sorted(_MODELS))
 
 
 def make_model(name: str, fixed_params=()) -> ParametricModel:
-    if name not in _MODEL_CLASSES:
+    if name not in _MODELS:
         raise DomainError(f"unknown model name {name!r}; expected one of {MODEL_NAMES}")
-    return _MODEL_CLASSES[name](tuple(fixed_params))
-
-
-# Free-function forms of the model operations.
-
-
-def moments(model: ParametricModel, theta) -> np.ndarray:
-    return model.moments(theta)
-
-
-def moment_jacobian(model: ParametricModel, theta) -> np.ndarray:
-    return model.moment_jacobian(theta)
+    return _MODELS[name](tuple(fixed_params))
 
 
 def model_curve_value(model: ParametricModel, r1: float) -> float:
@@ -545,19 +476,24 @@ def clamp_to_image(model: ParametricModel, r1: float) -> tuple[float, bool]:
 # Deterministic sampling
 # ---------------------------------------------------------------------------
 
-TEMPLATE_NAMES = MODEL_NAMES + ("normal", "abs_normal", "sum_lognormal")
+# The params of each template family, in order: the models, then three
+# families that are sampled only.  sum_lognormal takes one or more
+# (u_j, v2_j) pairs.
+TEMPLATE_PARAMS = {
+    "beta2": ("a", "b"), "binomial_fixed_trials": ("K", "p"), "chisq": ("dof",),
+    "exponential": ("mean",), "gamma2": ("shape", "scale"),
+    "gamma_fixed_shape": ("K", "scale"), "loglogistic": ("a", "b"), "lognormal": ("u", "v2"),
+    "poisson": ("mean",), "normal": ("mean", "variance"), "abs_normal": ("mean", "variance"),
+    "sum_lognormal": ("u1", "v2_1", "u2", "v2_2", "..."),
+}
+TEMPLATE_NAMES = tuple(TEMPLATE_PARAMS)
 
 
 @dataclass(frozen=True)
 class SamplingTemplate:
     """A named sampling recipe: (family, params, n_samples, seed).
 
-    Parameter conventions (all documented in the README's file-format notes):
-    poisson (mean,), chisq (dof,), exponential (mean,),
-    gamma_fixed_shape (K, scale), binomial_fixed_trials (K, p),
-    gamma2 (shape, scale), beta2 (a, b), lognormal (u, v2),
-    loglogistic (a, b), normal (mean, variance), abs_normal (mean, variance),
-    sum_lognormal (u1, v2_1, u2, v2_2, ...).
+    ``params`` follow ``TEMPLATE_PARAMS[name]``.
     """
 
     name: str
@@ -567,15 +503,19 @@ class SamplingTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.name not in TEMPLATE_NAMES:
+        if self.name not in TEMPLATE_PARAMS:
             raise DomainError(f"unknown template name {self.name!r}")
         if self.n_samples < 0:
             raise DomainError("n_samples must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
+        n, names = len(self.params), TEMPLATE_PARAMS[self.name]
+        if (n < 2 or n % 2) if self.name == "sum_lognormal" else n != len(names):
+            raise DomainError(f"template {self.name!r}: params {list(self.params)} must be "
+                              f"({', '.join(names)})")
         if not all(math.isfinite(p) for p in self.params):
             raise DomainError(f"template {self.name!r}: params {list(self.params)} must be finite")
-        if self.name == "binomial_fixed_trials" and not all(K.is_integer() for K in self.params[:1]):
+        if self.name == "binomial_fixed_trials" and not self.params[0].is_integer():
             raise DomainError(f"template {self.name!r}: the number of trials K = "
                               f"{self.params[0]} must be an integer")
 
@@ -670,8 +610,6 @@ def sample(template: SamplingTemplate) -> np.ndarray:
     name = template.name
 
     if name == "sum_lognormal":
-        if len(p) < 2 or len(p) % 2 != 0:
-            raise DomainError("sum_lognormal: params must be (u1, v2_1, u2, v2_2, ...)")
         pairs = [(p[2 * j], p[2 * j + 1]) for j in range(len(p) // 2)]
         u = _uniform_open(rng, (len(pairs), n))
         total = np.zeros(n)

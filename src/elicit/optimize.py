@@ -41,14 +41,17 @@ to judge.  ``Solution.loss`` adds the constant sum_{active} eff_i * v_hat_i
 back, so it reports the full total loss that the meshgrid oracle also
 evaluates.
 
-A one-parameter model with exactly one active finite-weight sub-loss i is an
-exact fit: its minimizer solves r_i(theta) = m_hat_i, which is done by the
-same inversion as the constrained path whenever m_hat_i lies in the model's
-image.
+Every one-parameter model is quadratic, r(theta) = (a theta, b theta +
+c theta^2), so r_i(theta) = t has a closed-form root for either moment:
+t / a, or 2 t / (b + sqrt(b^2 + 4 c t)).  A one-parameter model with exactly
+one active finite-weight sub-loss i is an exact fit: its minimizer is that
+root at t = m_hat_i whenever m_hat_i lies strictly inside the model's image;
+otherwise the iterative solve finds the boundary-side optimum.
 
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i.  A 1-parameter model
-solves it by inverting the moment map.  A 2-parameter model eliminates one
+takes the same closed-form root, clamped to just inside the model's image
+when m_hat_i lies outside it.  A 2-parameter model eliminates one
 coordinate through the constraint in closed form and minimizes the remaining
 residuals over the other; its starts are lanes of the same batch as the
 finite-weight problems.  Such a lane keeps 0 in the z of the eliminated
@@ -65,7 +68,7 @@ iterative solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,8 +121,9 @@ class Solution:
     stopping rule held), ``max_iters``, ``no_descent`` (no step was left
     where the loss is defined, or gradient descent's line search found no
     descent), ``exact_fit`` (one active sub-loss on a
-    1-parameter model, solved by inversion) or ``constraint`` (an infinite
-    weight on a 1-parameter model, solved by inversion).  ``converged`` is
+    1-parameter model) or ``constraint`` (an infinite weight on a
+    1-parameter model), the last two solved by the closed-form root of the
+    constrained moment, with no iterations.  ``converged`` is
     False after ``max_iters``, when no start reached a point with a finite
     loss, and when a 2-parameter constrained solve ends off its constraint.
 
@@ -738,56 +742,53 @@ def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0
 
 
 def _solve_constrained_1p(model, i, target):
-    """theta with r_i(theta) = target for a 1-parameter model, clamping to the image."""
-    clamped = False
+    """theta with r_i(theta) = target for a 1-parameter model, clamping to the image.
+
+    Both moments invert in closed form.  The r_2 root is kept in [t_lo, t_hi]:
+    t_lo at r_1 = 1e-9, pulled inside the domain, and for a bounded image
+    (the binomial's) t_hi at r_1 = K (1 - 1e-9).  A target that r_2 does not
+    reach strictly inside those ends is clamped to the nearer one.
+    """
     if i == 0:
         r1, clamped = clamp_to_image(model, target)
         return model.theta_from_r1(r1), clamped
-
-    lo, hi = model.r1_image()
-
-    def resid(theta):
-        return model.moments([theta])[i] - target
-
-    t_lo = interior_start(model, [model.theta_from_r1(lo + 1e-9 if math.isfinite(lo) else 1e-9)])[0]
-    # Expand the upper bracket geometrically; moments are monotone in theta.
-    if math.isfinite(hi):
-        t_hi = model.theta_from_r1(hi - 1e-9 * max(1.0, abs(hi)))
-    else:
-        t_hi = max(1.0, 2.0 * abs(t_lo))
-        for _ in range(200):
-            if resid(t_hi) > 0:
-                break
-            t_hi *= 2.0
-    r_lo, r_hi = resid(t_lo), resid(t_hi)
-    if r_lo >= 0:
+    t_lo = interior_start(model, [model.theta_from_r1(1e-9)])[0]
+    hi = model.r1_image()[1]
+    t_hi = model.theta_from_r1(hi - 1e-9 * hi) if math.isfinite(hi) else math.inf
+    if model.moments([t_lo])[1] >= target:
         return t_lo, True
-    if r_hi <= 0:
+    if t_hi < math.inf and model.moments([t_hi])[1] <= target:
         return t_hi, True
-    theta = brentq(resid, t_lo, t_hi, xtol=1e-15, rtol=8.9e-16)
-    return float(theta), clamped
+    return min(max(model.theta_from_r2(target), t_lo), t_hi), False
 
 
 def _own_path(model, weights, em, kinds):
-    """The Solution of a problem solved by inverting the moment map, else None."""
+    """The Solution of a problem solved by a closed-form root, else None.
+
+    On a 1-parameter model an infinite weight on r_i, or a single active
+    sub-loss i (an exact fit), fixes theta by r_i(theta) = m_hat_i.  A target
+    outside the image has no exact fit; the multistart solve then finds the
+    boundary-side optimum.
+    """
     if len(weights.c) != em.moment_order:
         raise DomainError("weight vector length must match the moment order")
-    inf_idx = weights.infinite_index
-    if inf_idx is not None:
-        if model.theta_dim == 1:
-            return _minimize_constrained(model, inf_idx, weights, em, kinds)
-        return None
-    active = [i for i, e in enumerate(_active_weights(weights)) if e]
-    if not active:
+    fixed = weights.infinite_index
+    eff = _active_weights(weights)
+    active = [i for i, e in enumerate(eff) if e]
+    if fixed is None and not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
-    if model.theta_dim == 1 and len(active) == 1:
-        # Exact fit: the minimizer solves r_i(theta) = m_hat_i.  A target
-        # outside the model's image has no exact fit; the multistart solve
-        # then finds the boundary-side optimum.
-        sol = _minimize_constrained(model, active[0], weights, em, kinds)
-        if not sol.clamped:
-            return replace(sol, termination="exact_fit")
-    return None
+    if model.theta_dim != 1 or (fixed is None and len(active) > 1):
+        return None
+    i = active[0] if fixed is None else fixed
+    theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
+    if clamped and fixed is None:
+        return None
+    theta, eff = np.array([theta_c]), np.array([eff])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta[None], [0])
+        loss = float(_sq(rho, ok)[0]) + _loss_constant(eff, em)[0]
+    return _solution(theta, model.moments(theta), loss, kinds, em,
+                     "exact_fit" if fixed is None else "constraint", clamped=clamped, n_evals=1)
 
 
 def minimize_many(
@@ -907,18 +908,6 @@ def minimize(
     if isinstance(out, ElicitError):
         raise out
     return out
-
-
-def _minimize_constrained(model, i, weights, em, kinds):
-    """The 1-parameter theta with r_i(theta) = m_hat_i, scored on the finite-weight terms."""
-    theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
-    theta = np.array([theta_c])
-    eff = np.array([_active_weights(weights)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta[None], [0])
-        loss = float(_sq(rho, ok)[0]) + _loss_constant(eff, em)[0]
-    return _solution(theta, model.moments(theta), loss, kinds, em, "constraint",
-                     clamped=clamped, n_evals=1)
 
 
 # ---------------------------------------------------------------------------

@@ -126,17 +126,35 @@ class TestRun:
     @pytest.mark.parametrize("template", [
         {"name": "binomial_fixed_trials", "params": [10.5, 0.9]},
         {"name": "normal", "params": [10, math.nan]},
+        {"name": "normal", "params": []},
+        {"name": "normal", "params": [9.0]},
+        {"name": "normal", "params": [9.0, 0.9, 1.0]},
     ])
     def test_bad_template_params_rejected_before_writing(self, tmp_path, capsys, template):
-        # A fractional number of trials was once truncated to B(10, 0.9).
+        # A fractional number of trials was once truncated to B(10, 0.9), and
+        # "params": [] escaped as an IndexError traceback from sampling.
         cfg = json.loads((SWEEP_CONFIG_DIR / "var-binomial-hi.json").read_text())
         cfg["template"] = {**template, "n_samples": 1000, "seed": 17}
         cfg["output"] = str(tmp_path / "out")
         path = tmp_path / "bad-template.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 1
-        assert f"template {template['name']!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: template {template['name']!r}") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model", [
+        {"name": "poisson", "fixed_params": [3.0]},
+        {"name": "gamma_fixed_shape", "fixed_params": []},
+        {"name": "binomial_fixed_trials", "fixed_params": [10, 0.5]},
+    ])
+    def test_wrong_fixed_param_count_exits_1(self, tmp_path, capsys, model):
+        # Extra params were once ignored and written to manifest.json.
+        cfg_path, out = write_config(tmp_path, model=model)
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model['name']}: fixed_params must be")
+        assert not out.exists()
+
 
 class TestClassify:
     def test_poisson_case_b(self, capsys):

@@ -7,6 +7,8 @@ from scipy import special, stats
 from elicit import distmodels, make_link, make_model
 from elicit.distmodels import (
     MODEL_NAMES,
+    TEMPLATE_NAMES,
+    TEMPLATE_PARAMS,
     SamplingTemplate,
     _ndtri,
     _substream,
@@ -87,6 +89,29 @@ class TestMoments:
         assert np.allclose(m.moments([1.0]), [10.0, 100.0])
         with pytest.raises(DomainError):
             m.moments([1.0000001])
+
+
+class TestFixedParams:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_wrong_count_is_rejected(self, name):
+        right = ONE_PARAM.get(name, ())
+        assert make_model(name, right).fixed_params == right
+        for count in {0, 1, 2} - {len(right)}:
+            with pytest.raises(DomainError, match=f"{name}: fixed_params must be"):
+                make_model(name, (3.0,) * count)
+
+    @pytest.mark.parametrize("name,bad,message", [
+        ("gamma_fixed_shape", (0.0, -1.0, math.inf, math.nan),
+         "gamma_fixed_shape: fixed_params must be (K,) with K > 0"),
+        ("binomial_fixed_trials", (0.5, 0.0, math.inf, math.nan),
+         "binomial_fixed_trials: fixed_params must be (K,) with K >= 1"),
+    ])
+    def test_k_out_of_range_is_rejected(self, name, bad, message):
+        # K = inf once gave a binomial whose classify verdict was "case b".
+        for K in bad:
+            with pytest.raises(DomainError) as info:
+                make_model(name, (K,))
+            assert str(info.value) == message
 
 
 class TestJacobians:
@@ -373,6 +398,16 @@ class TestSampling:
         with pytest.raises(DomainError, match=match) as info:
             SamplingTemplate(name, params, 10, seed=0)
         assert repr(name) in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATE_PARAMS))
+    def test_template_checks_its_param_count(self, name):
+        assert TEMPLATE_NAMES[:len(MODEL_NAMES)] == MODEL_NAMES  # every model is a template
+        n = 4 if name == "sum_lognormal" else len(TEMPLATE_PARAMS[name])
+        SamplingTemplate(name, [1.0] * n, 10, seed=0)
+        wrong = (0, 1, 3, 5) if name == "sum_lognormal" else (0, n - 1, n + 1)
+        for count in sorted(set(wrong) - {n}):
+            with pytest.raises(DomainError, match=f"template {name!r}: params .* must be"):
+                SamplingTemplate(name, [1.0] * count, 10, seed=0)
 
     MC_CASES = [
         # family, params, closed-form first three raw moments

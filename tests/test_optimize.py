@@ -784,6 +784,72 @@ class TestSlabbedMeshgrid:
                             box=box, width=width)
 
 
+# (name, fixed params, thetas spanning the domain) for each quadratic family;
+# exponential and gamma_fixed_shape have b = 0, binomial_fixed_trials with K = 1 has c = 0.
+QUADRATIC_FAMILIES = [
+    ("poisson", (), np.geomspace(1e-5, 1e5, 41)),
+    ("chisq", (), np.geomspace(1e-5, 1e5, 41)),
+    ("exponential", (), np.geomspace(1e-5, 1e5, 41)),
+    ("gamma_fixed_shape", (2.0,), np.geomspace(1e-5, 1e5, 41)),
+    ("binomial_fixed_trials", (10.0,), np.linspace(1e-5, 1.0 - 1e-5, 41)),
+    ("binomial_fixed_trials", (1.0,), np.linspace(1e-5, 1.0 - 1e-5, 41)),
+]
+
+
+class TestClosedFormInverse:
+    """The r_2 root of _solve_constrained_1p, 2 t / (b + sqrt(b^2 + 4 c t))."""
+
+    @pytest.mark.parametrize("name,fixed,thetas", QUADRATIC_FAMILIES)
+    def test_root_reproduces_the_target(self, name, fixed, thetas):
+        model = make_model(name, fixed)
+        for theta in thetas:
+            target = model.moments([theta])[1]
+            root, clamped = optimize._solve_constrained_1p(model, 1, target)
+            assert not clamped
+            assert abs(model.moments([root])[1] - target) <= 4 * np.spacing(target), theta
+            b, c = model.b, model.c
+            if c:
+                assert root == pytest.approx(quadratic_root(b / c, target / c), rel=1e-9)
+            else:  # r_2 = b theta, so the root is exact
+                assert root == target / b
+            if not b:  # r_2 = c theta^2
+                assert root == pytest.approx(math.sqrt(target / c), rel=4e-16)
+
+    @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES[:4])
+    def test_targets_near_the_float_limit(self, name, fixed, _):
+        # 4 c r_2 overflows above about 4.5e307 / c.
+        model = make_model(name, fixed)
+        for target in (1e307, 1e308, 1.7e308):
+            root, clamped = optimize._solve_constrained_1p(model, 1, target)
+            assert not clamped
+            assert abs(model.moments([root])[1] - target) <= 4 * np.spacing(target), target
+
+    @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
+    @pytest.mark.parametrize("target", [0.0, -1.0, 1e-13])
+    def test_target_below_the_image_clamps_to_the_lower_end(self, name, fixed, _, target):
+        # The lower end is theta at r_1 = 1e-9, pulled 1e-6 inside the domain.
+        model = make_model(name, fixed)
+        assert optimize._solve_constrained_1p(model, 1, target) == (1e-6, True)
+
+    def test_binomial_target_at_or_above_the_top_clamps_to_the_upper_end(self):
+        model = make_model("binomial_fixed_trials", (10.0,))
+        t_hi = (10.0 - 1e-8) / 10.0  # theta at r_1 = K (1 - 1e-9)
+        for target in (model.moments([t_hi])[1], model.moments([1.0])[1], 1e3):
+            assert optimize._solve_constrained_1p(model, 1, target) == (t_hi, True)
+        below = model.moments([0.99])[1]
+        root, clamped = optimize._solve_constrained_1p(model, 1, below)
+        assert not clamped and root == pytest.approx(0.99, rel=1e-15)
+
+    @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
+    def test_constraint_on_the_second_moment_uses_no_bracket(self, monkeypatch, name, fixed, _):
+        model = make_model(name, fixed)
+        monkeypatch.setattr(optimize, "brentq", None)
+        em = analytic_moments(model, [0.5], perturb=[0.1, 0.0])
+        sol = minimize(model, WeightVector.of([1.0, np.inf]), em)
+        assert sol.termination == "constraint" and not sol.clamped
+        assert abs(sol.r_star[1] - em.m_hat[1]) <= 4 * np.spacing(em.m_hat[1])
+
+
 class TestBrentq:
     """optimize.brentq takes the same steps as scipy.optimize.brentq."""
 
@@ -810,18 +876,6 @@ class TestBrentq:
         monkeypatch.undo()
         assert calls
         return calls
-
-    @pytest.mark.parametrize("name,fixed,theta", [
-        ("poisson", (), 3.0), ("chisq", (), 4.0), ("exponential", (), 2.0),
-        ("gamma_fixed_shape", (2.0,), 1.5), ("binomial_fixed_trials", (10.0,), 0.3),
-    ])
-    def test_constrained_inversion_site(self, monkeypatch, name, fixed, theta):
-        model = make_model(name, fixed)
-        targets = [model.moments([theta])[1] * s for s in (0.9, 1.0, 1.1)]
-        calls = self.recorded_calls(monkeypatch, optimize, lambda: [
-            optimize._solve_constrained_1p(model, 1, t) for t in targets])
-        for f, xa, xb, tols in calls:
-            self.assert_same_steps(f, xa, xb, **tols)
 
     def test_loglogistic_start_site(self, monkeypatch):
         model = make_model("loglogistic")
