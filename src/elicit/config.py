@@ -1,9 +1,13 @@
-"""Experiment configuration: JSON schema, validation, and resolution.
+"""Experiment configuration: the key table, validation, and resolution.
 
-A config is a single JSON document.  It is schema-validated before any
-computation; validation errors name the offending key.  ``resolve``
-materializes the runtime objects (model, link, empirical moments, sweep
-spec) and returns the fully-defaulted config dict for the manifest.
+A config is a single JSON document.  ``CONFIG_KEYS`` is its format
+reference: every object's keys, their JSON types and which are required.
+``validate_config`` checks that structure and names the offending key.
+``resolve`` then builds the runtime objects (model, link, empirical moments,
+sweep spec), and those objects check the values: names, signs, ranges,
+finiteness and lengths, each raising a named ElicitError before any
+computation.  It returns them with the fully-defaulted config dict for the
+manifest.
 """
 
 from __future__ import annotations
@@ -14,106 +18,36 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import distmodels, links, losses
 from .errors import ConfigError
-from .optimize import METHODS, OptimizerConfig
+from .optimize import OptimizerConfig
 from .sweep import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_POINTS, SweepSpec, default_grid
 
-_SUB_LOSS_SCHEMA = {
-    "oneOf": [
-        {"const": "squared"},
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "asymmetric_squared"},
-                "a": {"type": "number", "exclusiveMinimum": 0},
-                "b": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "a", "b"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": {
-            "type": "object",
-            "properties": {
-                "name": {"enum": list(distmodels.MODEL_NAMES)},
-                "fixed_params": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["name"],
-            "additionalProperties": False,
-        },
-        "template": {
-            "type": "object",
-            "properties": {
-                "name": {"enum": list(distmodels.TEMPLATE_NAMES)},
-                "params": {"type": "array", "items": {"type": "number"}},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "required": ["name", "params", "seed"],
-            "additionalProperties": False,
-        },
-        "analytic": {
-            "type": "object",
-            "properties": {
-                "name": {"enum": list(distmodels.MODEL_NAMES)},
-                "fixed_params": {"type": "array", "items": {"type": "number"}},
-                "params": {"type": "array", "items": {"type": "number"}},
-                "perturb": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["name", "params"],
-            "additionalProperties": False,
-        },
-        "link": {"enum": list(links.LINK_NAMES)},
-        "sub_losses": {"type": "array", "items": _SUB_LOSS_SCHEMA},
-        "base_weights": {"enum": ["ones", "rhat_squared"]},
-        "sweep": {
-            "type": "object",
-            "properties": {
-                "index": {"type": "integer", "minimum": 1},
-                "fixed_weights": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "grid": {
-                    "type": "object",
-                    "properties": {
-                        "num_points": {"type": "integer", "minimum": 2},
-                        "lo": {"type": "number", "exclusiveMinimum": 0},
-                        "hi": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["index"],
-            "additionalProperties": False,
-        },
-        "optimizer": {
-            "type": "object",
-            "properties": {
-                "method": {"enum": list(METHODS)},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "tol_loss": {"type": "number", "exclusiveMinimum": 0},
-                "tol_step": {"type": "number", "exclusiveMinimum": 0},
-                "multistart": {"type": "integer", "minimum": 0},
-                "init": {
-                    "oneOf": [
-                        {"enum": ["moment_match"]},
-                        {"type": "array", "items": {"type": "number"}},
-                    ]
-                },
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "output": {"type": "string"},
-    },
-    "required": ["model", "link", "sweep", "output"],
-    "additionalProperties": False,
+# The config format: each object's keys as key -> (JSON type, required).  A
+# type is "string", "number" or "integer", a one-item list for an array of
+# that type, a dict for a nested object, or a tuple of alternatives that
+# differ in their outer type.
+_NUMBERS = ["number"]
+_MODEL_KEYS = {"name": ("string", True), "fixed_params": (_NUMBERS, False)}
+_SUB_LOSS_KEYS = {"kind": ("string", True), "a": ("number", True), "b": ("number", True)}
+CONFIG_KEYS = {
+    "model": (_MODEL_KEYS, True),
+    "template": ({"name": ("string", True), "params": (_NUMBERS, True),
+                  "n_samples": ("integer", False), "seed": ("integer", True)}, False),
+    "analytic": ({**_MODEL_KEYS, "params": (_NUMBERS, True), "perturb": (_NUMBERS, False)},
+                 False),
+    "link": ("string", True),
+    "sub_losses": ([("string", _SUB_LOSS_KEYS)], False),
+    "base_weights": ("string", False),
+    "sweep": ({"index": ("integer", True), "fixed_weights": (_NUMBERS, False),
+               "grid": ({"num_points": ("integer", False), "lo": ("number", False),
+                         "hi": ("number", False)}, False)}, True),
+    "optimizer": ({"method": ("string", False), "max_iters": ("integer", False),
+                   "tol_loss": ("number", False), "tol_step": ("number", False),
+                   "multistart": ("integer", False), "init": (("string", _NUMBERS), False),
+                   "seed": ("integer", False)}, False),
+    "output": ("string", True),
 }
 
 _OPTIMIZER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
@@ -146,12 +80,42 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _has_type(value, kind) -> bool:
+    """Whether value has the outer JSON type of kind; a boolean is never a number."""
+    if isinstance(kind, (dict, list)):
+        return isinstance(value, type(kind))
+    if kind == "string":
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _check(value, kind, path: str) -> None:
+    """Raise a ConfigError at the first place where value does not fit kind."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    kind = next((k for k in kinds if _has_type(value, k)), None)
+    if kind is None:
+        names = " or ".join({dict: "object", list: "array"}.get(type(k), k) for k in kinds)
+        raise ConfigError(f"config key {path}: expected {names}, got {value!r}")
+    if isinstance(kind, list):
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{path}[{i}]")
+    elif isinstance(kind, dict):
+        for key in value:
+            if key not in kind:
+                raise ConfigError(f"config key {path}: unknown key {key!r}")
+        for key, (sub, required) in kind.items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+            elif required:
+                raise ConfigError(f"config key {path}: missing required key {key!r}")
+
+
 def validate_config(cfg: dict) -> None:
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
-        raise ConfigError(f"config key {e.json_path}: {e.message}")
+    """Check the structure of cfg against CONFIG_KEYS; the values are checked
+    by the objects that ``resolve`` builds from them."""
+    _check(cfg, CONFIG_KEYS, "$")
     if ("template" in cfg) == ("analytic" in cfg):
         raise ConfigError("config key $: exactly one of 'template' or 'analytic' is required")
 
@@ -162,15 +126,18 @@ def _resolve_kinds(entries, M):
     if len(entries) != M:
         raise ConfigError(f"config key $.sub_losses: expected {M} entries, got {len(entries)}")
     kinds = []
-    for e in entries:
+    for i, e in enumerate(entries):
         if e == "squared":
             kinds.append(losses.SquaredLoss())
-        else:
+        elif isinstance(e, dict) and e["kind"] == "asymmetric_squared":
             kinds.append(losses.AsymmetricSquaredLoss(a=e["a"], b=e["b"]))
+        else:
+            raise ConfigError(f"config key $.sub_losses[{i}]: unknown sub-loss {e!r}; "
+                              "expected 'squared' or an asymmetric_squared object")
     return tuple(kinds)
 
 
-def resolve(cfg: dict, base_dir: Path | None = None) -> Experiment:
+def resolve(cfg: dict) -> Experiment:
     """Validate and materialize a config; returns runtime objects and the
     fully-defaulted config for the manifest."""
     validate_config(cfg)
@@ -267,10 +234,7 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> Experiment:
         init=tuple(init) if isinstance(init, list) else init,
         seed=int(opt_cfg["seed"]),
     )
-    resolved["optimizer"] = {
-        **opt_cfg,
-        "init": list(init) if isinstance(init, (list, tuple)) else init,
-    }
+    resolved["optimizer"] = opt_cfg
 
     spec = SweepSpec(
         model=model,
@@ -285,8 +249,6 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> Experiment:
     )
 
     out = Path(cfg["output"])
-    if base_dir is not None and not out.is_absolute():
-        out = Path(base_dir) / out
     resolved["output"] = str(cfg["output"])
     resolved["prng"] = {
         "algorithm": distmodels.PRNG_ALGORITHM,

@@ -96,8 +96,9 @@ class ParametricModel:
     name: str = ""
     theta_dim: int = 1
     moment_order: int = 2
-    # Interval bounds per coordinate; None means unbounded.  Bounds are
-    # exclusive unless flagged closed in domain_closed.
+    # Interval bounds per coordinate; None means unbounded.  A coordinate is
+    # unbounded, bounded below, or bounded on both sides, never bounded above
+    # only.  Bounds are exclusive unless flagged closed in domain_closed.
     domain: tuple[Bound, ...] = ((0.0, None),)
     domain_closed: tuple[tuple[bool, bool], ...] | None = None
 
@@ -138,7 +139,10 @@ class ParametricModel:
 
     def _checked_cols(self, theta) -> list[np.ndarray]:
         """One theta as 0-d columns, after the rule of ``in_domain`` names any violated bound."""
-        theta = np.asarray(theta, dtype=float).reshape(self.theta_dim)
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        if len(theta) != self.theta_dim:
+            raise DomainError(f"{self.name}: theta = {theta.tolist()} must hold "
+                              f"{self.theta_dim} values")
         for j, x in enumerate(theta):
             if not math.isfinite(x):
                 raise DomainError(f"{self.name}: theta[{j}] = {x} is not finite")
@@ -190,8 +194,6 @@ class ParametricModel:
                 center.append(0.5 * (lo + hi))
             elif lo is not None:
                 center.append(lo + 1.0)
-            elif hi is not None:
-                center.append(hi - 1.0)
             else:
                 center.append(0.0)
         return np.array(center)

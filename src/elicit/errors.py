@@ -54,4 +54,8 @@ class SliceEmpty(ElicitError):
 
 
 class ConfigError(ElicitError):
-    """Experiment configuration is invalid; message names the offending key."""
+    """A config has the wrong structure, or keys that do not fit together.
+
+    The message names the offending key.  A bad value is reported by the
+    object built from it, with that object's own ElicitError.
+    """

@@ -56,7 +56,7 @@ class EmpiricalMoments:
 def empirical_moments(samples, M: int, provenance: dict | None = None) -> EmpiricalMoments:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise EmptySample("cannot take moments of an empty sample")
+        raise EmptySample("cannot take moments of an empty sample: n_samples = 0")
     if M < 2:
         raise DomainError("moment order M must be at least 2")
     # Overflow surfaces as non-finite moments, which EmpiricalMoments rejects.
@@ -78,6 +78,8 @@ def analytic_moments(model, theta, perturb=None) -> EmpiricalMoments:
     """
     m = model.moments(theta)
     if perturb is not None:
+        if np.size(perturb) != len(m):
+            raise DomainError(f"{model.name}: perturb {list(perturb)} must hold {len(m)} values")
         m = m + np.asarray(perturb, dtype=float).reshape(m.shape)
     prov = {
         "analytic": {
@@ -118,8 +120,9 @@ class AsymmetricSquaredLoss:
     kind = "asymmetric_squared"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("asymmetric_squared: a and b must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise DomainError(f"asymmetric_squared: a = {self.a} and b = {self.b} "
+                              "must be positive and finite")
 
     def value(self, r, m, v):
         d = r - m

@@ -101,12 +101,19 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"unknown optimizer method {self.method!r}")
-        if self.tol_loss <= 0 or self.tol_step <= 0:
-            raise DomainError("tolerances must be positive")
+        for key in ("tol_loss", "tol_step"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise DomainError(f"{key} = {getattr(self, key)} must be positive and finite")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if self.multistart < 0:
             raise DomainError("multistart count must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"optimizer seed {self.seed} must fit in 64 unsigned bits")
+        init = self.init
+        ok = init == "moment_match" if isinstance(init, str) else all(map(math.isfinite, init))
+        if not ok:
+            raise DomainError(f"optimizer init {init!r} must be 'moment_match' or finite numbers")
 
 
 @dataclass(frozen=True)
@@ -179,12 +186,10 @@ def _to_z(theta: np.ndarray, domain) -> np.ndarray:
     z = np.empty_like(theta)
     for j, (lo, hi) in enumerate(domain):
         x = theta[..., j]
-        if lo is None and hi is None:
+        if lo is None:
             z[..., j] = x
         elif hi is None:
             z[..., j] = np.log(x - lo)
-        elif lo is None:
-            z[..., j] = -np.log(hi - x)
         else:
             z[..., j] = _logit((x - lo) / (hi - lo))
     return z
@@ -196,17 +201,17 @@ def _from_z(z: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
     dtheta = np.empty_like(z)
     for j, (lo, hi) in enumerate(domain):
         x = z[..., j]
-        if lo is None and hi is None:
+        if lo is None:
             theta[..., j] = x
             dtheta[..., j] = 1.0
-        elif lo is not None and hi is not None:
+        elif hi is None:
+            e = np.exp(np.minimum(np.maximum(x, -_LOG_CLIP), _LOG_CLIP))
+            theta[..., j] = lo + e
+            dtheta[..., j] = e
+        else:
             s = _expit(np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP))
             theta[..., j] = lo + (hi - lo) * s
             dtheta[..., j] = (hi - lo) * s * (1.0 - s)
-        else:
-            e = np.exp(np.minimum(np.maximum(x if hi is None else -x, -_LOG_CLIP), _LOG_CLIP))
-            theta[..., j] = lo + e if hi is None else hi - e
-            dtheta[..., j] = e
     return theta, dtheta
 
 
@@ -220,8 +225,6 @@ def interior_start(model: ParametricModel, theta) -> np.ndarray:
             out[j] = min(max(out[j], lo + pad), hi - pad)
         elif lo is not None:
             out[j] = max(out[j], lo + 1e-6)
-        elif hi is not None:
-            out[j] = min(out[j], hi - 1e-6)
     return out
 
 
@@ -602,9 +605,7 @@ def _multistart_offsets(config: OptimizerConfig, dim: int) -> np.ndarray:
 
 def _resolve_init(model, em, config) -> np.ndarray:
     if isinstance(config.init, str):
-        if config.init == "moment_match":
-            return moment_match_init(model, em)
-        raise DomainError(f"unknown init setting {config.init!r}")
+        return moment_match_init(model, em)
     return interior_start(model, np.asarray(config.init, dtype=float))
 
 

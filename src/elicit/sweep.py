@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ElicitError, EndpointMissing, TooFewPoints
+from .errors import DomainError, ElicitError, EndpointMissing, TooFewPoints
 from .links import LinkFunction, link_value
 from .losses import EmpiricalMoments, WeightVector, default_kinds
 from .optimize import OptimizerConfig, Solution, minimize_many
@@ -39,6 +39,9 @@ MONOTONE_RANGE_FRACTION = 1e-3
 def default_grid(num_points: int = DEFAULT_GRID_POINTS,
                  lo: float = DEFAULT_GRID_LO,
                  hi: float = DEFAULT_GRID_HI) -> np.ndarray:
+    if num_points < 2 or not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise DomainError(f"sweep grid needs num_points >= 2 and lo, hi positive and finite; "
+                          f"got num_points = {num_points}, lo = {lo}, hi = {hi}")
     return np.logspace(math.log10(lo), math.log10(hi), num_points)
 
 
@@ -66,6 +69,12 @@ class SweepSpec:
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
         if self.kinds is None:
             object.__setattr__(self, "kinds", default_kinds(M))
+        if not all(c >= 0 for c in self.fixed_c.tolist()):  # nan fails too
+            raise DomainError(f"sweep fixed weights {self.fixed_c.tolist()} must lie in [0, +inf]")
+        init, d = self.optimizer.init, self.model.theta_dim
+        if not isinstance(init, str) and len(init) != d:
+            raise DomainError(f"optimizer init {list(init)} must hold {d} values "
+                              f"for {self.model.name}")
 
     def weights_at(self, c_value: float) -> WeightVector:
         c = self.fixed_c.copy()

@@ -275,10 +275,8 @@ def check_md_slice_premise(
 
 
 def _default_free_interval(model: ParametricModel, free_idx: int) -> tuple[float, float]:
-    lo, hi = model.domain[free_idx]
-    a = (lo + 1e-3) if lo is not None else -5.0
-    b = min(hi - 1e-3, a + 10.0) if hi is not None else a + 10.0
-    return a, b
+    a = model.domain[free_idx][0] + 1e-3  # every free coordinate is bounded below only
+    return a, a + 10.0
 
 
 def check_linear_trajectory(curve: SweepCurve) -> CheckResult:

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,6 +32,125 @@ def write_config(tmp_path, name="exp", **overrides):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     return path, Path(cfg["output"])
+
+
+DROP = object()
+TEMPLATE = {"name": "normal", "params": [10, 10], "n_samples": 1000, "seed": 17}
+SAMPLED = {"analytic": DROP, "template": TEMPLATE}  # a template in place of the analytic source
+
+
+def _asym(**entry):
+    return {"sub_losses": [{"kind": "asymmetric_squared", **entry}, "squared"]}
+
+
+# (edits by dotted key, the key or bad value that the error must name).  The
+# structure and value rules of the config format, one violation each, then
+# non-finite numbers and lengths that once ran or escaped as tracebacks.
+BAD_CONFIGS = [
+    # unknown keys
+    ({"typo_key": 1}, "typo_key"),
+    ({"model.extra": 1}, "extra"),
+    ({**SAMPLED, "template.extra": 1}, "extra"),
+    ({"analytic.extra": 1}, "extra"),
+    ({"sweep.extra": 1}, "extra"),
+    ({"sweep.grid.extra": 1}, "extra"),
+    ({"optimizer.extra": 1}, "extra"),
+    (_asym(a=1, b=2, c=3), "sub_losses"),
+    # missing keys
+    ({"model": DROP}, "model"),
+    ({"link": DROP}, "link"),
+    ({"sweep": DROP}, "sweep"),
+    ({"output": DROP}, "output"),
+    ({"model.name": DROP}, "name"),
+    ({**SAMPLED, "template.name": DROP}, "name"),
+    ({**SAMPLED, "template.params": DROP}, "params"),
+    ({**SAMPLED, "template.seed": DROP}, "seed"),
+    ({"analytic.name": DROP}, "name"),
+    ({"analytic.params": DROP}, "params"),
+    ({"sweep.index": DROP}, "index"),
+    (_asym(a=1), "sub_losses"),
+    ({"analytic": DROP}, "analytic"),
+    # wrong types
+    ({"model": "poisson"}, "model"),
+    ({"model.fixed_params": 3}, "fixed_params"),
+    ({"model.fixed_params": ["3"]}, "fixed_params"),
+    ({"analytic.params": [3, "x"]}, "params"),
+    ({"link": 2}, "link"),
+    ({"sweep.index": "1"}, "index"),
+    ({"sweep.index": 1.5}, "index"),
+    ({"sweep.grid": [9]}, "grid"),
+    ({"optimizer.max_iters": 10.5}, "max_iters"),
+    ({"optimizer.tol_loss": "small"}, "tol_loss"),
+    ({"output": 5}, "output"),
+    ({"sub_losses": "squared"}, "sub_losses"),
+    # booleans are not numbers
+    ({"sweep.index": True}, "index"),
+    ({"optimizer.multistart": True}, "multistart"),
+    ({"optimizer.tol_step": True}, "tol_step"),
+    ({"sweep.fixed_weights": [1.0, True]}, "fixed_weights"),
+    ({**SAMPLED, "template.seed": False}, "seed"),
+    # names
+    ({"model.name": "nope"}, "nope"),
+    ({**SAMPLED, "template.name": "nope"}, "nope"),
+    ({"analytic.name": "nope"}, "nope"),
+    ({"link": "nope"}, "nope"),
+    ({"base_weights": "nope"}, "nope"),
+    ({"optimizer.method": "nope"}, "nope"),
+    # lower bounds
+    ({**SAMPLED, "template.n_samples": 0}, "n_samples"),
+    ({**SAMPLED, "template.seed": -1}, "seed"),
+    ({"sweep.index": 0}, "index"),
+    ({"sweep.fixed_weights": [1.0, -1.0]}, "-1.0"),
+    ({"sweep.fixed_weights": [-2.0, 1.0]}, "-2.0"),  # the swept entry, unused but checked
+    ({"sweep.grid.num_points": 1}, "num_points"),
+    ({"sweep.grid.lo": 0}, "lo"),
+    ({"sweep.grid.hi": -1}, "hi"),
+    ({"optimizer.max_iters": 0}, "max_iters"),
+    ({"optimizer.tol_loss": 0}, "tol_loss"),
+    ({"optimizer.tol_step": -1e-10}, "tol_step"),
+    ({"optimizer.multistart": -1}, "multistart"),
+    ({"optimizer.seed": -1}, "seed"),
+    (_asym(a=0, b=1), "a"),
+    (_asym(a=1, b=-2), "b"),
+    # init and sub-losses: a name or numbers, a name or an object
+    ({"optimizer.init": "random"}, "random"),
+    ({"optimizer.init": 3.0}, "init"),
+    ({"optimizer.init": ["x"]}, "init"),
+    ({"sub_losses": ["cubic", "squared"]}, "cubic"),
+    (_asym(kind="cubic", a=1, b=1), "cubic"),
+    ({"sub_losses": [1, "squared"]}, "sub_losses"),
+    # exactly one of template and analytic
+    ({"template": TEMPLATE}, "template"),
+    # non-finite numbers
+    ({"optimizer.tol_loss": math.nan}, "tol_loss"),
+    ({"optimizer.tol_loss": math.inf}, "tol_loss"),
+    (_asym(a=math.nan, b=1), "a"),
+    ({"sweep.grid.hi": math.inf}, "hi"),
+    ({"sweep.grid.lo": math.nan}, "lo"),
+    ({"sweep.fixed_weights": [1.0, math.nan]}, "nan"),
+    ({"optimizer.init": [math.nan]}, "init"),
+    # lengths and ranges that once escaped as tracebacks
+    ({"optimizer.init": [1.0, 2.0]}, "init"),
+    ({"analytic.params": [3.0, 1.0]}, "[3.0, 1.0]"),
+    ({"analytic.perturb": [0.0]}, "perturb"),
+    ({"optimizer.seed": 2**64}, "seed"),
+]
+
+
+def write_edited_config(tmp_path, edits):
+    cfg = json.loads(write_config(tmp_path)[0].read_text())
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 class TestRun:
@@ -154,6 +275,20 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model['name']}: fixed_params must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("edits,named", BAD_CONFIGS,
+                             ids=[f"{i}-{named}" for i, (_, named) in enumerate(BAD_CONFIGS)])
+    def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edits, named):
+        assert main(["run", str(write_edited_config(tmp_path, edits))]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(rf"(?<!\w){re.escape(named)}(?!\w)", err), err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_count_as_integers(self, tmp_path):
+        edits = {**SAMPLED, "template.n_samples": 1000.0, "template.seed": 17.0, "sweep.index": 1.0,
+                 "sweep.grid.num_points": 9.0, "optimizer.seed": 3.0}
+        assert main(["run", str(write_edited_config(tmp_path, edits))]) == 0
 
 
 class TestClassify:
@@ -312,10 +447,11 @@ class TestCommittedOutputs:
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # Both packages cost most of the interpreter start-up; scipy.special
-    # covers the inverse CDFs and optimize.brentq the 1-D roots.
-    code = ("import sys, elicit.cli; "
-            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    # Each costs a large share of the interpreter start-up; scipy.special
+    # covers the inverse CDFs, optimize.brentq the 1-D roots, and the
+    # config's key table and the objects built from it the validation.
+    code = ("import sys, elicit.cli; print(sorted("
+            "{'scipy.stats', 'scipy.optimize', 'jsonschema'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
