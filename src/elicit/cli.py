@@ -25,7 +25,7 @@ from . import verify as verify_suites
 from .config import Experiment, load_config, resolve
 from .distmodels import make_model
 from .errors import ConfigError, ElicitError, EmptyGrid
-from .links import make_link
+from .links import link_value, make_link
 from .optimize import default_box, meshgrid_oracle, minimize, minimize_many  # noqa: F401
 from .sweep import SweepCurve, run_sweep
 from .theory import (
@@ -213,8 +213,6 @@ def cmd_oracle(config_path, width):
     """
     exp = resolve(load_config(config_path))
     grid, sol_cfg, sol_grid = _oracle_solutions(exp, width)
-
-    from .links import link_value
 
     for tag, sol in (("configured start", sol_cfg), ("grid-minimum start", sol_grid)):
         gamma = link_value(exp.link, sol.r_star)

@@ -2,12 +2,14 @@
 
 A config is a single JSON document.  ``CONFIG_KEYS`` is its format
 reference: every object's keys, their JSON types and which are required.
-``validate_config`` checks that structure and names the offending key.
-``resolve`` then builds the runtime objects (model, link, empirical moments,
-sweep spec), and those objects check the values: names, signs, ranges,
-finiteness and lengths, each raising a named ElicitError before any
-computation.  It returns them with the fully-defaulted config dict for the
-manifest.
+This module owns the structure rules only: ``validate_config`` checks keys
+and types and that exactly one of ``template`` and ``analytic`` is given,
+and ``resolve`` checks the sub-loss kind names.  Each value rule belongs to
+the object that ``resolve`` builds from the value (``make_model``,
+``SamplingTemplate``, ``OptimizerConfig``, ``default_grid``, ...), and each
+rule that ties a sweep's parts together to ``SweepSpec``; all raise a named
+ElicitError before any solve.  ``resolve`` returns those objects with the
+fully-defaulted config dict for the manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +62,13 @@ _TEMPLATE_N_DEFAULT = 1000
 class Experiment:
     """Everything cmd_run needs, resolved from a validated config."""
 
-    model: distmodels.ParametricModel
-    link: links.LinkFunction
-    em: losses.EmpiricalMoments
     spec: SweepSpec
     resolved: dict
     output: Path
+
+    model = property(attrgetter("spec.model"))
+    link = property(attrgetter("spec.link"))
+    em = property(attrgetter("spec.em"))
 
 
 def load_config(path) -> dict:
@@ -120,11 +124,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("config key $: exactly one of 'template' or 'analytic' is required")
 
 
-def _resolve_kinds(entries, M):
-    if entries is None:
-        entries = ["squared"] * M
-    if len(entries) != M:
-        raise ConfigError(f"config key $.sub_losses: expected {M} entries, got {len(entries)}")
+def _resolve_kinds(entries):
     kinds = []
     for i, e in enumerate(entries):
         if e == "squared":
@@ -147,11 +147,6 @@ def resolve(cfg: dict) -> Experiment:
     )
     link = links.make_link(cfg["link"])
     M = link.moment_order
-    if model.moment_order != M:
-        raise ConfigError(
-            f"config key $.link: link {link.name!r} needs {M} moments but model "
-            f"{model.name!r} provides {model.moment_order}"
-        )
 
     resolved = {
         "model": {
@@ -169,27 +164,19 @@ def resolve(cfg: dict) -> Experiment:
             n_samples=int(t.get("n_samples", _TEMPLATE_N_DEFAULT)),
             seed=int(t["seed"]),
         )
-        samples = distmodels.sample(template)
-        em = losses.empirical_moments(
-            samples,
-            M,
-            provenance={
-                "template": {
-                    "name": template.name,
-                    "params": list(template.params),
-                    "n_samples": template.n_samples,
-                    "seed": template.seed,
-                }
-            },
-        )
-        resolved["template"] = em.provenance["template"]
+        em = losses.empirical_moments(distmodels.sample(template), M)
+        resolved["template"] = {"name": template.name, "params": list(template.params),
+                                "n_samples": template.n_samples, "seed": template.seed}
     else:
         a = cfg["analytic"]
         src = distmodels.make_model(a["name"], a.get("fixed_params", ()))
         em = losses.analytic_moments(src, a["params"], perturb=a.get("perturb"))
-        resolved["analytic"] = em.provenance["analytic"]
+        resolved["analytic"] = {"name": src.name, "fixed_params": list(src.fixed_params),
+                                "params": [float(t) for t in a["params"]]}
+        if "perturb" in a:
+            resolved["analytic"]["perturb"] = [float(x) for x in a["perturb"]]
 
-    kinds = _resolve_kinds(cfg.get("sub_losses"), M)
+    kinds = _resolve_kinds(cfg.get("sub_losses", ["squared"] * M))
     resolved["sub_losses"] = [
         "squared" if k.kind == "squared" else {"kind": k.kind, "a": k.a, "b": k.b}
         for k in kinds
@@ -201,11 +188,7 @@ def resolve(cfg: dict) -> Experiment:
 
     sw = cfg["sweep"]
     index = int(sw["index"])
-    if not 1 <= index <= M:
-        raise ConfigError(f"config key $.sweep.index: must be between 1 and {M}")
     fixed = sw.get("fixed_weights", [1.0] * M)
-    if len(fixed) != M:
-        raise ConfigError(f"config key $.sweep.fixed_weights: expected {M} entries")
     grid_cfg = sw.get("grid", {})
     grid = default_grid(
         num_points=int(grid_cfg.get("num_points", DEFAULT_GRID_POINTS)),
@@ -254,4 +237,4 @@ def resolve(cfg: dict) -> Experiment:
         "algorithm": distmodels.PRNG_ALGORITHM,
         "substream": distmodels.PRNG_SUBSTREAM,
     }
-    return Experiment(model=model, link=link, em=em, spec=spec, resolved=resolved, output=out)
+    return Experiment(spec=spec, resolved=resolved, output=out)

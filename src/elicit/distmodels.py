@@ -490,12 +490,30 @@ TEMPLATE_PARAMS = {
 }
 TEMPLATE_NAMES = tuple(TEMPLATE_PARAMS)
 
+# The sign and range rule on each family's params p, as (rule, test on p).
+_TEMPLATE_RULES = {
+    "beta2": ("a > 0 and b > 0", lambda p: p[0] > 0 and p[1] > 0),
+    "binomial_fixed_trials": ("K >= 1 and 0 <= p <= 1", lambda p: p[0] >= 1 and 0 <= p[1] <= 1),
+    "chisq": ("dof > 0", lambda p: p[0] > 0),
+    "exponential": ("mean > 0", lambda p: p[0] > 0),
+    "gamma2": ("shape > 0 and scale > 0", lambda p: p[0] > 0 and p[1] > 0),
+    "gamma_fixed_shape": ("K > 0 and scale > 0", lambda p: p[0] > 0 and p[1] > 0),
+    "loglogistic": ("a > 0 and b > 0", lambda p: p[0] > 0 and p[1] > 0),
+    "lognormal": ("v2 >= 0", lambda p: p[1] >= 0),
+    "poisson": ("mean >= 0", lambda p: p[0] >= 0),
+    "normal": ("variance >= 0", lambda p: p[1] >= 0),
+    "abs_normal": ("variance >= 0", lambda p: p[1] >= 0),
+    "sum_lognormal": ("every v2_j >= 0", lambda p: all(v2 >= 0 for v2 in p[1::2])),
+}
+
 
 @dataclass(frozen=True)
 class SamplingTemplate:
     """A named sampling recipe: (family, params, n_samples, seed).
 
-    ``params`` follow ``TEMPLATE_PARAMS[name]``.
+    ``params`` follow ``TEMPLATE_PARAMS[name]``.  The template owns every
+    rule on its inputs, each family's sign rule in ``_TEMPLATE_RULES``
+    included, so ``sample`` checks none.
     """
 
     name: str
@@ -520,6 +538,9 @@ class SamplingTemplate:
         if self.name == "binomial_fixed_trials" and not self.params[0].is_integer():
             raise DomainError(f"template {self.name!r}: the number of trials K = "
                               f"{self.params[0]} must be an integer")
+        rule, holds = _TEMPLATE_RULES[self.name]
+        if not holds(self.params):
+            raise DomainError(f"template {self.name!r}: params {list(self.params)} must have {rule}")
 
 
 def _substream(seed: int, name: str) -> np.random.Generator:
@@ -588,8 +609,6 @@ def _ndtri(y):
 
 
 def _normal_from_uniform(u, mean, variance):
-    if variance < 0:
-        raise DomainError("normal: variance must be nonnegative")
     if variance == 0.0:
         return np.full_like(u, mean)
     return mean + math.sqrt(variance) * _ndtri(u)
@@ -616,8 +635,6 @@ def sample(template: SamplingTemplate) -> np.ndarray:
         u = _uniform_open(rng, (len(pairs), n))
         total = np.zeros(n)
         for row, (uj, v2j) in enumerate(pairs):
-            if v2j < 0:
-                raise DomainError("sum_lognormal: v2 components must be nonnegative")
             total += np.exp(_normal_from_uniform(u[row], uj, v2j))
         return total
 
@@ -627,47 +644,25 @@ def sample(template: SamplingTemplate) -> np.ndarray:
     if name == "abs_normal":
         return np.abs(_normal_from_uniform(u, p[0], p[1]))
     if name == "lognormal":
-        if p[1] < 0:
-            raise DomainError("lognormal: v2 must be nonnegative")
         return np.exp(_normal_from_uniform(u, p[0], p[1]))
     if name == "exponential":
-        if p[0] <= 0:
-            raise DomainError("exponential: mean must be positive")
         return -p[0] * np.log1p(-u)
     if name == "loglogistic":
-        a, b = p[0], p[1]
-        if a <= 0 or b <= 0:
-            raise DomainError("loglogistic: a and b must be positive")
-        return a * (u / (1.0 - u)) ** (1.0 / b)
+        return p[0] * (u / (1.0 - u)) ** (1.0 / p[1])
     # Every remaining family inverts an incomplete gamma or beta function (the
     # Poisson and binomial cdfs are such functions), so only these load scipy.special.
     from scipy import special
 
     if name == "poisson":
-        if p[0] < 0:
-            raise DomainError("poisson: mean must be nonnegative")
         return _discrete_quantile(u, special.pdtrik(u, p[0]), lambda k: special.pdtr(k, p[0]))
     if name == "chisq":
-        if p[0] <= 0:
-            raise DomainError("chisq: dof must be positive")
         return 2.0 * special.gammaincinv(p[0] / 2.0, u)
     if name == "gamma_fixed_shape" or name == "gamma2":
-        shape, scale = p[0], p[1]
-        if shape <= 0 or scale <= 0:
-            raise DomainError(f"{name}: shape and scale must be positive")
-        return special.gammaincinv(shape, u) * scale
+        return special.gammaincinv(p[0], u) * p[1]
     if name == "binomial_fixed_trials":
-        K, prob = p[0], p[1]
-        if K < 1 or not 0.0 <= prob <= 1.0:
-            raise DomainError("binomial_fixed_trials: need K >= 1 and p in [0, 1]")
+        K, prob = int(p[0]), p[1]  # K is integral, as SamplingTemplate checks
         if prob == 0.0:
             return np.zeros(n)  # bdtrik is nan at p = 0, where every draw is 0.
-        K = int(K)  # integral, as SamplingTemplate checks
         q = _discrete_quantile(u, special.bdtrik(u, K, prob), lambda k: special.bdtr(k, K, prob))
         return np.minimum(q, K)
-    if name == "beta2":
-        a, b = p[0], p[1]
-        if a <= 0 or b <= 0:
-            raise DomainError("beta2: a and b must be positive")
-        return special.betaincinv(a, b, u)
-    raise DomainError(f"unknown template name {name!r}")  # pragma: no cover
+    return special.betaincinv(p[0], p[1], u)  # beta2, the last family

@@ -54,8 +54,8 @@ class SliceEmpty(ElicitError):
 
 
 class ConfigError(ElicitError):
-    """A config has the wrong structure, or keys that do not fit together.
+    """A config has the wrong structure: an unknown, missing or mistyped key.
 
-    The message names the offending key.  A bad value is reported by the
-    object built from it, with that object's own ElicitError.
+    The message names the offending key.  A bad value, alone or beside the
+    others, is reported by the object built from it, with its own ElicitError.
     """

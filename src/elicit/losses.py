@@ -13,7 +13,7 @@ residuals alone and adds the weighted v_hat back to the reported loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class EmpiricalMoments:
     m_hat: np.ndarray
     v_hat: np.ndarray
     n: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.m_hat, dtype=float)
@@ -53,7 +52,7 @@ class EmpiricalMoments:
         return len(self.m_hat)
 
 
-def empirical_moments(samples, M: int, provenance: dict | None = None) -> EmpiricalMoments:
+def empirical_moments(samples, M: int) -> EmpiricalMoments:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise EmptySample("cannot take moments of an empty sample: n_samples = 0")
@@ -63,12 +62,7 @@ def empirical_moments(samples, M: int, provenance: dict | None = None) -> Empiri
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.stack([samples**i for i in range(1, M + 1)])
         m_hat, v_hat = powers.mean(axis=1), powers.var(axis=1)
-    return EmpiricalMoments(
-        m_hat=m_hat,
-        v_hat=v_hat,
-        n=int(samples.size),
-        provenance=provenance or {},
-    )
+    return EmpiricalMoments(m_hat=m_hat, v_hat=v_hat, n=int(samples.size))
 
 
 def analytic_moments(model, theta, perturb=None) -> EmpiricalMoments:
@@ -81,16 +75,7 @@ def analytic_moments(model, theta, perturb=None) -> EmpiricalMoments:
         if np.size(perturb) != len(m):
             raise DomainError(f"{model.name}: perturb {list(perturb)} must hold {len(m)} values")
         m = m + np.asarray(perturb, dtype=float).reshape(m.shape)
-    prov = {
-        "analytic": {
-            "name": model.name,
-            "fixed_params": list(model.fixed_params),
-            "params": [float(t) for t in np.atleast_1d(theta)],
-        }
-    }
-    if perturb is not None:
-        prov["analytic"]["perturb"] = list(np.asarray(perturb, dtype=float))
-    return EmpiricalMoments(m_hat=m, v_hat=np.zeros_like(m), n=0, provenance=prov)
+    return EmpiricalMoments(m_hat=m, v_hat=np.zeros_like(m), n=0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +210,12 @@ def renormalize_base(em: EmpiricalMoments) -> np.ndarray:
     if np.any(np.abs(em.m_hat) < ZERO_MOMENT_EPS):
         j = int(np.argmin(np.abs(em.m_hat)))
         raise ZeroMomentBase(f"m_hat[{j}] = {em.m_hat[j]} too small to square into a base weight")
-    return em.m_hat**2
+    with np.errstate(over="ignore"):
+        k = em.m_hat**2
+    if np.isinf(k).any():
+        j = int(np.argmax(np.isinf(k)))
+        raise DomainError(f"m_hat[{j}] = {em.m_hat[j]} too large to square into a base weight")
+    return k
 
 
 def resolve_base_weights(setting: str, em: EmpiricalMoments) -> np.ndarray:

@@ -47,6 +47,16 @@ def default_grid(num_points: int = DEFAULT_GRID_POINTS,
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep of c_i, checked whole: a spec that constructs can run.
+
+    Each part checks its own values when built.  The spec owns every rule
+    that ties them together: model, link and ``em`` share one moment order
+    M; ``index`` picks one of c_1..c_M; ``fixed_c`` and ``kinds`` hold M
+    entries; every fixed weight, the swept one included, is in [0, +inf];
+    a numeric ``init`` has theta's length; the grid is positive and
+    increasing; and ``WeightVector`` accepts the weights at c_i = 1.
+    """
+
     model: object
     link: LinkFunction
     em: EmpiricalMoments
@@ -58,23 +68,28 @@ class SweepSpec:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        M = self.em.moment_order
+        M, model = self.em.moment_order, self.model
+        if not model.moment_order == self.link.moment_order == M:
+            raise DomainError(f"model {model.name!r}, link {self.link.name!r} and the sample "
+                              f"moments need one moment order; they have {model.moment_order}, "
+                              f"{self.link.moment_order} and {M}")
         if not 0 <= self.index < M:
-            raise ElicitError(f"sweep index {self.index} out of range for M = {M}")
-        grid = np.asarray(self.grid, dtype=float)
-        if len(grid) and (np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
+            raise DomainError(f"sweep index {self.index + 1} must pick one of c_1..c_{M}")
+        for name in ("grid", "fixed_c", "k"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if len(self.grid) and (np.any(self.grid <= 0) or np.any(np.diff(self.grid) <= 0)):
             raise ElicitError("sweep grid must be strictly increasing and positive")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "fixed_c", np.asarray(self.fixed_c, dtype=float))
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
         if self.kinds is None:
             object.__setattr__(self, "kinds", default_kinds(M))
+        for what, n in (("fixed weights", len(self.fixed_c)), ("sub-losses", len(self.kinds))):
+            if n != M:
+                raise DomainError(f"sweep needs {M} {what}, one per moment; got {n}")
         if not all(c >= 0 for c in self.fixed_c.tolist()):  # nan fails too
             raise DomainError(f"sweep fixed weights {self.fixed_c.tolist()} must lie in [0, +inf]")
-        init, d = self.optimizer.init, self.model.theta_dim
+        init, d = self.optimizer.init, model.theta_dim
         if not isinstance(init, str) and len(init) != d:
-            raise DomainError(f"optimizer init {list(init)} must hold {d} values "
-                              f"for {self.model.name}")
+            raise DomainError(f"optimizer init {list(init)} must hold {d} values for {model.name}")
+        self.weights_at(1.0)
 
     def weights_at(self, c_value: float) -> WeightVector:
         c = self.fixed_c.copy()

@@ -18,6 +18,9 @@ from elicit.optimize import minimize
 
 from conftest import DIAGNOSTIC_CONFIG_DIR, REPO_ROOT, SWEEP_CONFIG_DIR
 
+# Every shipped config runs warning-free, and so must every rejection.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def write_config(tmp_path, name="exp", **overrides):
     cfg = {
@@ -37,6 +40,13 @@ def write_config(tmp_path, name="exp", **overrides):
 DROP = object()
 TEMPLATE = {"name": "normal", "params": [10, 10], "n_samples": 1000, "seed": 17}
 SAMPLED = {"analytic": DROP, "template": TEMPLATE}  # a template in place of the analytic source
+# A lognormal skewness sweep on exact moments.
+SKEW = {"model.name": "lognormal", "link": "skewness", "analytic.name": "lognormal",
+        "analytic.params": [0.0, 1.0], "analytic.perturb": DROP}
+
+
+def _template(name, *params):
+    return {**SAMPLED, "template.name": name, "template.params": list(params)}
 
 
 def _asym(**entry):
@@ -134,6 +144,25 @@ BAD_CONFIGS = [
     ({"analytic.params": [3.0, 1.0]}, "[3.0, 1.0]"),
     ({"analytic.perturb": [0.0]}, "perturb"),
     ({"optimizer.seed": 2**64}, "seed"),
+    # rules that tie the sweep's parts together, and rules on its inputs
+    ({**SKEW, "sweep.fixed_weights": [1.0, math.inf, math.inf]}, "infinite"),
+    ({"analytic.name": "lognormal", "analytic.params": [0.0, 1.0], "analytic.perturb": DROP},
+     "moment order"),
+    ({**SKEW, "analytic.params": [0.0, 100.0], "base_weights": "rhat_squared"}, "m_hat[2]"),
+    ({"sweep.fixed_weights": [1.0]}, "fixed weights"),
+    ({"sub_losses": ["squared"]}, "sub-losses"),
+    (_template("beta2", 1.0, -1.0), "a > 0 and b > 0"),
+    (_template("binomial_fixed_trials", 10.0, 1.5), "K >= 1 and 0 <= p <= 1"),
+    (_template("chisq", 0.0), "dof > 0"),
+    (_template("exponential", -1.0), "mean > 0"),
+    (_template("gamma2", 0.0, 1.0), "shape > 0 and scale > 0"),
+    (_template("gamma_fixed_shape", 2.0, -1.0), "K > 0 and scale > 0"),
+    (_template("loglogistic", -1.0, 4.0), "a > 0 and b > 0"),
+    (_template("lognormal", 0.0, -1.0), "v2 >= 0"),
+    (_template("poisson", -1.0), "mean >= 0"),
+    (_template("normal", 0.0, -1.0), "variance >= 0"),
+    (_template("abs_normal", 0.0, -1.0), "variance >= 0"),
+    (_template("sum_lognormal", 0.0, 1.0, 0.0, -1.0), "every v2_j >= 0"),
 ]
 
 
@@ -413,6 +442,11 @@ class TestVerify:
         monkeypatch.setitem(verify.SUITES, "logmap", broken)
         with pytest.raises(KeyError, match="inside the suite"):
             main(["verify", "logmap"])
+
+    @pytest.mark.parametrize("name", verify.SUITE_NAMES)
+    def test_every_suite_passes(self, capsys, name):
+        assert main(["verify", name]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_identities_suite(self, capsys):
         assert main(["verify", "identities"]) == 0

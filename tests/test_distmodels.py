@@ -18,6 +18,7 @@ from elicit.distmodels import (
 )
 from elicit.errors import DomainError, OutOfImage
 from elicit.links import link_value
+from elicit.verify import _FIXED, _JACOBIAN_GRIDS, _VARIANCE_IDENTITIES, fd_jacobian
 
 ONE_PARAM = {
     "poisson": (),
@@ -34,30 +35,7 @@ TWO_PARAM = {
     "loglogistic": (),
 }
 
-INTERIOR_GRIDS = {
-    "poisson": [[t] for t in np.linspace(0.1, 8.0, 20)],
-    "chisq": [[t] for t in np.linspace(0.1, 8.0, 20)],
-    "exponential": [[t] for t in np.linspace(0.1, 8.0, 20)],
-    "gamma_fixed_shape": [[t] for t in np.linspace(0.1, 8.0, 20)],
-    "binomial_fixed_trials": [[t] for t in np.linspace(0.05, 0.95, 20)],
-    "lognormal": [[u, v2] for u in np.linspace(-1, 1, 5) for v2 in np.linspace(0.25, 2, 4)],
-    "gamma2": [[a, b] for a in np.linspace(0.5, 4, 5) for b in np.linspace(0.5, 4, 4)],
-    "beta2": [[a, b] for a in np.linspace(0.5, 4, 5) for b in np.linspace(0.5, 4, 4)],
-    "loglogistic": [[a, b] for a in np.linspace(0.5, 3, 5) for b in np.linspace(4, 10, 4)],
-}
-
-
-def fd_jacobian(model, theta, rel_step=1e-6):
-    """Central finite-difference oracle for the moment Jacobian."""
-    theta = np.asarray(theta, dtype=float)
-    cols = []
-    for j in range(len(theta)):
-        h = rel_step * max(1.0, abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((model.moments(up) - model.moments(dn)) / (2.0 * h))
-    return np.column_stack(cols)
+INTERIOR_GRIDS = {name: grid() for name, grid in _JACOBIAN_GRIDS.items()}
 
 
 class TestMoments:
@@ -273,13 +251,7 @@ class TestModelCurve:
 
 
 class TestVarianceIdentities:
-    CASES = {
-        "poisson": ((), lambda t, f: t),
-        "chisq": ((), lambda t, f: 2 * t),
-        "exponential": ((), lambda t, f: t * t),
-        "gamma_fixed_shape": ((2.0,), lambda t, f: f[0] * t * t),
-        "binomial_fixed_trials": ((10.0,), lambda t, f: f[0] * t * (1 - t)),
-    }
+    CASES = {name: (_FIXED.get(name, ()), want) for name, want in _VARIANCE_IDENTITIES.items()}
 
     @pytest.mark.parametrize("name", CASES)
     def test_link_on_exact_moments(self, name):
