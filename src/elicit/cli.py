@@ -210,6 +210,8 @@ def cmd_oracle(config_path, width):
     Runs at the config's fixed weights with the swept entry set to 1, from
     the configured starts and from those plus the grid minimizer, all lanes
     of one batched solve, and logs the target-property value reached from each.
+    On a 1-parameter model with an interior optimum the two answers agree,
+    since that problem is solved in closed form whatever the start.
     """
     exp = resolve(load_config(config_path))
     grid, sol_cfg, sol_grid = _oracle_solutions(exp, width)

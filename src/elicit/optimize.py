@@ -46,7 +46,11 @@ c theta^2), so r_i(theta) = t has a closed-form root for either moment:
 t / a, or 2 t / (b + sqrt(b^2 + 4 c t)).  A one-parameter model with exactly
 one active finite-weight sub-loss i is an exact fit: its minimizer is that
 root at t = m_hat_i whenever m_hat_i lies strictly inside the model's image;
-otherwise the iterative solve finds the boundary-side optimum.
+otherwise the iterative solve finds the boundary-side optimum.  With both
+sub-losses active the loss is a piecewise quartic in theta, and its least
+interior stationary point is found in closed form for every such problem
+at once (``_least_stationary_points``); only a problem whose optimum lies
+at an end of the domain goes on to the iterative solve.
 
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i.  A 1-parameter model
@@ -86,10 +90,17 @@ from .losses import (
 CONSTRAINT_RTOL = 1e-9
 METHODS = ("levenberg_marquardt", "nelder_mead", "gradient_descent")
 GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
+NEWTON_STEPS = 3  # polishing steps on each root of a 1-parameter problem's F'
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of the iterative solve, which every 2-parameter problem takes.
+
+    A 1-parameter problem takes it only when its optimum lies at an end of
+    the domain; the closed-form answers take no start and no iteration.
+    """
+
     method: str = "levenberg_marquardt"
     max_iters: int = 10000
     tol_loss: float = 1e-12
@@ -129,15 +140,19 @@ class Solution:
     where the loss is defined, or gradient descent's line search found no
     descent), ``exact_fit`` (one active sub-loss on a
     1-parameter model) or ``constraint`` (an infinite weight on a
-    1-parameter model), the last two solved by the closed-form root of the
-    constrained moment, with no iterations.  ``converged`` is
+    1-parameter model), the two solved by the closed-form root of the
+    constrained moment, or ``exact_minimum`` (both sub-losses active on a
+    1-parameter model, an interior optimum): the least root of the loss's
+    cubic derivative.  These three take no iterations.  ``converged`` is
     False after ``max_iters``, when no start reached a point with a finite
     loss, and when a 2-parameter constrained solve ends off its constraint.
 
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
-    problem's starts.  ``start_index`` is the winning start's place in the
-    start list: 0 for the configured init, 1..multistart for the random
-    offsets; None when no start was used (inversion or the meshgrid).
+    problem's starts; ``exact_minimum`` scores each candidate root and
+    finite end of the domain once.  ``start_index`` is the winning start's
+    place in the start list: 0 for the configured init, 1..multistart for
+    the random offsets; None when no start was used (a closed form or the
+    meshgrid).
     """
 
     theta_star: np.ndarray
@@ -792,6 +807,88 @@ def _own_path(model, weights, em, kinds):
                      "exact_fit" if fixed is None else "constraint", clamped=clamped, n_evals=1)
 
 
+def _cubic_roots(p, q, r):
+    """Real roots of x^3 + p x^2 + q x + r, elementwise, as a trailing axis of 3.
+
+    x = t - p / 3 gives t^3 + P t + Q = 0.  Three distinct real roots come
+    from the trigonometric form; otherwise the one real root, by Cardano's
+    formula in a form without cancellation (Press et al., Numerical Recipes,
+    3rd ed., sec. 5.6), fills every place.  No root is finite where a
+    coefficient is not.
+    """
+    s = p / 3.0
+    P, Q = q - p * s, (2.0 * s * s - q) * s + r
+    m = 2.0 * np.sqrt(-P / 3.0)
+    phi = np.arccos(np.clip(3.0 * Q / (P * m), -1.0, 1.0)) / 3.0
+    three = m[..., None] * np.cos(phi[..., None] - np.array([0.0, 2.0, 4.0]) * math.pi / 3.0)
+    A = -np.sign(Q) * np.cbrt(np.abs(Q) / 2.0 + np.sqrt(Q * Q / 4.0 + P * P * P / 27.0))
+    one = A + np.where(A == 0.0, 0.0, -P / (3.0 * A))
+    real = 4.0 * P * P * P + 27.0 * Q * Q < 0.0
+    return np.where(real[..., None], three, one[..., None]) - np.asarray(s)[..., None]
+
+
+def _least_stationary_points(model, em, kinds, eff):
+    """Each row's least interior stationary point of F on a 1-parameter model.
+
+    Both sub-losses are active in every row of ``eff``.  With d = (a theta -
+    m_1, b theta + c theta^2 - m_2) and each w_i held at its value on one
+    side of d_i = 0, F = sum eff_i w_i d_i^2 is a quartic and
+
+        F' / 2 = W_2 (2 c^2 theta^3 + 3 b c theta^2 + (b^2 - 2 c m_2) theta
+                 - b m_2) + W_1 a (a theta - m_1),    W_i = eff_i w_i,
+
+    a cubic, linear when c = 0: one per sign pattern, one for squared
+    losses and up to four with asymmetric ones.  w_i d_i^2 has slope 0 at
+    d_i = 0, so F is C^1 and an interior minimizer is a root of the cubic of
+    its own pattern; a root of another pattern is just a point, scored like
+    any other.  The roots of every row and pattern come from one
+    elementwise ``_cubic_roots``, take NEWTON_STEPS Newton steps on their
+    cubic and are scored by the batch's residual.  The least (f, theta)
+    strictly inside the domain wins; a cubic whose coefficients overflow
+    gives no candidate.
+
+    Returns theta, its excess loss, whether it beats F at every finite end
+    of the domain (if not, the optimum may lie at the boundary), and the
+    number of points scored per row.
+    """
+    a, b, c = model.a, model.b, model.c
+    m1, m2 = em.m_hat.tolist()
+    # Each kind's w(d) below and above d = 0, once where the two agree.
+    one, two = (sorted({float(kind.weight(s)) for s in (-1.0, 1.0)}) for kind in kinds)
+    u, v = np.array([(u, v) for u in one for v in two]).T
+    W1, W2 = eff[:, :1] * u, eff[:, 1:] * v
+    lin = W2 * (b * b - 2.0 * c * m2) + W1 * a * a
+    const = -(W2 * b * m2 + W1 * a * m1)
+    if c == 0.0:
+        theta = (-const / lin)[..., None]
+    else:
+        lead = 2.0 * c * c * W2
+        theta = _cubic_roots(1.5 * b / c, lin / lead, const / lead)
+    W1, W2 = W1[..., None], W2[..., None]
+    for _ in range(NEWTON_STEPS):
+        d1, d2 = a * theta - m1, b * theta + c * theta * theta - m2
+        slope = b + 2.0 * c * theta
+        step = (W1 * a * d1 + W2 * slope * d2) / (W1 * a * a + W2 * (slope * slope + 2.0 * c * d2))
+        theta = np.where(np.isfinite(step), theta - step, theta)
+    theta = theta.reshape(len(eff), -1)
+
+    # Score the candidates and the domain's finite ends, one lane each.
+    n, K = theta.shape
+    lo, hi = model.domain[0]
+    ends = [x for x in (lo, hi) if x is not None]
+    points = np.column_stack([theta, np.tile(ends, (n, 1))])
+    lane_eff = np.repeat(eff, points.shape[1], axis=0)
+    rho, _, _, ok = _finite_objective(model, em, kinds, lane_eff)(points.reshape(-1, 1),
+                                                                   np.arange(len(lane_eff)))
+    f = (rho * rho).sum(axis=1).reshape(n, -1)
+    inside = ok.reshape(n, -1)[:, :K] & (theta > lo) & (theta < (math.inf if hi is None else hi))
+    f_in = np.where(inside, f[:, :K], math.inf)
+    best = np.lexsort((theta, f_in))[:, 0]
+    rows = np.arange(n)
+    theta, f_in = theta[rows, best], f_in[rows, best]
+    return theta, f_in, f_in < f[:, K:].min(axis=1), points.shape[1]
+
+
 def minimize_many(
     model: ParametricModel,
     weights_list,
@@ -807,18 +904,45 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.
     ``starts``, when given, holds per weight vector None or theta starts that
     replace the configured ones of a finite-weight problem, pulled inside the domain.
-    Winners come from ``_winners``, their moments from one ``moments_grid``.
+    Every 1-parameter problem with both sub-losses active is solved exactly,
+    all of them together, and joins the iterative batch only when its
+    optimum lies at the boundary.  Winners come from ``_winners``, their
+    moments from one ``moments_grid``.
     """
     config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
     out: list = [None] * len(weights_list)
-    batch = []      # (result index, constraint index, active weights, starts, (free index, build))
-    base = None
+    quartic, iterative = [], []
     for k, weights in enumerate(weights_list):
         try:
             out[k] = _own_path(model, weights, em, kinds)
-            if out[k] is not None:
-                continue
+        except ElicitError as exc:
+            out[k] = exc
+        if out[k] is None:
+            eff = _active_weights(weights)
+            if model.theta_dim == 1 and all(eff):
+                quartic.append((k, eff))
+            else:
+                iterative.append(k)
+    if quartic:
+        eff_rows = np.array([eff for _, eff in quartic])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            theta, excess, found, n_evals = _least_stationary_points(model, em, kinds, eff_rows)
+            r_star = model.moments_grid(theta[:, None])
+            sub_losses = sub_loss_vector(kinds, r_star, em)
+        loss = excess + _loss_constant(eff_rows, em)
+        for p, (k, _) in enumerate(quartic):
+            if found[p]:
+                out[k] = _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em,
+                                   "exact_minimum", n_evals=n_evals, sub_losses=sub_losses[p])
+            else:
+                iterative.append(k)
+
+    batch = []      # (result index, constraint index, active weights, starts, (free index, build))
+    base = None
+    for k in sorted(iterative):
+        weights = weights_list[k]
+        try:
             i = weights.infinite_index
             elim = None
             if i is None and starts is not None and starts[k] is not None:

@@ -6,14 +6,16 @@ total loss at every grid value, and records the target-property value at
 each constrained optimum.  The curve is then classified for monotonicity
 and for which endpoint (or interior weight) best matches the plug-in truth.
 
-All grid points are solved by one ``minimize_many`` call: every point that
-needs an iterative solve, the infinite-weight endpoint of a 2-parameter
-model included, contributes its starts as lanes of one batched
-Levenberg-Marquardt loop; only the points that a 1-parameter model solves
-by inverting its moment map take no lanes.  Each point is solved exactly
-once from the optimizer's own starts, and every lane is computed
-independently of the others, so a point's result does not depend on the
-rest of the grid: it equals ``minimize`` on that point alone.
+All grid points are solved by one ``minimize_many`` call.  On a
+1-parameter model every point is solved in closed form: the endpoints by
+inverting the moment map, the interior points as the least stationary point
+of a quartic, all at once.  The optimizer settings (method, starts,
+iterations) then govern only a point whose optimum lies at an end of the
+domain.  On a 2-parameter model every point, the infinite-weight endpoint
+included, contributes its starts as lanes of one batched
+Levenberg-Marquardt loop.  Each point is solved exactly once, and every
+lane is computed independently of the others, so a point's result does not
+depend on the rest of the grid: it equals ``minimize`` on that point alone.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class SweepSpec:
     M; ``index`` picks one of c_1..c_M; ``fixed_c`` and ``kinds`` hold M
     entries; every fixed weight, the swept one included, is in [0, +inf];
     a numeric ``init`` has theta's length; the grid is positive and
-    increasing; and ``WeightVector`` accepts the weights at c_i = 1.
+    increasing; and ``WeightVector`` accepts the weights at c_i = 1 and at
+    the c_i = +inf endpoint, so no fixed weight is infinite beside it.
     """
 
     model: object
@@ -90,6 +93,7 @@ class SweepSpec:
         if not isinstance(init, str) and len(init) != d:
             raise DomainError(f"optimizer init {list(init)} must hold {d} values for {model.name}")
         self.weights_at(1.0)
+        self.weights_at(math.inf)
 
     def weights_at(self, c_value: float) -> WeightVector:
         c = self.fixed_c.copy()

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from . import distmodels, links, losses, sweep, theory
-from .optimize import OptimizerConfig
 
 _JACOBIAN_GRIDS = {
     "poisson": lambda: [[t] for t in np.linspace(0.1, 8.0, 20)],
@@ -142,24 +141,27 @@ def _suite_sampling():
     return checks
 
 
-def _analytic_sweep(model_name, fixed, theta0, perturb, index=0, grid_points=15):
+def analytic_variance_spec(model_name, fixed, theta0, perturb, index=0,
+                           grid_points=15) -> sweep.SweepSpec:
+    """A variance sweep of c_{index + 1} on the exact moments of theta0 plus
+    ``perturb``, with unit fixed and base weights.  Every point of such a
+    1-parameter sweep is solved in closed form, so it takes the default
+    optimizer settings."""
     model = distmodels.make_model(model_name, fixed)
-    em = losses.analytic_moments(model, theta0, perturb=perturb)
-    spec = sweep.SweepSpec(
+    return sweep.SweepSpec(
         model=model,
         link=links.VARIANCE,
-        em=em,
+        em=losses.analytic_moments(model, theta0, perturb=perturb),
         index=index,
         fixed_c=np.ones(2),
         k=np.ones(2),
         grid=sweep.default_grid(grid_points),
-        optimizer=OptimizerConfig(multistart=2),
     )
-    return spec, sweep.run_sweep(spec)
 
 
 def _suite_lemma():
-    spec, curve = _analytic_sweep("poisson", (), [3.0], [0.0, 3.0])
+    spec = analytic_variance_spec("poisson", (), [3.0], [0.0, 3.0])
+    curve = sweep.run_sweep(spec)
     vals = [p.solution.sub_losses[spec.index] for p in curve.converged_points()]
     ok = all(
         vals[i + 1] <= vals[i] + 1e-8 + 1e-6 * abs(vals[i]) for i in range(len(vals) - 1)
@@ -176,7 +178,7 @@ def _suite_containment():
         ("binomial_fixed_trials", (10.0,), [0.9], [0.0, 0.6]),
     ]
     for name, fixed, theta0, perturb in cases:
-        _, curve = _analytic_sweep(name, fixed, theta0, perturb)
+        curve = sweep.run_sweep(analytic_variance_spec(name, fixed, theta0, perturb))
         res = theory.check_condition_A(curve, curve.spec.em.m_hat)
         checks.append(
             {"name": f"containment_{name}_theta{theta0[0]:g}", "pass": res.passed,
@@ -196,7 +198,8 @@ def _suite_agreement():
         ("binomial_fixed_trials", (10.0,), [0.9], [0.0, 0.6]),
     ]
     for name, fixed, theta0, perturb in cases:
-        spec, curve = _analytic_sweep(name, fixed, theta0, perturb)
+        spec = analytic_variance_spec(name, fixed, theta0, perturb)
+        curve = sweep.run_sweep(spec)
         r1 = [p.solution.r_star[0] for p in curve.converged_points()]
         lo, hi = min(r1), max(r1)
         if hi - lo < 1e-9:

@@ -1,13 +1,12 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from elicit import analytic_moments, make_link, make_model
+from elicit import analytic_moments, make_model
 from elicit.config import resolve
-from elicit.optimize import OptimizerConfig
-from elicit.sweep import SweepSpec, default_grid, run_sweep
+from elicit.sweep import run_sweep
+from elicit.verify import analytic_variance_spec as make_variance_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG_DIR = REPO_ROOT / "configs" / "sweeps"
@@ -20,33 +19,10 @@ def poisson_em_3_15():
     return analytic_moments(make_model("poisson"), [3.0], perturb=[0.0, 3.0])
 
 
-def make_variance_spec(model_name, fixed, theta0, perturb, index=0, grid_points=15,
-                       multistart=2):
-    model = make_model(model_name, fixed)
-    em = analytic_moments(model, theta0, perturb=perturb)
-    return SweepSpec(
-        model=model,
-        link=make_link("variance"),
-        em=em,
-        index=index,
-        fixed_c=np.ones(2),
-        k=np.ones(2),
-        grid=default_grid(grid_points),
-        optimizer=OptimizerConfig(multistart=multistart),
-    )
-
-
 @pytest.fixture(scope="session")
-def poisson_variance_curve(poisson_em_3_15):
-    spec = SweepSpec(
-        model=make_model("poisson"),
-        link=make_link("variance"),
-        em=poisson_em_3_15,
-        index=0,
-        fixed_c=np.ones(2),
-        k=np.ones(2),
-    )
-    return run_sweep(spec)
+def poisson_variance_curve():
+    """The default 41-point sweep of c_1 on the moments of ``poisson_em_3_15``."""
+    return run_sweep(make_variance_spec("poisson", (), [3.0], [0.0, 3.0], grid_points=41))
 
 
 def load_shipped_configs(directory=SWEEP_CONFIG_DIR):

@@ -35,16 +35,9 @@ def verdict(num, passed, description):
     assert passed, line
 
 
-def test_criterion_01_closed_form_sweep_endpoints(poisson_em_3_15):
+def test_criterion_01_closed_form_sweep_endpoints():
     t0 = time.perf_counter()
-    spec = SweepSpec(
-        model=make_model("poisson"),
-        link=make_link("variance"),
-        em=poisson_em_3_15,
-        index=0,
-        fixed_c=np.ones(2),
-        k=np.ones(2),
-    )
+    spec = make_variance_spec("poisson", (), [3.0], [0.0, 3.0], grid_points=41)
     curve = run_sweep(spec)
     elapsed = time.perf_counter() - t0
 

@@ -146,6 +146,7 @@ BAD_CONFIGS = [
     ({"optimizer.seed": 2**64}, "seed"),
     # rules that tie the sweep's parts together, and rules on its inputs
     ({**SKEW, "sweep.fixed_weights": [1.0, math.inf, math.inf]}, "infinite"),
+    ({"sweep.fixed_weights": [1.0, math.inf]}, "infinite"),  # two at the c = inf endpoint
     ({"analytic.name": "lognormal", "analytic.params": [0.0, 1.0], "analytic.perturb": DROP},
      "moment order"),
     ({**SKEW, "analytic.params": [0.0, 100.0], "base_weights": "rhat_squared"}, "m_hat[2]"),
@@ -254,8 +255,11 @@ class TestRun:
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 
     def test_failure_rate_exits_2(self, tmp_path):
+        # A 2-parameter sweep: a 1-parameter one is solved exactly, without iterations.
         cfg_path, out = write_config(
-            tmp_path, optimizer={"multistart": 0, "max_iters": 1}
+            tmp_path, model={"name": "lognormal", "fixed_params": []}, link="skewness",
+            analytic={"name": "lognormal", "params": [0.3, 1.2], "perturb": [0.1, 0.5, 4.0]},
+            optimizer={"multistart": 0, "max_iters": 1}
         )
         assert main(["run", str(cfg_path)]) == 2
         assert (out / "curve.csv").exists()  # outputs still written
@@ -382,7 +386,7 @@ class TestOracle:
         assert main(["oracle", str(cfg_path), "--width", "nan"]) == 1
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["var-gamma", "skew-gamma2"])
+    @pytest.mark.parametrize("name", ["skew-lognormal", "skew-gamma2"])
     def test_one_levenberg_marquardt_call_per_run(self, monkeypatch, capsys, name):
         # The configured starts and the grid minimizer are lanes of one batch,
         # and both answers equal those of two separate solves.

@@ -17,6 +17,9 @@ from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import DomainError, EmptyGrid, OutOfImage
 from elicit.losses import (
+    AsymmetricSquaredLoss,
+    EmpiricalMoments,
+    SquaredLoss,
     WeightVector,
     default_kinds,
     empirical_moments,
@@ -40,6 +43,14 @@ SWEEP_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "sweeps"
 def quadratic_root(b, c):
     """Positive root of theta^2 + b*theta - c = 0 (closed-form oracle)."""
     return (-b + math.sqrt(b * b + 4 * c)) / 2.0
+
+
+def gamma2_problem():
+    """A benign 2-parameter problem that every method solves: gamma2(1, 1) moments
+    shifted by (2%, -2%, 2%), weights (1, 0.1, 0.01)."""
+    model = make_model("gamma2")
+    em = analytic_moments(model, [1.0, 1.0], perturb=[0.02, -0.04, 0.12])
+    return model, WeightVector.of([1.0, 0.1, 0.01]), em
 
 
 class TestMinimize:
@@ -102,20 +113,21 @@ class TestMinimize:
         assert a.loss == b.loss and a.n_iters == b.n_iters
 
     def test_returned_theta_strictly_interior(self):
+        # m_hat_1 = 12 > K pushes toward p = 1, but F(1) = 160.25 and F falls
+        # to 7.16 at p = 0.933: an interior optimum, so the exact path solves it.
         model = make_model("binomial_fixed_trials", (10.0,))
-        em = analytic_moments(model, [0.5], perturb=[7.0, 60.0])  # pushes toward p = 1
+        em = analytic_moments(model, [0.5], perturb=[7.0, 60.0])
         sol = minimize(model, WeightVector.of([1.0, 1.0]), em)
         assert 0.0 < sol.theta_star[0] < 1.0
 
-    def test_gradient_descent_on_benign_problem(self, poisson_em_3_15):
+    def test_gradient_descent_on_benign_problem(self):
+        model, w, em = gamma2_problem()
         cfg = OptimizerConfig(method="gradient_descent", multistart=2, max_iters=20000)
-        gd = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, config=cfg)
-        nm = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15)
+        gd = minimize(model, w, em, config=cfg)
+        nm = minimize(model, w, em)
         assert gd.loss == pytest.approx(nm.loss, rel=1e-6)
 
     def test_asymmetric_kinds_accepted(self, poisson_em_3_15):
-        from elicit.losses import AsymmetricSquaredLoss, SquaredLoss
-
         kinds = (AsymmetricSquaredLoss(a=2.0, b=1.0), SquaredLoss())
         sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, kinds=kinds)
         assert sol.converged
@@ -163,10 +175,10 @@ def lognormal_9_sample_moments():
 
 
 class TestLevenbergMarquardt:
-    def test_is_the_default_and_the_others_stay_selectable(self, poisson_em_3_15):
+    def test_is_the_default_and_the_others_stay_selectable(self):
         assert OptimizerConfig().method == "levenberg_marquardt"
-        w = WeightVector.of([1.0, 1.0])
-        losses = [minimize(POISSON, w, poisson_em_3_15, config=OptimizerConfig(method=m)).loss
+        model, w, em = gamma2_problem()
+        losses = [minimize(model, w, em, config=OptimizerConfig(method=m)).loss
                   for m in optimize.METHODS]
         assert max(losses) - min(losses) <= 1e-9 * (1.0 + min(losses))
 
@@ -383,7 +395,7 @@ class TestWinnerSelection:
             assert np.array_equal(sol.r_star, model.moments(sol.theta_star))
         return sols, seen
 
-    @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal", "skew-beta2"])
+    @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal", "skew-beta2"])
     def test_shipped_sweep_batches(self, monkeypatch, name):
         spec = shipped_experiment(name).spec
         weights = [spec.weights_at(c) for c in [0.0, *spec.grid, math.inf]]
@@ -400,15 +412,15 @@ class TestWinnerSelection:
         assert sol.start_index == 0
 
     def test_start_on_the_minimizer_ends_where_it_starts(self, monkeypatch):
-        # Exponential moments at theta = 1: the start is the exact fit, and
-        # the z round trip of 1.0 is exact, so end and start tie.
-        model = make_model("exponential")
-        em = analytic_moments(model, [1.0])
+        # Gamma2 moments at theta = (1, 1): the moment-matching start is the
+        # exact fit, and the z round trip of 1.0 is exact, so end and start tie.
+        model = make_model("gamma2")
+        em = analytic_moments(model, [1.0, 1.0])
         (sol,), seen = self.solve_against_reference(
-            monkeypatch, model, [WeightVector.of([1.0, 1.0])], em)
+            monkeypatch, model, [WeightVector.of([1.0, 1.0, 1.0])], em)
         end, start = seen["end"], seen["start"]
         assert np.array_equal(end[0][0], start[0][0]) and end[1][0] == start[1][0] == 0.0
-        assert np.array_equal(sol.theta_star, [1.0]) and sol.start_index == 0
+        assert np.array_equal(sol.theta_star, [1.0, 1.0]) and sol.start_index == 0
 
     def test_constrained_problem_without_a_feasible_lane(self, monkeypatch):
         class NoFeasibleBuild(type(make_model("lognormal"))):
@@ -528,7 +540,7 @@ class TestReparameterization:
 
 
 class TestTelemetry:
-    @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
+    @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal"])
     def test_start_index_names_the_start_used(self, shipped_sweeps, name):
         exp, curve = shipped_sweeps[name]
         cfg = exp.spec.optimizer
@@ -537,7 +549,7 @@ class TestTelemetry:
         for point in curve.points:
             sol = point.solution
             assert sol.n_evals >= sol.n_iters >= 0
-            if sol.termination in ("exact_fit", "constraint"):
+            if sol.termination in ("exact_fit", "constraint", "exact_minimum"):
                 assert sol.start_index is None
             elif math.isfinite(point.c_value):
                 assert np.array_equal(sol.start_used, starts[sol.start_index])
@@ -547,13 +559,13 @@ class TestTelemetry:
 
 
 class TestTermination:
-    def test_converged(self, poisson_em_3_15):
-        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15)
+    def test_converged(self):
+        sol = minimize(*gamma2_problem())
         assert sol.termination == "converged" and sol.converged
 
-    def test_max_iters(self, poisson_em_3_15):
+    def test_max_iters(self):
         cfg = OptimizerConfig(max_iters=1, multistart=0)
-        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15, config=cfg)
+        sol = minimize(*gamma2_problem(), config=cfg)
         assert sol.termination == "max_iters" and not sol.converged
 
     def test_no_descent(self):
@@ -571,6 +583,10 @@ class TestTermination:
     def test_constraint(self, poisson_em_3_15):
         sol = minimize(POISSON, WeightVector.of([np.inf, 1.0]), poisson_em_3_15)
         assert sol.termination == "constraint" and sol.converged
+
+    def test_exact_minimum(self, poisson_em_3_15):
+        sol = minimize(POISSON, WeightVector.of([1.0, 1.0]), poisson_em_3_15)
+        assert sol.termination == "exact_minimum" and sol.converged
 
 
 # (name, fixed params, a (lo, hi) range per coordinate of theta_0)
@@ -611,6 +627,123 @@ class TestDefaultSolverProperty:
         tol = 1e-9 * (1.0 + abs(sol.loss))
         assert sol.loss <= simplex.loss + tol
         assert sol.loss <= grid.loss + tol
+
+
+# The five 1-parameter families: binomial K = 1 has c = 0 (a linear F'),
+# exponential and gamma_fixed_shape have b = 0.
+QUARTIC_FAMILIES = st.sampled_from([
+    ("poisson", st.just(()), (0.2, 10.0)),
+    ("chisq", st.just(()), (0.2, 10.0)),
+    ("exponential", st.just(()), (0.2, 10.0)),
+    ("gamma_fixed_shape", st.tuples(st.floats(0.5, 5.0)), (0.2, 10.0)),
+    ("binomial_fixed_trials", st.sampled_from([(1.0,), (2.0,), (10.0,)]), (0.05, 0.95)),
+])
+SUB_LOSS_KINDS = st.one_of(
+    st.just(SquaredLoss()),
+    st.builds(AsymmetricSquaredLoss, st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+
+
+@st.composite
+def quartic_problems(draw):
+    """A 1-parameter model, r(theta_0) shifted by up to 30% per moment, both weights active."""
+    name, fixed, (lo, hi) = draw(QUARTIC_FAMILIES)
+    model = make_model(name, draw(fixed))
+    theta0 = [draw(st.floats(lo, hi))]
+    shift = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)))
+    em = analytic_moments(model, theta0, perturb=shift * model.moments(theta0))
+    c = draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
+    kinds = tuple(draw(st.lists(SUB_LOSS_KINDS, min_size=2, max_size=2)))
+    return model, WeightVector.of(c), em, kinds
+
+
+def loss_slope(model, w, em, kinds, theta):
+    """F'(theta), and the scale of its rounding error: the terms' size with |m_hat| in d."""
+    d = model.moments([theta]) - em.m_hat
+    s = w.effective * np.array([float(kind.weight(x)) for kind, x in zip(kinds, d)])
+    dr = model.moment_jacobian([theta])[:, 0]
+    return 2.0 * float((s * d * dr).sum()), 2.0 * float((s * np.abs(dr) * (np.abs(em.m_hat)
+                                                                            + np.abs(d))).sum())
+
+
+class TestExactMinimum:
+    """Every finite-weight 1-parameter problem with two active sub-losses is solved exactly."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(quartic_problems())
+    def test_least_stationary_point(self, problem):
+        model, w, em, kinds = problem
+        sol = minimize(model, w, em, kinds)
+        box = default_box(model, em)
+        grid = meshgrid_oracle(model, w, em, kinds, box=box, width=(box[0][1] - box[0][0]) / 4000)
+        assert sol.loss <= grid.loss + 1e-12 * (1.0 + abs(sol.loss))
+        theta = float(sol.theta_star[0])
+        if sol.termination == "exact_minimum":
+            slope, scale = loss_slope(model, w, em, kinds, theta)
+            assert abs(slope) <= 8.0 * np.finfo(float).eps * scale
+        else:
+            # Left to the iterative solve only when the optimum is at an end of the domain.
+            ends = [x for x in model.domain[0] if x is not None]
+            assert min(abs(theta - x) for x in ends) <= 1e-6
+
+    @pytest.mark.parametrize("name, fixed, m_hat, end", [
+        # B(1, theta) has r = (theta, theta), so F' is linear, with its root at
+        # the mean 1.15 of m_hat, beyond theta = 1.
+        ("binomial_fixed_trials", (1.0,), [1.2, 1.1], 1.0),
+        # F has a local minimum at theta = 1.80, where F = 544.4, but falls to
+        # 541 as theta -> 0.
+        ("poisson", (), [-21.0, 10.0], 0.0),
+    ])
+    def test_boundary_optimum_falls_back_to_levenberg_marquardt(self, monkeypatch, name, fixed,
+                                                                 m_hat, end):
+        model = make_model(name, fixed)
+        em = EmpiricalMoments(np.array(m_hat), np.zeros(2), 0)
+        lanes = []
+        solve = optimize._levenberg_marquardt
+
+        def counted(point, z0, *args):
+            lanes.append(len(z0))
+            return solve(point, z0, *args)
+
+        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
+        cfg = OptimizerConfig(max_iters=1000)
+        sol = minimize(model, WeightVector.of([1.0, 1.0]), em, config=cfg)
+        assert lanes == [cfg.multistart + 1]
+        assert sol.termination != "exact_minimum" and sol.start_index is not None
+        assert sol.theta_star[0] == pytest.approx(end, abs=1e-6)
+        lo, hi = model.domain[0]
+        assert lo < sol.theta_star[0] < (math.inf if hi is None else hi)  # strictly inside
+        at_end = float(((model.moments_grid([[end]])[0] - em.m_hat) ** 2).sum())
+        assert sol.loss <= at_end + 1e-12 * at_end
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cubic_beyond_float64_falls_back(self):
+        # c_2 = 2.2e-313 makes the monic cubic's coefficients overflow.
+        em = analytic_moments(POISSON, [1.0])
+        sol = minimize(POISSON, WeightVector.of([1.0, 2.22507386e-313]), em)
+        assert sol.termination == "converged" and sol.loss == 0.0
+
+    def test_no_solver_setting_moves_it(self, poisson_em_3_15):
+        w = WeightVector.of([1.0, 1.0])
+        sol = minimize(POISSON, w, poisson_em_3_15)
+        assert (sol.termination, sol.n_iters, sol.start_index) == ("exact_minimum", 0, None)
+        for cfg in (OptimizerConfig(method="nelder_mead"), OptimizerConfig(max_iters=1),
+                    OptimizerConfig(multistart=0, init=(50.0,), seed=7)):
+            assert_same_solution(minimize(POISSON, w, poisson_em_3_15, config=cfg), sol)
+        (from_starts,) = optimize.minimize_many(POISSON, [w], poisson_em_3_15,
+                                                starts=[[[0.5], [40.0]]])
+        assert_same_solution(from_starts, sol)
+
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SWEEP_CONFIG_DIR.glob("var-*.json"))])
+    def test_shipped_variance_sweeps_take_no_lanes(self, monkeypatch, name):
+        def no_lanes(*args):
+            raise AssertionError("a 1-parameter sweep reached Levenberg-Marquardt")
+
+        monkeypatch.setattr(optimize, "_levenberg_marquardt", no_lanes)
+        curve = run_sweep(shipped_experiment(name).spec)
+        terminations = [p.solution.termination for p in curve.points]
+        assert terminations == ["exact_fit", *["exact_minimum"] * 41, "constraint"]
+        assert all(p.converged and p.solution.n_iters == 0 for p in curve.points)
 
 
 class TestMomentMatchInit:
