@@ -115,12 +115,8 @@ def _report(exp: Experiment, curve: SweepCurve) -> dict:
             p.solution.r_star[0] for p in curve.converged_points() if p.solution is not None
         ]
         if len(r1_values) >= 2 and min(r1_values) < max(r1_values):
-            classification = classify_2d_case(
-                exp.model, exp.link, (min(r1_values), max(r1_values)), n_grid=101
-            )
-            report["classification_2d"] = {
-                key: value for key, value in vars(classification).items()
-                if key != "per_point_cases"}
+            report["classification_2d"] = dataclasses.asdict(classify_2d_case(
+                exp.model, exp.link, (min(r1_values), max(r1_values))))
         else:
             report["classification_2d"] = None
     else:
@@ -161,9 +157,8 @@ def cmd_run(config_path):
 @click.option("--fixed-params", default="", help="comma-separated fixed parameters")
 @click.option("--link", "link_name", required=True)
 @click.option("--interval", required=True, help="r1 interval as 'a,b'")
-@click.option("--n-grid", default=201, show_default=True)
 @click.option("--expect-uniform", is_flag=True, help="exit 3 if the case is mixed")
-def cmd_classify(model_name, fixed_params, link_name, interval, n_grid, expect_uniform):
+def cmd_classify(model_name, fixed_params, link_name, interval, expect_uniform):
     """Slope-sign case classification of a 1-parameter model against a link."""
     fixed = tuple(float(x) for x in fixed_params.split(",") if x.strip())
     try:
@@ -172,14 +167,13 @@ def cmd_classify(model_name, fixed_params, link_name, interval, n_grid, expect_u
         raise ConfigError(f"--interval must be 'a,b': {exc}") from exc
     model = make_model(model_name, fixed)
     link = make_link(link_name)
-    result = classify_2d_case(model, link, (lo, hi), n_grid=n_grid)
+    result = classify_2d_case(model, link, (lo, hi))
     if result.case == "mixed":
-        boundary = ", ".join(f"{b:.6g}" for b in result.boundaries)
-        click.echo(f"mixed; boundary r1 = {boundary or 'none located'}")
+        click.echo(f"mixed; boundary r1 = {result.boundaries[0]:.6g}")
         if expect_uniform:
             sys.exit(EXIT_VERIFICATION)
     else:
-        sign = "> 0" if result.diff_min > 0 else ("< 0" if result.diff_max < 0 else "mixed sign")
+        sign = "> 0" if result.case == "b" else "< 0"
         click.echo(f"case {result.case}; slope difference {sign} on [{lo:g}, {hi:g}]")
 
 
@@ -210,8 +204,8 @@ def cmd_oracle(config_path, width):
     Runs at the config's fixed weights with the swept entry set to 1, from
     the configured starts and from those plus the grid minimizer, all lanes
     of one batched solve, and logs the target-property value reached from each.
-    On a 1-parameter model with an interior optimum the two answers agree,
-    since that problem is solved in closed form whatever the start.
+    On a 1-parameter model the two answers always agree, since every such
+    problem is solved in closed form whatever the start.
     """
     exp = resolve(load_config(config_path))
     grid, sol_cfg, sol_grid = _oracle_solutions(exp, width)

@@ -64,12 +64,9 @@ def link_value(link: LinkFunction, r) -> float:
 
 
 def link_gradient(link: LinkFunction, r) -> np.ndarray:
-    """dt/dr at r; the variance link also takes an (n, 2) array, one gradient per row."""
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float).reshape(link.moment_order)
     if link.name == "variance":
-        r1 = r[:, 0] if r.ndim == 2 else r.reshape(2)[0]
-        return np.stack([-2.0 * r1, np.ones_like(r1)], axis=-1)
-    r = r.reshape(link.moment_order)
+        return np.array([-2.0 * r[0], 1.0])
     mu2, mu3 = _central(link, r)
     dmu3 = np.array([-3.0 * r[1] + 6.0 * r[0] ** 2, -3.0 * r[0], 1.0])
     dmu2 = np.array([-2.0 * r[0], 1.0, 0.0])
@@ -83,10 +80,9 @@ def contour_value(link: LinkFunction, r1: float, t0: float) -> float:
     return float(t0 + r1 * r1)
 
 
-def contour_slope(link: LinkFunction, r):
-    """T'(r1; t0) through the point r: -(dt/dr1)/(dt/dr2); n slopes for (n, 2) variance rows."""
+def contour_slope(link: LinkFunction, r) -> float:
+    """T'(r1; t0) through the point r: -(dt/dr1)/(dt/dr2)."""
     grad = link_gradient(link, r)
-    if (steep := np.abs(grad[..., 1])).min() < SLOPE_EPS:
-        raise VerticalContour(f"|dt/dr2| = {steep.min()} < {SLOPE_EPS} at r = {tuple(r)}")
-    slope = -grad[..., 0] / grad[..., 1]
-    return float(slope) if slope.ndim == 0 else slope
+    if abs(grad[1]) < SLOPE_EPS:
+        raise VerticalContour(f"|dt/dr2| = {abs(grad[1])} < {SLOPE_EPS} at r = {tuple(r)}")
+    return float(-grad[0] / grad[1])

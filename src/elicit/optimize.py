@@ -16,9 +16,11 @@ rather than summed, so a moment that is undefined on an inactive term
 rejects nothing.  Every operation acts on each lane alone, so a lane's
 result does not depend on which other lanes share its batch.
 
-Free coordinates are smoothly reparameterized (log above a lower bound,
-logit inside an interval) so iterates stay strictly interior; the Jacobian
-in z picks up the factor d theta / d z.  Three solvers share the residual:
+Only 2-parameter problems are solved iteratively.  Every coordinate of a
+2-parameter domain is unbounded or bounded below only, and one bounded
+below is reparameterized as log(theta - lo), so iterates stay strictly
+interior; the Jacobian in z picks up the factor d theta / d z.  Three
+solvers share the residual:
 
 * ``levenberg_marquardt`` (the default): damped Gauss-Newton on (rho, J),
   advancing every lane of the batch together, with isotropic damping
@@ -45,12 +47,13 @@ Every one-parameter model is quadratic, r(theta) = (a theta, b theta +
 c theta^2), so r_i(theta) = t has a closed-form root for either moment:
 t / a, or 2 t / (b + sqrt(b^2 + 4 c t)).  A one-parameter model with exactly
 one active finite-weight sub-loss i is an exact fit: its minimizer is that
-root at t = m_hat_i whenever m_hat_i lies strictly inside the model's image;
-otherwise the iterative solve finds the boundary-side optimum.  With both
+root at t = m_hat_i whenever m_hat_i lies strictly inside the model's image,
+and otherwise the end of the domain on the side of m_hat_i.  With both
 sub-losses active the loss is a piecewise quartic in theta, and its least
 interior stationary point is found in closed form for every such problem
-at once (``_least_stationary_points``); only a problem whose optimum lies
-at an end of the domain goes on to the iterative solve.
+at once (``_least_stationary_points``); where an end of the domain scores
+lower, that end is the answer.  An end is returned as itself when the
+domain is closed there, and as lo + e^-700 at an open lower bound lo.
 
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i.  A 1-parameter model
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmodels import ParametricModel, clamp_to_image, libm
+from .distmodels import ParametricModel, clamp_to_image
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
     EmpiricalMoments,
@@ -95,10 +98,10 @@ NEWTON_STEPS = 3  # polishing steps on each root of a 1-parameter problem's F'
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the iterative solve, which every 2-parameter problem takes.
+    """Settings of the iterative solve, which only 2-parameter problems take.
 
-    A 1-parameter problem takes it only when its optimum lies at an end of
-    the domain; the closed-form answers take no start and no iteration.
+    Every 1-parameter problem is solved in closed form, with no start and no
+    iteration, so no setting moves its answer.
     """
 
     method: str = "levenberg_marquardt"
@@ -141,18 +144,21 @@ class Solution:
     descent), ``exact_fit`` (one active sub-loss on a
     1-parameter model) or ``constraint`` (an infinite weight on a
     1-parameter model), the two solved by the closed-form root of the
-    constrained moment, or ``exact_minimum`` (both sub-losses active on a
+    constrained moment, ``exact_minimum`` (both sub-losses active on a
     1-parameter model, an interior optimum): the least root of the loss's
-    cubic derivative.  These three take no iterations.  ``converged`` is
-    False after ``max_iters``, when no start reached a point with a finite
-    loss, and when a 2-parameter constrained solve ends off its constraint.
+    cubic derivative, or ``boundary``: a 1-parameter model whose loss is
+    least at an end of the domain.  These four take no iterations and are
+    converged; a ``boundary`` loss is the infimum over the domain's closure.
+    ``converged`` is False after ``max_iters``, when no start reached a point
+    with a finite loss, and when a 2-parameter constrained solve ends off
+    its constraint.
 
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
-    problem's starts; ``exact_minimum`` scores each candidate root and
-    finite end of the domain once.  ``start_index`` is the winning start's
-    place in the start list: 0 for the configured init, 1..multistart for
-    the random offsets; None when no start was used (a closed form or the
-    meshgrid).
+    problem's starts; ``exact_minimum`` and ``boundary`` score each
+    candidate root and end of the domain once.  ``start_index`` is the
+    winning start's place in the start list: 0 for the configured init,
+    1..multistart for the random offsets; None when no start was used (a
+    closed form or the meshgrid).
     """
 
     theta_star: np.ndarray
@@ -172,41 +178,17 @@ class Solution:
 # Reparameterization: z (unconstrained) <-> theta (interior), row-wise
 # ---------------------------------------------------------------------------
 
-# Clip limits keep exp/expit strictly inside their open ranges in float64.
+# The clip keeps exp strictly inside (0, inf) in float64.
 _LOG_CLIP = 700.0
-_LOGIT_CLIP = 36.0
-
-
-# scipy.special's expit and logit, in the same floating-point operations and
-# the same libm calls, so z <-> theta keeps its bits without importing scipy.
-def _expit(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + libm(math.exp, -x))
-
-
-def _logit(p: np.ndarray) -> np.ndarray:
-    """log(p / (1 - p)), taken as log1p(s) - log1p(-s), s = 2 (p - 1/2), for p in [0.3, 0.65]."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    outer = (p < 0.3) | (p > 0.65)
-    q = p[outer]
-    out[outer] = libm(math.log, q / (1.0 - q))
-    s = 2.0 * (p[~outer] - 0.5)
-    out[~outer] = libm(math.log1p, s) - libm(math.log1p, -s)
-    return out
 
 
 def _to_z(theta: np.ndarray, domain) -> np.ndarray:
     """z for an (..., d) array of interior points."""
     theta = np.asarray(theta, dtype=float)
     z = np.empty_like(theta)
-    for j, (lo, hi) in enumerate(domain):
+    for j, (lo, _) in enumerate(domain):
         x = theta[..., j]
-        if lo is None:
-            z[..., j] = x
-        elif hi is None:
-            z[..., j] = np.log(x - lo)
-        else:
-            z[..., j] = _logit((x - lo) / (hi - lo))
+        z[..., j] = x if lo is None else np.log(x - lo)
     return z
 
 
@@ -214,19 +196,15 @@ def _from_z(z: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
     """theta and d theta / d z, elementwise, for an (..., d) array of z."""
     theta = np.empty_like(z)
     dtheta = np.empty_like(z)
-    for j, (lo, hi) in enumerate(domain):
+    for j, (lo, _) in enumerate(domain):
         x = z[..., j]
         if lo is None:
             theta[..., j] = x
             dtheta[..., j] = 1.0
-        elif hi is None:
+        else:
             e = np.exp(np.minimum(np.maximum(x, -_LOG_CLIP), _LOG_CLIP))
             theta[..., j] = lo + e
             dtheta[..., j] = e
-        else:
-            s = _expit(np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP))
-            theta[..., j] = lo + (hi - lo) * s
-            dtheta[..., j] = (hi - lo) * s * (1.0 - s)
     return theta, dtheta
 
 
@@ -273,12 +251,10 @@ def _lm_point(fun, z, lanes):
 
 
 def _damped_step(A, damping, g):
-    """h solving (A + damping * I) h = -g per lane (last axis), in closed form for d <= 2.
+    """h solving (A + damping * I) h = -g per lane (last axis), in closed form for d = 2.
 
     nan where the damped matrix is singular, so the step is rejected.
     """
-    if len(g) == 1:
-        return -g / (A[0] + damping)
     a = A[0, 0] + damping
     c = A[1, 1] + damping
     b = A[0, 1]
@@ -303,7 +279,7 @@ def _levenberg_marquardt(point, z0, max_iters, tol_loss, tol_step):
     most tol_loss * f (a rejected step lowers it by nothing); it ends in
     no_descent when such a step lands where rho or J is undefined, or when
     its start is undefined.  A lane leaves the batch once it stops.  z and h
-    are (d, n), so reducing over the d <= 2 coordinates is elementwise.
+    are (2, n), so reducing over the coordinates is elementwise.
 
     Returns z, f, iterations, termination and evaluations, one per lane.
     """
@@ -778,13 +754,59 @@ def _solve_constrained_1p(model, i, target):
     return min(max(model.theta_from_r2(target), t_lo), t_hi), False
 
 
-def _own_path(model, weights, em, kinds):
-    """The Solution of a problem solved by a closed-form root, else None.
+def _ends(model) -> list[float]:
+    """The ends of a 1-parameter domain, as the thetas returned for an optimum there.
 
-    On a 1-parameter model an infinite weight on r_i, or a single active
-    sub-loss i (an exact fit), fixes theta by r_i(theta) = m_hat_i.  A target
-    outside the image has no exact fit; the multistart solve then finds the
-    boundary-side optimum.
+    A closed bound is itself.  An open lower bound lo is lo + e^-700, where
+    ``_from_z``'s clip puts a coordinate that runs toward lo.  The one
+    domain bounded above, the binomial's, is closed.
+    """
+    (lo, hi), = model.domain
+    ends = [lo if model.in_domain([[lo]])[0] else lo + math.exp(-_LOG_CLIP)]
+    return ends if hi is None else [*ends, hi]
+
+
+def _moment_fits(model, m_hat) -> list[float]:
+    """The theta with r_i(theta) = m_hat_i for each moment, unclamped; nan where r_2 has none."""
+    m1, m2 = m_hat.tolist()
+    return [model.theta_from_r1(m1), model.theta_from_r2(m2) if m2 > 0.0 else math.nan]
+
+
+def _excess_1p(model, em, kinds, eff, points) -> np.ndarray:
+    """The excess loss at an (n, K) array of thetas, row k under eff[k]; inf off the domain."""
+    n, K = points.shape
+    residual = _finite_objective(model, em, kinds, np.repeat(eff, K, axis=0))
+    rho, _, _, ok = residual(points.reshape(-1, 1), np.arange(n * K))
+    return _sq(rho, ok).reshape(n, K)
+
+
+def _least_point(model, em, kinds, eff, candidates):
+    """Per row of ``eff``, the least (f, theta) of its candidates and the domain's ends.
+
+    Of the (n, K) candidates only those strictly inside the domain count,
+    and an end wins only where it scores strictly lower.  Returns theta, its
+    excess loss, whether it is a candidate rather than an end, and the
+    number of points scored per row.
+    """
+    n, K = candidates.shape
+    lo, hi = model.domain[0]
+    inside = (candidates > lo) & (candidates < (math.inf if hi is None else hi))
+    points = np.column_stack([np.where(inside, candidates, math.nan),
+                              np.tile(_ends(model), (n, 1))])
+    f = _excess_1p(model, em, kinds, eff, points)
+    is_end = np.broadcast_to(np.arange(points.shape[1]) >= K, points.shape)
+    best = np.lexsort((points, is_end, f))[:, 0]
+    rows = np.arange(n)
+    return points[rows, best], f[rows, best], best < K, points.shape[1]
+
+
+def _own_path(model, weights, em, kinds):
+    """The Solution of a 1-parameter problem with one active term, else None.
+
+    An infinite weight on r_i fixes theta by r_i(theta) = m_hat_i, clamped
+    to just inside the image.  A single active sub-loss i is an exact fit at
+    that root; r_i increases in theta, so a target outside the image leaves
+    its optimum at the end of the domain on the target's side.
     """
     if len(weights.c) != em.moment_order:
         raise DomainError("weight vector length must match the moment order")
@@ -795,16 +817,18 @@ def _own_path(model, weights, em, kinds):
         raise DomainError("no active sub-loss: all finite weights are zero")
     if model.theta_dim != 1 or (fixed is None and len(active) > 1):
         return None
-    i = active[0] if fixed is None else fixed
-    theta_c, clamped = _solve_constrained_1p(model, i, float(em.m_hat[i]))
-    if clamped and fixed is None:
-        return None
-    theta, eff = np.array([theta_c]), np.array([eff])
+    eff = np.array([eff])
     with np.errstate(over="ignore", invalid="ignore"):
-        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta[None], [0])
-        loss = float(_sq(rho, ok)[0]) + _loss_constant(eff, em)[0]
-    return _solution(theta, model.moments(theta), loss, kinds, em,
-                     "exact_fit" if fixed is None else "constraint", clamped=clamped, n_evals=1)
+        if fixed is None:
+            root = _moment_fits(model, em.m_hat)[active[0]]
+            theta, f, fit, n_evals = _least_point(model, em, kinds, eff, np.array([[root]]))
+            termination, clamped = "exact_fit" if fit[0] else "boundary", False
+        else:
+            theta_c, clamped = _solve_constrained_1p(model, fixed, float(em.m_hat[fixed]))
+            theta, termination, n_evals = np.array([theta_c]), "constraint", 1
+            f = _excess_1p(model, em, kinds, eff, theta[None])[0]
+    return _solution(theta, model.moments(theta), f[0] + _loss_constant(eff, em)[0], kinds, em,
+                     termination, clamped=clamped, n_evals=n_evals)
 
 
 def _cubic_roots(p, q, r):
@@ -828,7 +852,7 @@ def _cubic_roots(p, q, r):
 
 
 def _least_stationary_points(model, em, kinds, eff):
-    """Each row's least interior stationary point of F on a 1-parameter model.
+    """Each row's least point of F on a 1-parameter model: a stationary point or an end.
 
     Both sub-losses are active in every row of ``eff``.  With d = (a theta -
     m_1, b theta + c theta^2 - m_2) and each w_i held at its value on one
@@ -842,14 +866,15 @@ def _least_stationary_points(model, em, kinds, eff):
     d_i = 0, so F is C^1 and an interior minimizer is a root of the cubic of
     its own pattern; a root of another pattern is just a point, scored like
     any other.  The roots of every row and pattern come from one
-    elementwise ``_cubic_roots``, take NEWTON_STEPS Newton steps on their
-    cubic and are scored by the batch's residual.  The least (f, theta)
-    strictly inside the domain wins; a cubic whose coefficients overflow
-    gives no candidate.
+    elementwise ``_cubic_roots``.  A cubic whose coefficients overflow (a
+    weight ratio beyond float64) has no finite root, so the single-moment
+    fits m_hat_1 / a and r_2^-1(m_hat_2) take its place: where one weight is
+    that small, the fit of the other moment is the minimizer.  Every
+    candidate takes NEWTON_STEPS Newton steps on its cubic, and
+    ``_least_point`` scores it against the ends of the domain.
 
-    Returns theta, its excess loss, whether it beats F at every finite end
-    of the domain (if not, the optimum may lie at the boundary), and the
-    number of points scored per row.
+    Returns theta, its excess loss, whether it is a stationary point rather
+    than an end, and the number of points scored per row.
     """
     a, b, c = model.a, model.b, model.c
     m1, m2 = em.m_hat.tolist()
@@ -864,29 +889,16 @@ def _least_stationary_points(model, em, kinds, eff):
     else:
         lead = 2.0 * c * c * W2
         theta = _cubic_roots(1.5 * b / c, lin / lead, const / lead)
+    overflow = ~np.isfinite(theta).any(axis=-1, keepdims=True)
+    fits = np.where(overflow, _moment_fits(model, em.m_hat), math.nan)
+    theta = np.concatenate([theta, fits], axis=-1)
     W1, W2 = W1[..., None], W2[..., None]
     for _ in range(NEWTON_STEPS):
         d1, d2 = a * theta - m1, b * theta + c * theta * theta - m2
         slope = b + 2.0 * c * theta
         step = (W1 * a * d1 + W2 * slope * d2) / (W1 * a * a + W2 * (slope * slope + 2.0 * c * d2))
         theta = np.where(np.isfinite(step), theta - step, theta)
-    theta = theta.reshape(len(eff), -1)
-
-    # Score the candidates and the domain's finite ends, one lane each.
-    n, K = theta.shape
-    lo, hi = model.domain[0]
-    ends = [x for x in (lo, hi) if x is not None]
-    points = np.column_stack([theta, np.tile(ends, (n, 1))])
-    lane_eff = np.repeat(eff, points.shape[1], axis=0)
-    rho, _, _, ok = _finite_objective(model, em, kinds, lane_eff)(points.reshape(-1, 1),
-                                                                   np.arange(len(lane_eff)))
-    f = (rho * rho).sum(axis=1).reshape(n, -1)
-    inside = ok.reshape(n, -1)[:, :K] & (theta > lo) & (theta < (math.inf if hi is None else hi))
-    f_in = np.where(inside, f[:, :K], math.inf)
-    best = np.lexsort((theta, f_in))[:, 0]
-    rows = np.arange(n)
-    theta, f_in = theta[rows, best], f_in[rows, best]
-    return theta, f_in, f_in < f[:, K:].min(axis=1), points.shape[1]
+    return _least_point(model, em, kinds, eff, theta.reshape(len(eff), -1))
 
 
 def minimize_many(
@@ -904,10 +916,10 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.
     ``starts``, when given, holds per weight vector None or theta starts that
     replace the configured ones of a finite-weight problem, pulled inside the domain.
-    Every 1-parameter problem with both sub-losses active is solved exactly,
-    all of them together, and joins the iterative batch only when its
-    optimum lies at the boundary.  Winners come from ``_winners``, their
-    moments from one ``moments_grid``.
+    Every 1-parameter problem is solved in closed form, those with both
+    sub-losses active all together, and ignores ``config`` and ``starts``;
+    only 2-parameter problems form the iterative batch.  Winners come from
+    ``_winners``, their moments from one ``moments_grid``.
     """
     config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
@@ -919,28 +931,22 @@ def minimize_many(
         except ElicitError as exc:
             out[k] = exc
         if out[k] is None:
-            eff = _active_weights(weights)
-            if model.theta_dim == 1 and all(eff):
-                quartic.append((k, eff))
-            else:
-                iterative.append(k)
+            (quartic if model.theta_dim == 1 else iterative).append(k)
     if quartic:
-        eff_rows = np.array([eff for _, eff in quartic])
+        eff_rows = np.array([_active_weights(weights_list[k]) for k in quartic])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            theta, excess, found, n_evals = _least_stationary_points(model, em, kinds, eff_rows)
+            theta, excess, interior, n_evals = _least_stationary_points(model, em, kinds, eff_rows)
             r_star = model.moments_grid(theta[:, None])
             sub_losses = sub_loss_vector(kinds, r_star, em)
         loss = excess + _loss_constant(eff_rows, em)
-        for p, (k, _) in enumerate(quartic):
-            if found[p]:
-                out[k] = _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em,
-                                   "exact_minimum", n_evals=n_evals, sub_losses=sub_losses[p])
-            else:
-                iterative.append(k)
+        for p, k in enumerate(quartic):
+            out[k] = _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em,
+                               "exact_minimum" if interior[p] else "boundary",
+                               n_evals=n_evals, sub_losses=sub_losses[p])
 
     batch = []      # (result index, constraint index, active weights, starts, (free index, build))
     base = None
-    for k in sorted(iterative):
+    for k in iterative:
         weights = weights_list[k]
         try:
             i = weights.infinite_index

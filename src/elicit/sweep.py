@@ -9,11 +9,10 @@ and for which endpoint (or interior weight) best matches the plug-in truth.
 All grid points are solved by one ``minimize_many`` call.  On a
 1-parameter model every point is solved in closed form: the endpoints by
 inverting the moment map, the interior points as the least stationary point
-of a quartic, all at once.  The optimizer settings (method, starts,
-iterations) then govern only a point whose optimum lies at an end of the
-domain.  On a 2-parameter model every point, the infinite-weight endpoint
-included, contributes its starts as lanes of one batched
-Levenberg-Marquardt loop.  Each point is solved exactly once, and every
+of a quartic or an end of the domain, all at once, so the optimizer
+settings move none of them.  On a 2-parameter model every point, the
+infinite-weight endpoint included, contributes its starts as lanes of one
+batched Levenberg-Marquardt loop.  Each point is solved exactly once, and every
 lane is computed independently of the others, so a point's result does not
 depend on the rest of the grid: it equals ``minimize`` on that point alone.
 """

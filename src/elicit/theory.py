@@ -25,7 +25,6 @@ import numpy as np
 from .distmodels import ParametricModel, model_curve_value
 from .errors import DomainError, MixedCase, SliceEmpty, TooFewPoints
 from .links import LinkFunction, contour_slope
-from .optimize import brentq
 from .sweep import SweepCurve, monotone_trend
 
 CONTAINMENT_SLACK = 1e-9
@@ -114,35 +113,29 @@ def check_condition_B(curve: SweepCurve, link: LinkFunction) -> CheckResult:
 
 @dataclass
 class CaseClassification:
-    case: str                       # a | b | c | mixed
+    case: str                       # a | b | mixed
     interval: tuple[float, float]
-    n_grid: int
     boundaries: list[float]
-    diff_min: float                 # min / max of R'(r1) - T'(r1) over the grid
+    diff_min: float                 # min / max of R'(r1) - T'(r1) over the interval
     diff_max: float
-    per_point_cases: list[str] = field(default_factory=list)
-
-
-def _point_case(rp: float, tp: float) -> str:
-    if rp * tp < 0:
-        return "c"
-    if rp == tp:
-        return "boundary"
-    return "a" if rp < tp else "b"
 
 
 def classify_2d_case(
     model: ParametricModel,
     link: LinkFunction,
     r1_interval: tuple[float, float],
-    n_grid: int = 201,
 ) -> CaseClassification:
-    """Compare model-curve slope R' with contour slope T' over an r1 grid.
+    """Compare model-curve slope R' with contour slope T' over an r1 interval.
 
-    Same sign with R' < T' everywhere is case a (infinite weight best);
-    R' > T' is case b (zero weight best); opposite signs is case c
-    (interior best); a sign change in R' - T' yields ``mixed`` with the
-    crossing located by bisection.
+    R' < T' everywhere is case a (infinite weight best), R' > T' case b
+    (zero weight best); a zero of R' - T' in the interval makes it ``mixed``
+    with that r1 as its boundary.  On r = (a theta, b theta + c theta^2)
+    under the variance link, the only two-moment link, R' = b/a + 2 c r1 /
+    a^2 and T' = 2 r1, so R' - T' = b/a + 2 r1 (c/a^2 - 1) is linear in r1:
+    its extremes are its values at the ends, and its one possible zero is
+    r1* = -a b / (2 (c - a^2)).  Both slopes are positive on the image (b,
+    c >= 0), so case c, opposite signs and an interior best weight, cannot
+    occur.
     """
     if model.theta_dim != 1:
         raise DomainError(f"{model.name}: 2-D classification needs a 1-parameter model")
@@ -151,52 +144,20 @@ def classify_2d_case(
     lo, hi = float(r1_interval[0]), float(r1_interval[1])
     if not lo < hi:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    if n_grid < 1:
-        raise DomainError(f"n_grid = {n_grid}: the r1 grid needs at least one point")
-    grid = np.linspace(lo, hi, n_grid)
-
-    def slopes(r1: float) -> tuple[float, float]:
-        theta = model.theta_from_r1(r1)
-        jac = model.moment_jacobian([theta])
-        rp = float(jac[1, 0] / jac[0, 0])
-        tp = contour_slope(link, (r1, model_curve_value(model, r1)))
-        return rp, tp
 
     def slope_gap(r1: float) -> float:
-        rp, tp = slopes(r1)
-        return rp - tp
+        """R' - T' at r1; raises the error of an r1 off the domain or the image."""
+        jac = model.moment_jacobian([model.theta_from_r1(r1)])
+        tp = contour_slope(link, (r1, model_curve_value(model, r1)))
+        return float(jac[1, 0] / jac[0, 0]) - tp
 
-    # One pass; ``slopes`` raises the error of the first point off the domain or image.
-    thetas = np.array([[model.theta_from_r1(r1)] for r1 in grid.tolist()])
-    image_lo, image_hi = model.r1_image()
-    bad = ~model.in_domain(thetas) | ~((image_lo < grid) & (grid < image_hi))
-    if bad.any():
-        slopes(grid[bad.argmax()])
-    jac = model.jacobian_grid(thetas)
-    rp = jac[:, 1, 0] / jac[:, 0, 0]
-    tp = contour_slope(link, np.column_stack([grid, model.moments_grid(thetas)[:, 1]]))
-    diffs = rp - tp
-    cases = [_point_case(a, b) for a, b in zip(rp.tolist(), tp.tolist())]
-
-    boundaries = grid[diffs == 0.0].tolist()
-    for k in np.flatnonzero(diffs[:-1] * diffs[1:] < 0).tolist():
-        boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
-    boundaries.sort()
-
-    distinct = {c for c in cases if c != "boundary"}
-    if len(distinct) == 1 and not boundaries:
-        case = distinct.pop()
-    else:
-        case = "mixed"
-    return CaseClassification(
-        case=case,
-        interval=(lo, hi),
-        n_grid=n_grid,
-        boundaries=boundaries,
-        diff_min=float(diffs.min()),
-        diff_max=float(diffs.max()),
-        per_point_cases=cases,
-    )
+    diffs = [slope_gap(lo), slope_gap(hi)]
+    a, b, c = model.a, model.b, model.c
+    root = -a * b / (2.0 * (c - a * a)) if c != a * a else math.inf
+    boundaries = [root] if lo <= root <= hi else []
+    case = "mixed" if boundaries else ("b" if sum(diffs) > 0.0 else "a")
+    return CaseClassification(case=case, interval=(lo, hi), boundaries=boundaries,
+                              diff_min=min(diffs), diff_max=max(diffs))
 
 
 def predict_best_weight(case: str) -> str:

@@ -204,7 +204,7 @@ def _suite_agreement():
         lo, hi = min(r1), max(r1)
         if hi - lo < 1e-9:
             hi = lo + 1e-6
-        cls = theory.classify_2d_case(spec.model, spec.link, (lo, hi), n_grid=101)
+        cls = theory.classify_2d_case(spec.model, spec.link, (lo, hi))
         ok = cls.case != "mixed" and curve.best is not None and (
             theory.predict_best_weight(cls.case) == curve.best.kind
         )

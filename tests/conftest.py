@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from elicit import analytic_moments, make_model
+from elicit import analytic_moments, make_model, optimize
 from elicit.config import resolve
 from elicit.sweep import run_sweep
 from elicit.verify import analytic_variance_spec as make_variance_spec
@@ -11,6 +11,29 @@ from elicit.verify import analytic_variance_spec as make_variance_spec
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG_DIR = REPO_ROOT / "configs" / "sweeps"
 DIAGNOSTIC_CONFIG_DIR = REPO_ROOT / "configs" / "diagnostics"
+
+
+@pytest.fixture(autouse=True)
+def no_iterative_one_parameter_solve():
+    """Fail any test in which a 1-parameter problem reaches the iterative solver.
+
+    Every 1-parameter problem has a closed-form answer.  The guard raises
+    inside the solve and also fails the test afterwards, in case a caller
+    caught the error.
+    """
+    seen = []
+    run_solver = optimize._run_solver
+
+    def guarded(fun, z0, free, config):
+        if z0.shape[1] == 1:
+            seen.append(len(z0))
+            raise AssertionError("a 1-parameter problem reached the iterative solver")
+        return run_solver(fun, z0, free, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_run_solver", guarded)
+        yield
+    assert not seen, f"1-parameter batches of {seen} lanes reached the iterative solver"
 
 
 @pytest.fixture(scope="session")

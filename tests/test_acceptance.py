@@ -44,7 +44,7 @@ def test_criterion_01_closed_form_sweep_endpoints():
     gamma_zero = curve.points[0].gamma
     gamma_inf = curve.points[-1].gamma
     root = (-1.0 + math.sqrt(61.0)) / 2.0
-    case = classify_2d_case(spec.model, spec.link, (3.0, root), n_grid=101).case
+    case = classify_2d_case(spec.model, spec.link, (3.0, root)).case
     ok = (
         abs(gamma_zero - root) < 1e-6
         and abs(gamma_inf - 3.0) < 1e-6

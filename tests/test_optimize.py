@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 from scipy.optimize import brentq as scipy_brentq
 
 from elicit import analytic_moments, make_model, minimize, optimize
@@ -32,11 +32,11 @@ from elicit.optimize import (
     meshgrid_oracle,
     moment_match_init,
 )
-from elicit.links import make_link
 from elicit.sweep import run_sweep
-from elicit.theory import CONTAINMENT_SLACK, classify_2d_case
+from elicit.theory import CONTAINMENT_SLACK
 
 POISSON = make_model("poisson")
+OPEN_END = math.exp(-700.0)  # theta returned for an optimum at the open end theta -> 0
 SWEEP_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "sweeps"
 
 
@@ -206,32 +206,34 @@ class TestLevenbergMarquardt:
         assert sol.loss <= reference.loss + 1e-9 * (1.0 + abs(reference.loss))
 
     def test_undefined_region_ends_in_no_descent(self):
-        # rho = z - 3 is undefined beyond z = 1.5: the solver walks to the
-        # edge and stops there.
+        # rho = z_1 - 3 is undefined beyond z_1 = 1.5: the solver walks to the
+        # edge and stops there.  z_2 moves nothing.
         def fun(z, lanes, jac=False):
-            return z - 3.0, np.ones((len(z), 1, 1)), z[:, 0] <= 1.5
+            J = np.broadcast_to([[[1.0, 0.0]]], (len(z), 1, 2))
+            return z[:, :1] - 3.0, J, z[:, 0] <= 1.5
 
         z, f, _, termination, _ = optimize._levenberg_marquardt(
-            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.zeros((1, 1)),
+            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.zeros((1, 2)),
             1000, 1e-12, 1e-10)
         assert termination[0] == "no_descent"
-        assert 1.5 - 1e-6 < z[0, 0] <= 1.5
+        assert 1.5 - 1e-6 < z[0, 0] <= 1.5 and z[0, 1] == 0.0
         assert f[0] == (z[0, 0] - 3.0) ** 2
 
     def test_damping_follows_the_curvature_from_far_starts(self):
         # rho_1 = exp(z) - 2: from z0 a Gauss-Newton step lowers z by about 1
         # while J^T J falls by e^2, so 20 more units of start distance cost
         # about 20 more steps.  A damping fixed in absolute units lags behind
-        # J^T J and took 68 more.  Both starts run as lanes of one batch.
+        # J^T J and took 68 more.  Both starts run as lanes of one batch, and
+        # z_2 moves nothing.
         def fun(z, lanes, jac=False):
             e = np.exp(z[:, 0])
             rho = np.column_stack([e - 2.0, 0.5 * (z[:, 0] - 1.0)])
             J = np.stack([e, np.full_like(e, 0.5)], axis=1)[:, :, None]
-            return rho, J, np.ones(len(z), dtype=bool)
+            return rho, np.concatenate([J, np.zeros_like(J)], axis=2), np.ones(len(z), dtype=bool)
 
         z, _, iters, termination, _ = optimize._levenberg_marquardt(
-            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.array([[10.0], [30.0]]),
-            1000, 1e-12, 1e-10)
+            lambda z, lanes: optimize._lm_point(fun, z, lanes),
+            np.array([[10.0, 0.0], [30.0, 0.0]]), 1000, 1e-12, 1e-10)
         assert list(termination) == ["converged", "converged"]
         assert z[:, 0] == pytest.approx([0.7107536660] * 2, abs=1e-9)
         assert iters[1] - iters[0] <= 25
@@ -501,44 +503,6 @@ class TestEliminatedLanes:
         assert (np.abs(J[:, :, f] - fd) <= 1e-6 * scale).all()
 
 
-class TestReparameterization:
-    def test_expit_matches_scipy_bit_for_bit(self):
-        rng = np.random.default_rng(11)
-        clip = optimize._LOGIT_CLIP
-        x = np.concatenate([rng.uniform(-clip, clip, 300_000), rng.normal(0.0, 1.0, 100_000),
-                            [clip, -clip, np.nextafter(clip, 0.0), np.nextafter(-clip, 0.0),
-                             0.0, -0.0, 1e-300, -1e-300]])
-        assert np.array_equal(optimize._expit(x).view(np.int64),
-                              special.expit(x).view(np.int64))
-
-    def test_logit_matches_scipy_bit_for_bit(self):
-        # Both branches, their edges at 0.3 and 0.65 with the neighbours, the
-        # images of +-_LOGIT_CLIP, and p down to 1e-300.
-        rng = np.random.default_rng(12)
-        clip = optimize._LOGIT_CLIP
-        edges = [0.3, 0.65, 0.5, 1e-300, 5e-324,
-                 float(special.expit(clip)), float(special.expit(-clip))]
-        edges += [float(np.nextafter(p, to)) for p in (0.3, 0.65) for to in (0.0, 1.0)]
-        p = np.concatenate([rng.random(200_000), rng.uniform(0.25, 0.7, 100_000),
-                            np.exp(-rng.uniform(0.0, 690.0, 50_000)),
-                            -np.expm1(-rng.uniform(0.0, clip, 50_000)), edges])
-        assert np.array_equal(optimize._logit(p).view(np.int64), special.logit(p).view(np.int64))
-
-    def test_z_maps_on_an_interval_match_the_scipy_forms(self):
-        # binomial_fixed_trials is the one model with an interval domain.
-        domain = make_model("binomial_fixed_trials", (10.0,)).domain
-        (lo, hi), = domain
-        rng = np.random.default_rng(13)
-        theta = rng.uniform(1e-6, 1.0 - 1e-6, (500, 1))
-        z = np.concatenate([rng.uniform(-40.0, 40.0, (500, 1)), optimize._to_z(theta, domain)])
-        want_z = special.logit((theta - lo) / (hi - lo))
-        s = special.expit(np.minimum(np.maximum(z, -optimize._LOGIT_CLIP), optimize._LOGIT_CLIP))
-        got_theta, got_dtheta = optimize._from_z(z, domain)
-        assert np.array_equal(optimize._to_z(theta, domain), want_z)
-        assert np.array_equal(got_theta, lo + (hi - lo) * s)
-        assert np.array_equal(got_dtheta, (hi - lo) * s * (1.0 - s))
-
-
 class TestTelemetry:
     @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal"])
     def test_start_index_names_the_start_used(self, shipped_sweeps, name):
@@ -682,46 +646,45 @@ class TestExactMinimum:
             slope, scale = loss_slope(model, w, em, kinds, theta)
             assert abs(slope) <= 8.0 * np.finfo(float).eps * scale
         else:
-            # Left to the iterative solve only when the optimum is at an end of the domain.
-            ends = [x for x in model.domain[0] if x is not None]
-            assert min(abs(theta - x) for x in ends) <= 1e-6
+            assert sol.termination == "boundary" and theta in optimize._ends(model)
 
-    @pytest.mark.parametrize("name, fixed, m_hat, end", [
-        # B(1, theta) has r = (theta, theta), so F' is linear, with its root at
-        # the mean 1.15 of m_hat, beyond theta = 1.
-        ("binomial_fixed_trials", (1.0,), [1.2, 1.1], 1.0),
+    @pytest.mark.parametrize("name, fixed, m_hat, c, end", [
         # F has a local minimum at theta = 1.80, where F = 544.4, but falls to
-        # 541 as theta -> 0.
-        ("poisson", (), [-21.0, 10.0], 0.0),
+        # 541 as theta -> 0; with c_2 = 0 the target m_hat_1 < 0 is off the image.
+        ("poisson", (), [-21.0, 10.0], [1.0, 1.0], OPEN_END),
+        ("poisson", (), [-21.0, 10.0], [1.0, 0.0], OPEN_END),
+        ("exponential", (), [-1.0, -5.0], [1.0, 1.0], OPEN_END),
+        ("exponential", (), [-1.0, -5.0], [1.0, 0.0], OPEN_END),
+        # B(1, theta) has r = (theta, theta), so F' is linear, with its root at
+        # the mean 1.15 of m_hat, beyond the closed end theta = 1.
+        ("binomial_fixed_trials", (1.0,), [1.2, 1.1], [1.0, 1.0], 1.0),
     ])
-    def test_boundary_optimum_falls_back_to_levenberg_marquardt(self, monkeypatch, name, fixed,
-                                                                 m_hat, end):
+    def test_boundary_optimum_is_the_end(self, name, fixed, m_hat, c, end):
+        # An open end is returned as e^-700, where the log map's clip stops an
+        # iterate, and a closed end as itself.
         model = make_model(name, fixed)
         em = EmpiricalMoments(np.array(m_hat), np.zeros(2), 0)
-        lanes = []
-        solve = optimize._levenberg_marquardt
-
-        def counted(point, z0, *args):
-            lanes.append(len(z0))
-            return solve(point, z0, *args)
-
-        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
-        cfg = OptimizerConfig(max_iters=1000)
-        sol = minimize(model, WeightVector.of([1.0, 1.0]), em, config=cfg)
-        assert lanes == [cfg.multistart + 1]
-        assert sol.termination != "exact_minimum" and sol.start_index is not None
-        assert sol.theta_star[0] == pytest.approx(end, abs=1e-6)
-        lo, hi = model.domain[0]
-        assert lo < sol.theta_star[0] < (math.inf if hi is None else hi)  # strictly inside
-        at_end = float(((model.moments_grid([[end]])[0] - em.m_hat) ** 2).sum())
-        assert sol.loss <= at_end + 1e-12 * at_end
+        w = WeightVector.of(c)
+        seconds = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            sol = minimize(model, w, em)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) <= 1e-3
+        assert (sol.termination, sol.converged, sol.n_iters, sol.start_index) == (
+            "boundary", True, 0, None)
+        assert sol.theta_star[0] == end and model.in_domain(sol.theta_star[None])[0]
+        at_end = float((np.asarray(c) * (model.moments([end]) - em.m_hat) ** 2).sum())
+        assert abs(sol.loss - at_end) <= 1e-12 * at_end
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_cubic_beyond_float64_falls_back(self):
-        # c_2 = 2.2e-313 makes the monic cubic's coefficients overflow.
+    def test_cubic_beyond_float64_takes_the_single_moment_fit(self):
+        # c_2 = 2.2e-313 makes the monic cubic's coefficients overflow; the
+        # interior optimum theta = 1 is the fit of m_hat_1, not an end.
         em = analytic_moments(POISSON, [1.0])
         sol = minimize(POISSON, WeightVector.of([1.0, 2.22507386e-313]), em)
-        assert sol.termination == "converged" and sol.loss == 0.0
+        assert sol.termination == "exact_minimum" and sol.loss == 0.0
+        assert sol.theta_star[0] == 1.0
 
     def test_no_solver_setting_moves_it(self, poisson_em_3_15):
         w = WeightVector.of([1.0, 1.0])
@@ -1015,17 +978,6 @@ class TestBrentq:
         ems = [analytic_moments(model, [1.0, b]) for b in (4.0, 6.0, 25.0)]
         calls = self.recorded_calls(monkeypatch, optimize, lambda: [
             moment_match_init(model, em) for em in ems])
-        for f, xa, xb, tols in calls:
-            self.assert_same_steps(f, xa, xb, **tols)
-
-    def test_slope_crossing_site(self, monkeypatch):
-        from elicit import theory
-
-        model = make_model("binomial_fixed_trials", (10.0,))
-        # The crossing at r1 = 5 lies between grid points on both intervals.
-        calls = self.recorded_calls(monkeypatch, theory, lambda: [
-            classify_2d_case(model, make_link("variance"), (0.5, 9.0)),
-            classify_2d_case(model, make_link("variance"), (0.3, 9.2), n_grid=40)])
         for f, xa, xb, tols in calls:
             self.assert_same_steps(f, xa, xb, **tols)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import make_link, make_model
-from elicit import theory
 from elicit.distmodels import model_curve_value
 from elicit.errors import DomainError, MixedCase, OutOfImage, TooFewPoints
 from elicit.links import contour_slope
@@ -124,7 +123,13 @@ class TestClassification:
 
 
 def classify_reference(model, link, r1_interval, n_grid):
-    """The point-by-point walk: (per-point cases, min and max of R' - T', boundaries)."""
+    """The point-by-point walk over an r1 grid: (case, min and max of R' - T', boundaries).
+
+    A point is case c where R' and T' have opposite signs, a where R' < T'
+    and b where R' > T'; one case at every point and no boundary is the
+    interval's case, anything else is mixed.  Boundaries are the grid points
+    where R' = T' and the brentq roots between grid points of opposite sign.
+    """
     grid = np.linspace(float(r1_interval[0]), float(r1_interval[1]), n_grid)
 
     def slopes(r1):
@@ -141,58 +146,89 @@ def classify_reference(model, link, r1_interval, n_grid):
     for k in range(len(grid) - 1):
         if diffs[k] * diffs[k + 1] < 0:
             boundaries.append(brentq(slope_gap, grid[k], grid[k + 1]))
-    return ([theory._point_case(rp, tp) for rp, tp in pairs], float(diffs.min()),
-            float(diffs.max()), sorted(boundaries))
+    cases = {"c" if rp * tp < 0 else ("a" if rp < tp else "b") for rp, tp in pairs if rp != tp}
+    case = cases.pop() if len(cases) == 1 and not boundaries else "mixed"
+    return case, float(diffs.min()), float(diffs.max()), sorted(boundaries)
 
 
-class TestOnePassClassification:
-    """classify_2d_case over the whole grid at once equals the point-by-point walk."""
-
-    @staticmethod
-    def assert_matches_reference(model, interval, n_grid):
-        res = classify_2d_case(model, VAR, interval, n_grid=n_grid)
-        cases, diff_min, diff_max, boundaries = classify_reference(model, VAR, interval, n_grid)
-        assert res.per_point_cases == cases
-        assert float(res.diff_min).hex() == diff_min.hex()
-        assert float(res.diff_max).hex() == diff_max.hex()
-        assert [float(b).hex() for b in res.boundaries] == [b.hex() for b in boundaries]
-        return res
+class TestClosedFormClassification:
+    """classify_2d_case from the interval's ends and the linear root equals the grid walk."""
 
     def test_shipped_variance_intervals(self, shipped_sweeps):
+        # The slope gap is linear, so the walk's extremes are at the ends, bit for bit.
         names = [name for name in shipped_sweeps if name.startswith("var-")]
         assert len(names) == 6
         for name in names:
             exp, curve = shipped_sweeps[name]
             r1 = [p.solution.r_star[0] for p in curve.converged_points()]
-            self.assert_matches_reference(exp.model, (min(r1), max(r1)), 101)
+            res = classify_2d_case(exp.model, VAR, (min(r1), max(r1)))
+            case, diff_min, diff_max, boundaries = classify_reference(
+                exp.model, VAR, (min(r1), max(r1)), 101)
+            assert (res.case, res.boundaries) == (case, boundaries) == (case, []), name
+            assert float(res.diff_min).hex() == diff_min.hex(), name
+            assert float(res.diff_max).hex() == diff_max.hex(), name
 
-    @pytest.mark.parametrize("n_grid", [1, 2, 40, 101, 201])
-    def test_binomial_mixed_case(self, n_grid):
+    @pytest.mark.parametrize("interval", [(0.5, 9.5), (0.3, 9.2), (4.0, 5.5), (5.0, 9.0)])
+    def test_binomial_mixed_case(self, interval):
         # Opposite directions below and above r1 = 5 = K / 2.
-        res = self.assert_matches_reference(make_model("binomial_fixed_trials", (10.0,)),
-                                            (0.5, 9.5), n_grid)
-        assert res.case == ("mixed" if n_grid > 1 else "b")
+        model = make_model("binomial_fixed_trials", (10.0,))
+        res = classify_2d_case(model, VAR, interval)
+        case, diff_min, diff_max, boundaries = classify_reference(model, VAR, interval, 201)
+        assert res.case == case == "mixed"
+        assert res.boundaries == [5.0] and boundaries == [pytest.approx(5.0, abs=2e-12)]
+        assert (res.diff_min, res.diff_max) == pytest.approx((diff_min, diff_max), rel=1e-12)
 
     @pytest.mark.parametrize("name,fixed,interval,error", [
         ("poisson", (), (-1.0, 5.0), DomainError),
         ("binomial_fixed_trials", (10.0,), (0.5, 12.0), DomainError),
         ("binomial_fixed_trials", (10.0,), (5.0, 10.0), OutOfImage),
     ])
-    def test_first_failing_point_raises_the_walks_error(self, name, fixed, interval, error):
+    def test_an_end_off_the_image_raises_the_walks_error(self, name, fixed, interval, error):
+        # The image is an interval, so checking its two ends checks every point.
         model = make_model(name, fixed)
         with pytest.raises(error) as walked:
-            classify_reference(model, VAR, interval, 11)
+            classify_reference(model, VAR, interval, 2)
         with pytest.raises(error, match=re.escape(str(walked.value))):
-            classify_2d_case(model, VAR, interval, n_grid=11)
-
-    @pytest.mark.parametrize("n_grid", [0, -3])
-    def test_empty_grid_rejected(self, n_grid):
-        with pytest.raises(DomainError, match="at least one point"):
-            classify_2d_case(make_model("poisson"), VAR, (0.5, 20.0), n_grid=n_grid)
+            classify_2d_case(model, VAR, interval)
 
     def test_three_moment_link_rejected(self):
         with pytest.raises(DomainError, match="two-moment link"):
             classify_2d_case(make_model("poisson"), make_link("skewness"), (0.5, 20.0))
+
+
+class TestSlopeGapTheorems:
+    """Under the variance link R' - T' = b/a + 2 r1 (c/a^2 - 1) on every 1-parameter model."""
+
+    @pytest.mark.parametrize("K", [1.0, 2.0, 10.0, 1000.0])
+    def test_binomial_flips_direction_at_one_half(self, K):
+        # b/a = 1 and c/a^2 - 1 = -1/K: R' - T' = 1 - 2 r1 / K, zero at theta = 1/2.
+        model = make_model("binomial_fixed_trials", (K,))
+        for theta0 in (0.02, 0.1, 0.3, 0.45, 0.499):
+            assert classify_2d_case(model, VAR, (0.01 * K, theta0 * K)).case == "b"
+            assert classify_2d_case(model, VAR, ((1.0 - theta0) * K, 0.99 * K)).case == "a"
+            res = classify_2d_case(model, VAR, (theta0 * K, (1.0 - theta0) * K))
+            assert res.case == "mixed" and len(res.boundaries) == 1
+            assert abs(res.boundaries[0] - K / 2) <= 4 * np.spacing(K / 2)
+
+    @pytest.mark.parametrize("name,fixed", [
+        ("poisson", ()), ("chisq", ()), ("exponential", ()),
+        ("gamma_fixed_shape", (0.5,)), ("gamma_fixed_shape", (2.0,)),
+        ("gamma_fixed_shape", (50.0,)), ("binomial_fixed_trials", (10.0,)),
+    ])
+    def test_no_case_c_under_the_variance_link(self, name, fixed):
+        # R' = (b + 2 c theta) / a > 0 and T' = 2 r1 > 0 on the whole image,
+        # so the slopes never have opposite signs; off the binomial, no boundary.
+        model = make_model(name, fixed)
+        hi = min(model.r1_image()[1], 1e6)
+        r1 = np.geomspace(1e-6 * hi, hi * (1.0 - 1e-6), 60)
+        for x in r1:
+            jac = model.moment_jacobian([model.theta_from_r1(x)])
+            assert jac[1, 0] / jac[0, 0] > 0.0
+            assert contour_slope(VAR, (x, model_curve_value(model, x))) > 0.0
+        if name != "binomial_fixed_trials":
+            for lo, hi in zip(r1[:-1], r1[1:]):
+                res = classify_2d_case(model, VAR, (lo, hi))
+                assert res.case == "b" and res.boundaries == [] and res.diff_min > 0.0
 
 
 class _NonMonotoneSurface:
