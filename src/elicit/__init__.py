@@ -11,7 +11,6 @@ from .distmodels import (
     ParametricModel,
     SamplingTemplate,
     make_model,
-    model_curve_value,
     sample,
 )
 from .links import LinkFunction, contour_slope, contour_value, link_gradient, link_value, make_link
@@ -50,7 +49,6 @@ __all__ = [
     "ParametricModel",
     "SamplingTemplate",
     "make_model",
-    "model_curve_value",
     "sample",
     "LinkFunction",
     "make_link",

@@ -140,10 +140,11 @@ def cmd_run(config_path):
     cfg = load_config(config_path)
     exp = resolve(cfg)
     curve = run_sweep(exp.spec)
-
-    _atomic_write(exp.output / "curve.csv", _curve_csv(curve))
-    _atomic_write(exp.output / "manifest.json", _dump_json(exp.resolved))
-    _atomic_write(exp.output / "report.json", _dump_json(_report(exp, curve)))
+    # Every text is built before the first write, so a failing report writes no file.
+    texts = {"curve.csv": _curve_csv(curve), "manifest.json": _dump_json(exp.resolved),
+             "report.json": _dump_json(_report(exp, curve))}
+    for name, text in texts.items():
+        _atomic_write(exp.output / name, text)
     click.echo(f"wrote {exp.output}/curve.csv ({len(curve.points)} points)")
     if not curve.usable:
         click.echo(

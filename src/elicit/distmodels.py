@@ -41,9 +41,6 @@ from .errors import DomainError, OutOfImage
 PRNG_ALGORITHM = "Philox4x64 (numpy.random.Philox)"
 PRNG_SUBSTREAM = "key = (seed << 64) | blake2b-64(template name)"
 
-# Margin (relative) used when clamping a value into an open interval.
-DOMAIN_MARGIN = 1e-9
-
 # Log-logistic moments of order k exist only for shape b > k; we keep a
 # safety margin above b = M so 1/sin(k*pi/b) stays well-conditioned.
 LOGLOGISTIC_SHAPE_FLOOR = 3.5
@@ -241,11 +238,6 @@ class QuadraticModel(ParametricModel):
     def _raw_jacobian(self, cols):
         (t,) = cols
         return [[self.a], [self.b + 2.0 * self.c * t]]
-
-    def r1_image(self) -> tuple[float, float]:
-        """Open-interval image of the first moment."""
-        hi = self.domain[0][1]
-        return (0.0, math.inf if hi is None else self.a * hi)
 
     def theta_from_r1(self, r1: float) -> float:
         """Closed-form inverse of the first moment."""
@@ -449,29 +441,6 @@ def make_model(name: str, fixed_params=()) -> ParametricModel:
     if name not in _MODELS:
         raise DomainError(f"unknown model name {name!r}; expected one of {MODEL_NAMES}")
     return _MODELS[name](tuple(fixed_params))
-
-
-def model_curve_value(model: ParametricModel, r1: float) -> float:
-    """R(r1) = r2(theta) at the theta with r1(theta) = r1 (1-parameter models)."""
-    if model.theta_dim != 1:
-        raise DomainError(f"{model.name}: model_curve_value needs a 1-parameter model")
-    lo, hi = model.r1_image()
-    if not lo < r1 < hi:
-        raise OutOfImage(f"{model.name}: r1 = {r1} outside image ({lo}, {hi})")
-    theta = model.theta_from_r1(r1)
-    return float(model.moments([theta])[1])
-
-
-def clamp_to_image(model: ParametricModel, r1: float) -> tuple[float, bool]:
-    """Clamp r1 into the open image of the first moment; flags whether clamped."""
-    lo, hi = model.r1_image()
-    span = (hi - lo) if math.isfinite(hi - lo) else max(1.0, abs(lo))
-    margin = DOMAIN_MARGIN * max(1.0, span if math.isfinite(span) else 1.0)
-    if r1 <= lo:
-        return lo + margin, True
-    if r1 >= hi:
-        return hi - margin, True
-    return float(r1), False
 
 
 # ---------------------------------------------------------------------------

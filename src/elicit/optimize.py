@@ -45,20 +45,19 @@ evaluates.
 
 Every one-parameter model is quadratic, r(theta) = (a theta, b theta +
 c theta^2), so r_i(theta) = t has a closed-form root for either moment:
-t / a, or 2 t / (b + sqrt(b^2 + 4 c t)).  A one-parameter model with exactly
-one active finite-weight sub-loss i is an exact fit: its minimizer is that
-root at t = m_hat_i whenever m_hat_i lies strictly inside the model's image,
-and otherwise the end of the domain on the side of m_hat_i.  With both
-sub-losses active the loss is a piecewise quartic in theta, and its least
-interior stationary point is found in closed form for every such problem
-at once (``_least_stationary_points``); where an end of the domain scores
-lower, that end is the answer.  An end is returned as itself when the
-domain is closed there, and as lo + e^-700 at an open lower bound lo.
+t / a, or 2 t / (b + sqrt(b^2 + 4 c t)).  A one-parameter problem is
+pinned to moment i when c_i is infinite or sub-loss i is its only active
+term; r_i increases in theta, so its answer is that root at t = m_hat_i
+clipped to the ends of the domain.  With both sub-losses active the loss is
+a piecewise quartic in theta, and its least interior stationary point is
+found in closed form for every such problem at once
+(``_least_stationary_points``); where an end of the domain scores lower,
+that end is the answer.  An end is returned as itself when the domain is
+closed there, and as lo + e^-700 at an open lower bound lo.
 
 An infinite weight on coordinate i is never summed into the objective; it
-becomes the hard constraint r_i(theta) = m_hat_i.  A 1-parameter model
-takes the same closed-form root, clamped to just inside the model's image
-when m_hat_i lies outside it.  A 2-parameter model eliminates one
+becomes the hard constraint r_i(theta) = m_hat_i, on a 1-parameter model
+the pinned root above.  A 2-parameter model eliminates one
 coordinate through the constraint in closed form and minimizes the remaining
 residuals over the other; its starts are lanes of the same batch as the
 finite-weight problems.  Such a lane keeps 0 in the z of the eliminated
@@ -79,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmodels import ParametricModel, clamp_to_image
+from .distmodels import ParametricModel
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
     EmpiricalMoments,
@@ -141,24 +140,27 @@ class Solution:
     ``termination`` says why the solve stopped: ``converged`` (the solver's
     stopping rule held), ``max_iters``, ``no_descent`` (no step was left
     where the loss is defined, or gradient descent's line search found no
-    descent), ``exact_fit`` (one active sub-loss on a
-    1-parameter model) or ``constraint`` (an infinite weight on a
-    1-parameter model), the two solved by the closed-form root of the
-    constrained moment, ``exact_minimum`` (both sub-losses active on a
-    1-parameter model, an interior optimum): the least root of the loss's
-    cubic derivative, or ``boundary``: a 1-parameter model whose loss is
-    least at an end of the domain.  These four take no iterations and are
-    converged; a ``boundary`` loss is the infimum over the domain's closure.
-    ``converged`` is False after ``max_iters``, when no start reached a point
-    with a finite loss, and when a 2-parameter constrained solve ends off
-    its constraint.
+    descent), ``exact_fit`` (one active sub-loss on a 1-parameter model) or
+    ``constraint`` (an infinite weight on a 1-parameter model), the two
+    solved by the root of the pinned moment clipped to the domain's ends,
+    ``exact_minimum`` (both sub-losses active on a 1-parameter model, an
+    interior optimum): the least root of the loss's cubic derivative, or
+    ``boundary``: a 1-parameter model whose loss is least at an end of the
+    domain, which is also where an exact fit's clipped root lands.  These
+    four take no iterations and are converged; a ``boundary`` loss is the
+    infimum over the domain's closure.  ``converged`` is False after
+    ``max_iters``, when no start reached a point with a finite loss, and
+    when a 2-parameter constrained solve ends off its constraint.
+
+    ``clamped`` marks a ``constraint`` whose root of r_i = m_hat_i was
+    clipped to an end of the domain, so that r_i misses m_hat_i.
 
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
     problem's starts; ``exact_minimum`` and ``boundary`` score each
-    candidate root and end of the domain once.  ``start_index`` is the
-    winning start's place in the start list: 0 for the configured init,
-    1..multistart for the random offsets; None when no start was used (a
-    closed form or the meshgrid).
+    candidate root and end of the domain once, and a pinned root once.
+    ``start_index`` is the winning start's place in the start list: 0 for
+    the configured init, 1..multistart for the random offsets; None when no
+    start was used (a closed form or the meshgrid).
     """
 
     theta_star: np.ndarray
@@ -533,15 +535,14 @@ def _run_solver(fun, z0, free, config):
 def moment_match_init(model: ParametricModel, em: EmpiricalMoments) -> np.ndarray:
     """An interior start matching the low-order sample moments where it can.
 
-    One-parameter families invert the first moment (clamped into its image).
+    One-parameter families invert the first moment; only ``default_box`` reads that.
     The log-normal map is inverted in closed form; gamma2/beta2/loglogistic
     solve the first two moment equations, falling back to the domain center
     when the sample moments are infeasible for the family.
     """
     m = em.m_hat
     if model.theta_dim == 1:
-        r1, _ = clamp_to_image(model, float(m[0]))
-        return interior_start(model, [model.theta_from_r1(r1)])
+        return interior_start(model, [model.theta_from_r1(m[0])])
 
     name = model.name
     try:
@@ -610,11 +611,6 @@ def _starts(x0, domain, config):
 # ---------------------------------------------------------------------------
 # minimize
 # ---------------------------------------------------------------------------
-
-
-def _active_weights(weights: WeightVector) -> list[float]:
-    """Effective weights with every inactive term (zero or infinite weight) set to 0."""
-    return [e if 0.0 < e < math.inf else 0.0 for e in weights.effective.tolist()]
 
 
 def _loss_constant(eff, em: EmpiricalMoments) -> np.ndarray:
@@ -733,27 +729,6 @@ def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0
     )
 
 
-def _solve_constrained_1p(model, i, target):
-    """theta with r_i(theta) = target for a 1-parameter model, clamping to the image.
-
-    Both moments invert in closed form.  The r_2 root is kept in [t_lo, t_hi]:
-    t_lo at r_1 = 1e-9, pulled inside the domain, and for a bounded image
-    (the binomial's) t_hi at r_1 = K (1 - 1e-9).  A target that r_2 does not
-    reach strictly inside those ends is clamped to the nearer one.
-    """
-    if i == 0:
-        r1, clamped = clamp_to_image(model, target)
-        return model.theta_from_r1(r1), clamped
-    t_lo = interior_start(model, [model.theta_from_r1(1e-9)])[0]
-    hi = model.r1_image()[1]
-    t_hi = model.theta_from_r1(hi - 1e-9 * hi) if math.isfinite(hi) else math.inf
-    if model.moments([t_lo])[1] >= target:
-        return t_lo, True
-    if t_hi < math.inf and model.moments([t_hi])[1] <= target:
-        return t_hi, True
-    return min(max(model.theta_from_r2(target), t_lo), t_hi), False
-
-
 def _ends(model) -> list[float]:
     """The ends of a 1-parameter domain, as the thetas returned for an optimum there.
 
@@ -762,14 +737,16 @@ def _ends(model) -> list[float]:
     domain bounded above, the binomial's, is closed.
     """
     (lo, hi), = model.domain
-    ends = [lo if model.in_domain([[lo]])[0] else lo + math.exp(-_LOG_CLIP)]
+    (lo_closed, _), = model.domain_closed or ((False, False),)
+    ends = [lo if lo_closed else lo + math.exp(-_LOG_CLIP)]
     return ends if hi is None else [*ends, hi]
 
 
 def _moment_fits(model, m_hat) -> list[float]:
-    """The theta with r_i(theta) = m_hat_i for each moment, unclamped; nan where r_2 has none."""
+    """The unclipped theta with r_i(theta) = m_hat_i per moment; r_2(0) = 0, so r_2 < 0 maps to -inf."""
     m1, m2 = m_hat.tolist()
-    return [model.theta_from_r1(m1), model.theta_from_r2(m2) if m2 > 0.0 else math.nan]
+    return [model.theta_from_r1(m1),
+            model.theta_from_r2(m2) if m2 > 0.0 else -math.inf if m2 < 0.0 else 0.0]
 
 
 def _excess_1p(model, em, kinds, eff, points) -> np.ndarray:
@@ -800,35 +777,60 @@ def _least_point(model, em, kinds, eff, candidates):
     return points[rows, best], f[rows, best], best < K, points.shape[1]
 
 
-def _own_path(model, weights, em, kinds):
-    """The Solution of a 1-parameter problem with one active term, else None.
+def _active_terms(weights: WeightVector, em: EmpiricalMoments):
+    """(infinite index, effective weights, pinned moment) of one problem.
 
-    An infinite weight on r_i fixes theta by r_i(theta) = m_hat_i, clamped
-    to just inside the image.  A single active sub-loss i is an exact fit at
-    that root; r_i increases in theta, so a target outside the image leaves
-    its optimum at the end of the domain on the target's side.
+    Inactive terms (zero or infinite weight) get effective weight 0.  A
+    1-parameter problem is pinned to moment i when c_i is infinite or
+    sub-loss i is its only active term, and to None otherwise.  Raises
+    DomainError on a weight vector of the wrong length or with no active term.
     """
     if len(weights.c) != em.moment_order:
         raise DomainError("weight vector length must match the moment order")
-    fixed = weights.infinite_index
-    eff = _active_weights(weights)
+    eff = [e if 0.0 < e < math.inf else 0.0 for e in weights.effective.tolist()]
     active = [i for i, e in enumerate(eff) if e]
+    fixed = weights.infinite_index
     if fixed is None and not active:
         raise DomainError("no active sub-loss: all finite weights are zero")
-    if model.theta_dim != 1 or (fixed is None and len(active) > 1):
-        return None
-    eff = np.array([eff])
-    with np.errstate(over="ignore", invalid="ignore"):
-        if fixed is None:
-            root = _moment_fits(model, em.m_hat)[active[0]]
-            theta, f, fit, n_evals = _least_point(model, em, kinds, eff, np.array([[root]]))
-            termination, clamped = "exact_fit" if fit[0] else "boundary", False
-        else:
-            theta_c, clamped = _solve_constrained_1p(model, fixed, float(em.m_hat[fixed]))
-            theta, termination, n_evals = np.array([theta_c]), "constraint", 1
-            f = _excess_1p(model, em, kinds, eff, theta[None])[0]
-    return _solution(theta, model.moments(theta), f[0] + _loss_constant(eff, em)[0], kinds, em,
-                     termination, clamped=clamped, n_evals=n_evals)
+    return fixed, eff, active[0] if fixed is None and len(active) == 1 else fixed
+
+
+def _solve_1p(model, em, kinds, rows):
+    """(result index, Solution) for each 1-parameter row of ``minimize_many``, in closed form.
+
+    A row pinned to moment i takes the root of r_i(theta) = m_hat_i clipped to
+    ``_ends``, exact since r_i increases in theta, and is scored once.  It ends
+    ``constraint`` under an infinite weight (``clamped`` if clipped), else
+    ``exact_fit`` (``boundary`` if clipped).  The other rows take
+    ``_least_stationary_points``.  All rows share one ``moments_grid``.
+    """
+    pinned = [row for row in rows if row[3] is not None]
+    rows = pinned + [row for row in rows if row[3] is None]
+    P = len(pinned)
+    eff = np.array([row[2] for row in rows])
+    theta, excess, n_evals, outcome = np.empty(0), np.empty(0), 1, []  # (termination, clamped)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if P:
+            lo, *hi = _ends(model)
+            fits = _moment_fits(model, em.m_hat)
+            roots = [fits[row[3]] for row in pinned]
+            theta = np.array([min(max(lo, t), hi[0] if hi else math.inf) for t in roots])
+            rho, _, _, ok = _finite_objective(model, em, kinds, eff[:P])(theta[:, None], np.arange(P))
+            excess = _sq(rho, ok)
+            outcome = [("constraint", t != r) if row[1] is not None
+                       else ("boundary" if t != r else "exact_fit", False)
+                       for row, t, r in zip(pinned, theta.tolist(), roots)]
+        if P < len(rows):
+            points, f, interior, n_evals = _least_stationary_points(model, em, kinds, eff[P:])
+            theta, excess = np.concatenate([theta, points]), np.concatenate([excess, f])
+            outcome += [("exact_minimum" if x else "boundary", False) for x in interior.tolist()]
+        r_star = model.moments_grid(theta[:, None])
+        sub_losses = sub_loss_vector(kinds, r_star, em)
+    loss = excess + _loss_constant(eff, em)
+    return [(row[0], _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em, term,
+                               clamped=clamped, n_evals=1 if p < P else n_evals,
+                               sub_losses=sub_losses[p]))
+            for p, (row, (term, clamped)) in enumerate(zip(rows, outcome))]
 
 
 def _cubic_roots(p, q, r):
@@ -916,40 +918,29 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.
     ``starts``, when given, holds per weight vector None or theta starts that
     replace the configured ones of a finite-weight problem, pulled inside the domain.
-    Every 1-parameter problem is solved in closed form, those with both
-    sub-losses active all together, and ignores ``config`` and ``starts``;
-    only 2-parameter problems form the iterative batch.  Winners come from
+    Every 1-parameter problem is solved in closed form by ``_solve_1p``, all
+    of them together, and ignores ``config`` and ``starts``; only
+    2-parameter problems form the iterative batch.  Winners come from
     ``_winners``, their moments from one ``moments_grid``.
     """
-    config = config or OptimizerConfig()
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
     out: list = [None] * len(weights_list)
-    quartic, iterative = [], []
+    rows = []       # (result index, constraint index, active weights, pinned moment)
     for k, weights in enumerate(weights_list):
         try:
-            out[k] = _own_path(model, weights, em, kinds)
+            rows.append((k, *_active_terms(weights, em)))
         except ElicitError as exc:
             out[k] = exc
-        if out[k] is None:
-            (quartic if model.theta_dim == 1 else iterative).append(k)
-    if quartic:
-        eff_rows = np.array([_active_weights(weights_list[k]) for k in quartic])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            theta, excess, interior, n_evals = _least_stationary_points(model, em, kinds, eff_rows)
-            r_star = model.moments_grid(theta[:, None])
-            sub_losses = sub_loss_vector(kinds, r_star, em)
-        loss = excess + _loss_constant(eff_rows, em)
-        for p, k in enumerate(quartic):
-            out[k] = _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em,
-                               "exact_minimum" if interior[p] else "boundary",
-                               n_evals=n_evals, sub_losses=sub_losses[p])
+    if model.theta_dim == 1 and rows:
+        for k, sol in _solve_1p(model, em, kinds, rows):
+            out[k] = sol
+        return out
 
+    config = config or OptimizerConfig()
     batch = []      # (result index, constraint index, active weights, starts, (free index, build))
     base = None
-    for k in iterative:
-        weights = weights_list[k]
+    for k, i, eff, _ in rows:
         try:
-            i = weights.infinite_index
             elim = None
             if i is None and starts is not None and starts[k] is not None:
                 lanes = [interior_start(model, x) for x in starts[k]]
@@ -960,7 +951,7 @@ def minimize_many(
                     f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
                     lanes = _starts(base[0][f:f + 1], model.domain[f:f + 1], config)
                     elim = (f, build)
-            batch.append((k, i, _active_weights(weights), lanes, elim))
+            batch.append((k, i, eff, lanes, elim))
         except ElicitError as exc:
             out[k] = exc
     if not batch:

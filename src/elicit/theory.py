@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmodels import ParametricModel, model_curve_value
+from .distmodels import ParametricModel
 from .errors import DomainError, MixedCase, SliceEmpty, TooFewPoints
 from .links import LinkFunction, contour_slope
 from .sweep import SweepCurve, monotone_trend
@@ -146,9 +146,10 @@ def classify_2d_case(
         raise DomainError(f"empty interval [{lo}, {hi}]")
 
     def slope_gap(r1: float) -> float:
-        """R' - T' at r1; raises the error of an r1 off the domain or the image."""
-        jac = model.moment_jacobian([model.theta_from_r1(r1)])
-        tp = contour_slope(link, (r1, model_curve_value(model, r1)))
+        """R' - T' at r1; the model names the bound an r1 off its domain violates."""
+        theta = [model.theta_from_r1(r1)]
+        jac = model.moment_jacobian(theta)
+        tp = contour_slope(link, (r1, float(model.moments(theta)[1])))
         return float(jac[1, 0] / jac[0, 0]) - tp
 
     diffs = [slope_gap(lo), slope_gap(hi)]

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicit import optimize, verify
+from elicit import cli, optimize, verify
 from elicit.cli import _oracle_solutions, main
 from elicit.config import load_config, resolve
+from elicit.errors import ElicitError
 from elicit.optimize import minimize
 
 from conftest import DIAGNOSTIC_CONFIG_DIR, REPO_ROOT, SWEEP_CONFIG_DIR
@@ -270,6 +271,7 @@ class TestRun:
         # A normal(-1, 1) sample puts m_hat_1 below the exponential's image,
         # and from c_1 = 1.995 up the loss is least as theta -> 0.  Those 19
         # points once ran the iterative solve to max_iters, and the run exited 2.
+        # The c_1 = inf constraint r_1 = m_hat_1 < 0 lands on the same end: 20.
         cfg = json.loads((SWEEP_CONFIG_DIR / "var-exponential.json").read_text())
         cfg["template"]["params"] = [-1, 1]
         cfg["output"] = str(tmp_path / "out")
@@ -283,7 +285,41 @@ class TestRun:
         assert len(rows) == 43 and all(row["converged"] == "true" for row in rows)
         at_end = [float(row["c_value"]) for row in rows
                   if float(row["theta_1"]) == math.exp(-700.0)]
-        assert len(at_end) == 19 and min(at_end) == pytest.approx(1.995, abs=1e-3)
+        assert len(at_end) == 20 and min(at_end) == pytest.approx(1.995, abs=1e-3)
+        assert at_end[-1] == math.inf
+
+    @pytest.mark.parametrize("theta0, perturb, end, case, best", [
+        (0.9, [12.0, 0.0], 1.0, "a", "infinity"),
+        (0.1, [-2.0, 0.0], 0.0, "b", "zero"),
+    ])
+    def test_binomial_flip_sweeps_onto_a_closed_end(self, tmp_path, theta0, perturb, end, case,
+                                                    best):
+        # The paper's direction flip, B(10, theta0) on either side of 1/2, with
+        # m_hat_1 pushed past the image: the c_1 = inf constraint lands on the
+        # closed end p = 1 or p = 0, which classifies like any other point.
+        # These runs once exited 1 with curve.csv and manifest.json written.
+        binomial = {"name": "binomial_fixed_trials", "fixed_params": [10]}
+        cfg_path, out = write_config(
+            tmp_path, model=binomial, analytic={**binomial, "params": [theta0], "perturb": perturb},
+            sweep={"index": 1, "fixed_weights": [1.0, 1.0]})
+        assert main(["run", str(cfg_path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "manifest.json",
+                                                         "report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["classification_2d"]["case"] == case
+        assert report["best_weight"]["kind"] == best
+        last = (out / "curve.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "inf" and float(last[1]) == end
+
+    def test_failing_report_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        def fail(exp, curve):
+            raise ElicitError("report failed")
+
+        monkeypatch.setattr(cli, "_report", fail)
+        cfg_path, out = write_config(tmp_path)
+        assert main(["run", str(cfg_path)]) == 1
+        assert "report failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_moments_rejected_before_writing(self, tmp_path, capsys):
         # X^3 overflows for a lognormal sample with log-variance 1e4.
@@ -497,6 +533,12 @@ class TestCommittedOutputs:
         for fname in ("curve.csv", "report.json"):
             committed = (REPO_ROOT / "out" / name / fname).read_bytes()
             assert (tmp_path / name / fname).read_bytes() == committed, fname
+        # The manifest matches in every key but the output directory, in order.
+        committed, ours = (json.loads((d / name / "manifest.json").read_text())
+                           for d in (REPO_ROOT / "out", tmp_path))
+        assert committed.pop("output") == f"out/{name}"
+        assert ours.pop("output") == str(tmp_path / name)
+        assert json.dumps(ours) == json.dumps(committed)
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():

@@ -13,7 +13,6 @@ from elicit.distmodels import (
     _ndtri,
     _substream,
     _uniform_open,
-    model_curve_value,
     sample,
 )
 from elicit.errors import DomainError, OutOfImage
@@ -223,22 +222,32 @@ class TestElimination:
             make_model(name).eliminate_for_moment(1, target)
 
 
+def curve_value(model, r1):
+    """R(r1) = r_2 at the theta with r_1(theta) = r1, as ``classify_2d_case`` reads it."""
+    return model.moments([model.theta_from_r1(r1)])[1]
+
+
 class TestModelCurve:
     def test_poisson(self):
-        assert model_curve_value(make_model("poisson"), 3.0) == pytest.approx(12.0, abs=1e-12)
+        assert curve_value(make_model("poisson"), 3.0) == pytest.approx(12.0, abs=1e-12)
 
     def test_binomial(self):
         m = make_model("binomial_fixed_trials", (10.0,))
-        assert model_curve_value(m, 1.0) == pytest.approx(1.9, abs=1e-12)
+        assert curve_value(m, 1.0) == pytest.approx(1.9, abs=1e-12)
 
     def test_chisq(self):
-        assert model_curve_value(make_model("chisq"), 4.0) == pytest.approx(24.0, abs=1e-12)
+        assert curve_value(make_model("chisq"), 4.0) == pytest.approx(24.0, abs=1e-12)
 
-    def test_out_of_image(self):
-        with pytest.raises(OutOfImage):
-            model_curve_value(make_model("binomial_fixed_trials", (10.0,)), 11.0)
-        with pytest.raises(OutOfImage):
-            model_curve_value(make_model("poisson"), -0.5)
+    def test_binomial_closed_ends(self):
+        m = make_model("binomial_fixed_trials", (10.0,))
+        assert (curve_value(m, 0.0), curve_value(m, 10.0)) == (0.0, 100.0)
+
+    def test_off_the_domain(self):
+        with pytest.raises(DomainError, match=r"theta\[0\] = 1.1 violates theta\[0\] <= 1.0"):
+            curve_value(make_model("binomial_fixed_trials", (10.0,)), 11.0)
+        for r1 in (-0.5, 0.0):
+            with pytest.raises(DomainError, match=r"violates theta\[0\] > 0.0"):
+                curve_value(make_model("poisson"), r1)
 
     @pytest.mark.parametrize("name,fixed", ONE_PARAM.items())
     def test_moments_strictly_monotone_in_theta(self, name, fixed):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
@@ -72,12 +72,13 @@ class TestMinimize:
         sol = minimize(POISSON, WeightVector.of([1.0, np.inf]), poisson_em_3_15)
         assert sol.r_star[1] == pytest.approx(15.0, abs=1e-9)
 
-    def test_constraint_clamps_to_image(self):
+    def test_constraint_off_the_image_lands_on_the_end(self):
+        # m_hat_1 = 12 > K: the root p = 1.2 is clipped to the closed end p = 1.
         model = make_model("binomial_fixed_trials", (10.0,))
-        em = analytic_moments(model, [0.5], perturb=[7.0, 0.0])  # m_hat_1 = 12 > K
+        em = analytic_moments(model, [0.5], perturb=[7.0, 0.0])
         sol = minimize(model, WeightVector.of([np.inf, 1.0]), em)
-        assert sol.clamped
-        assert sol.r_star[0] < 10.0
+        assert sol.termination == "constraint" and sol.clamped and sol.converged
+        assert sol.theta_star[0] == 1.0 and sol.r_star[0] == 10.0
 
     def test_exact_fit_is_invariant_in_weights(self):
         model = make_model("poisson")
@@ -488,7 +489,7 @@ class TestEliminatedLanes:
         free = theta0[f] * np.array([0.7, 1.0, 1.5, 2.0])
         z = np.zeros((len(free), 2))
         z[:, f] = optimize._to_z(free[:, None], model.domain[f:f + 1])[:, 0]
-        eff = np.tile(optimize._active_weights(WeightVector.of(c)), (len(free), 1))
+        eff = np.tile(optimize._active_terms(WeightVector.of(c), em)[1], (len(free), 1))
         residual = optimize._finite_objective(model, em, default_kinds(3), eff)
         fun, _ = optimize._lane_objective(model, residual,
                                           [(0, len(free), f, i, build)])
@@ -709,6 +710,79 @@ class TestExactMinimum:
         assert all(p.converged and p.solution.n_iters == 0 for p in curve.points)
 
 
+# The five 1-parameter families, the binomial with K = 1 (c = 0) and K = 10.
+PINNED_FAMILIES = [("poisson", ()), ("chisq", ()), ("exponential", ()),
+                   ("gamma_fixed_shape", (2.0,)), ("binomial_fixed_trials", (1.0,)),
+                   ("binomial_fixed_trials", (10.0,))]
+PINNED_WEIGHTS = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-3, 1e3))
+
+
+def clipped_root(model, i, target):
+    """theta with r_i(theta) = target clipped to the domain's ends, and whether it was clipped."""
+    if i == 0:
+        root = target / model.a
+    elif target > 0.0:
+        root = model.theta_from_r2(target)
+    else:  # r_2(0) = 0 and r_2 rises
+        root = -math.inf if target < 0.0 else 0.0
+    lo = 0.0 if model.domain_closed else OPEN_END
+    hi = 1.0 if model.domain_closed else math.inf
+    theta = min(max(root, lo), hi)
+    return theta, theta != root
+
+
+@st.composite
+def pinned_problems(draw):
+    """A 1-parameter model, moments on its image, off it on either side, at 0 or at
+    +-1e-300, weights from {0, 1e-3..1e3, inf} and squared or asymmetric losses."""
+    name, fixed = draw(st.sampled_from(PINNED_FAMILIES))
+    model = make_model(name, fixed)
+    top = 1.0 if model.domain_closed else 1e3
+    m_hat = []
+    for i in range(2):
+        on = st.floats(1e-6, top).map(lambda t, i=i: float(model.moments([t])[i]))
+        edge = model.moments([top])[i]
+        off = st.sampled_from([0.0, 1e-300, -1e-300, -1e-7, -5.0, edge * (1.0 + 1e-9), 3.0 * edge])
+        m_hat.append(draw(st.one_of(on, off)))
+    em = EmpiricalMoments(np.array(m_hat), np.array([0.0, draw(st.sampled_from([0.0, 2.0]))]), 0)
+    kinds = draw(st.sampled_from([(SquaredLoss(), SquaredLoss()),
+                                  (AsymmetricSquaredLoss(2.0, 0.5), SquaredLoss()),
+                                  (SquaredLoss(), AsymmetricSquaredLoss(0.25, 4.0))]))
+    pair = st.tuples(PINNED_WEIGHTS, PINNED_WEIGHTS).filter(
+        lambda c: any(c) and not all(map(math.isinf, c)))
+    weights = [WeightVector.of(c) for c in draw(st.lists(pair, min_size=1, max_size=6))]
+    return model, em, kinds, weights
+
+
+class TestOneEndConvention:
+    """A pinned 1-parameter problem, c_i = inf or sub-loss i alone, is the clipped root of r_i."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pinned_problems())
+    @example((POISSON, EmpiricalMoments(np.array([1e-7, 1e-7]), np.zeros(2), 0),
+              default_kinds(2), [WeightVector.of([1.0, np.inf]), WeightVector.of([0.0, 1.0])]))
+    def test_pinned_rows_take_the_clipped_root(self, problem):
+        model, em, kinds, weights = problem
+        solutions = optimize.minimize_many(model, weights, em, kinds)
+        for w, sol in zip(weights, solutions):
+            assert_same_solution(sol, minimize(model, w, em, kinds))
+            c = w.c.tolist()
+            fixed = w.infinite_index
+            if fixed is None and all(c):
+                assert not sol.clamped
+                continue
+            i = fixed if fixed is not None else next(j for j, x in enumerate(c) if x)
+            theta, clipped = clipped_root(model, i, float(em.m_hat[i]))
+            assert sol.theta_star[0] == theta
+            assert sol.clamped == (fixed is not None and clipped)
+            if fixed is None:
+                assert sol.termination == ("boundary" if clipped else "exact_fit")
+            else:
+                assert sol.termination == "constraint"
+                alone = WeightVector.of([1.0 if j == i else 0.0 for j in range(2)])
+                assert minimize(model, alone, em, kinds).theta_star[0] == theta
+
+
 class TestMomentMatchInit:
     def test_poisson(self, poisson_em_3_15):
         assert np.allclose(moment_match_init(POISSON, poisson_em_3_15), [3.0])
@@ -892,17 +966,24 @@ QUADRATIC_FAMILIES = [
 ]
 
 
+def pinned_to_r2(model, target):
+    """The solve of r_2 = target under c = (1, inf): the pinned root of the second moment."""
+    em = EmpiricalMoments(np.array([1.0, target]), np.zeros(2), 0)
+    return minimize(model, WeightVector.of([1.0, np.inf]), em)
+
+
 class TestClosedFormInverse:
-    """The r_2 root of _solve_constrained_1p, 2 t / (b + sqrt(b^2 + 4 c t))."""
+    """The pinned r_2 root, 2 t / (b + sqrt(b^2 + 4 c t)), clipped to the domain's ends."""
 
     @pytest.mark.parametrize("name,fixed,thetas", QUADRATIC_FAMILIES)
     def test_root_reproduces_the_target(self, name, fixed, thetas):
         model = make_model(name, fixed)
         for theta in thetas:
             target = model.moments([theta])[1]
-            root, clamped = optimize._solve_constrained_1p(model, 1, target)
-            assert not clamped
-            assert abs(model.moments([root])[1] - target) <= 4 * np.spacing(target), theta
+            sol = pinned_to_r2(model, target)
+            root = sol.theta_star[0]
+            assert sol.termination == "constraint" and not sol.clamped
+            assert abs(sol.r_star[1] - target) <= 4 * np.spacing(target), theta
             b, c = model.b, model.c
             if c:
                 assert root == pytest.approx(quadratic_root(b / c, target / c), rel=1e-9)
@@ -916,25 +997,40 @@ class TestClosedFormInverse:
         # 4 c r_2 overflows above about 4.5e307 / c.
         model = make_model(name, fixed)
         for target in (1e307, 1e308, 1.7e308):
-            root, clamped = optimize._solve_constrained_1p(model, 1, target)
-            assert not clamped
-            assert abs(model.moments([root])[1] - target) <= 4 * np.spacing(target), target
+            sol = pinned_to_r2(model, target)
+            assert not sol.clamped
+            assert abs(sol.r_star[1] - target) <= 4 * np.spacing(target), target
 
     @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
-    @pytest.mark.parametrize("target", [0.0, -1.0, 1e-13])
-    def test_target_below_the_image_clamps_to_the_lower_end(self, name, fixed, _, target):
-        # The lower end is theta at r_1 = 1e-9, pulled 1e-6 inside the domain.
-        model = make_model(name, fixed)
-        assert optimize._solve_constrained_1p(model, 1, target) == (1e-6, True)
+    @pytest.mark.parametrize("target", [1e-13, 1e-300])
+    def test_tiny_targets_are_met_exactly(self, name, fixed, _, target):
+        # Their roots lie above the open end e^-700; a 1e-9 pull on r_1 once
+        # clamped them to theta = 1e-6.
+        sol = pinned_to_r2(make_model(name, fixed), target)
+        assert not sol.clamped and sol.theta_star[0] > OPEN_END
+        assert abs(sol.r_star[1] - target) <= 4 * np.spacing(target)
 
-    def test_binomial_target_at_or_above_the_top_clamps_to_the_upper_end(self):
+    @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
+    @pytest.mark.parametrize("target", [0.0, -1e-300, -1.0])
+    def test_target_below_the_image_lands_on_the_lower_end(self, name, fixed, _, target):
+        # The lower end is theta = 0 where the domain is closed (the binomial)
+        # and e^-700 where it is open.  Only r_2 = 0 at the closed end is met.
+        model = make_model(name, fixed)
+        sol = pinned_to_r2(model, target)
+        end = 0.0 if name == "binomial_fixed_trials" else OPEN_END
+        assert sol.theta_star[0] == end and sol.termination == "constraint"
+        assert sol.clamped == (target < 0.0 or end > 0.0)
+
+    def test_binomial_target_at_or_above_the_top_lands_on_the_upper_end(self):
         model = make_model("binomial_fixed_trials", (10.0,))
-        t_hi = (10.0 - 1e-8) / 10.0  # theta at r_1 = K (1 - 1e-9)
-        for target in (model.moments([t_hi])[1], model.moments([1.0])[1], 1e3):
-            assert optimize._solve_constrained_1p(model, 1, target) == (t_hi, True)
-        below = model.moments([0.99])[1]
-        root, clamped = optimize._solve_constrained_1p(model, 1, below)
-        assert not clamped and root == pytest.approx(0.99, rel=1e-15)
+        top = model.moments([1.0])[1]
+        sol = pinned_to_r2(model, top)
+        assert sol.theta_star[0] == 1.0 and sol.r_star[1] == top and not sol.clamped
+        for target in (top * (1.0 + 1e-9), 1e3):
+            sol = pinned_to_r2(model, target)
+            assert sol.theta_star[0] == 1.0 and sol.clamped
+        sol = pinned_to_r2(model, model.moments([0.99])[1])
+        assert not sol.clamped and sol.theta_star[0] == pytest.approx(0.99, rel=1e-15)
 
     @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
     def test_constraint_on_the_second_moment_uses_no_bracket(self, monkeypatch, name, fixed, _):

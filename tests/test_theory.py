@@ -1,5 +1,7 @@
+import copy
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import make_link, make_model
-from elicit.distmodels import model_curve_value
-from elicit.errors import DomainError, MixedCase, OutOfImage, TooFewPoints
+from elicit.config import resolve
+from elicit.errors import DomainError, MixedCase, TooFewPoints
 from elicit.links import contour_slope
+from elicit.sweep import run_sweep
 from elicit.optimize import brentq
 from elicit.theory import (
     check_condition_A,
@@ -22,7 +25,7 @@ from elicit.theory import (
     predict_best_weight,
 )
 
-from conftest import make_variance_spec
+from conftest import load_shipped_configs, make_variance_spec
 from test_sweep import _stub_curve
 
 VAR = make_link("variance")
@@ -133,8 +136,9 @@ def classify_reference(model, link, r1_interval, n_grid):
     grid = np.linspace(float(r1_interval[0]), float(r1_interval[1]), n_grid)
 
     def slopes(r1):
-        jac = model.moment_jacobian([model.theta_from_r1(r1)])
-        return float(jac[1, 0] / jac[0, 0]), contour_slope(link, (r1, model_curve_value(model, r1)))
+        theta = [model.theta_from_r1(r1)]
+        jac = model.moment_jacobian(theta)
+        return float(jac[1, 0] / jac[0, 0]), contour_slope(link, (r1, model.moments(theta)[1]))
 
     def slope_gap(r1):
         rp, tp = slopes(r1)
@@ -178,13 +182,24 @@ class TestClosedFormClassification:
         assert res.boundaries == [5.0] and boundaries == [pytest.approx(5.0, abs=2e-12)]
         assert (res.diff_min, res.diff_max) == pytest.approx((diff_min, diff_max), rel=1e-12)
 
+    @pytest.mark.parametrize("interval", [(5.0, 10.0), (0.0, 10.0), (0.0, 4.0), (6.0, 10.0)])
+    def test_binomial_closed_ends_are_on_the_curve(self, interval):
+        # p = 0 and p = 1 are in the binomial's domain, so r1 = 0 and r1 = K
+        # classify like any other point; the walk agrees at every grid point.
+        model = make_model("binomial_fixed_trials", (10.0,))
+        res = classify_2d_case(model, VAR, interval)
+        case, diff_min, diff_max, boundaries = classify_reference(model, VAR, interval, 201)
+        assert (res.case, res.boundaries) == (case, boundaries)
+        assert (res.diff_min, res.diff_max) == pytest.approx((diff_min, diff_max), rel=1e-12)
+
     @pytest.mark.parametrize("name,fixed,interval,error", [
         ("poisson", (), (-1.0, 5.0), DomainError),
+        ("poisson", (), (0.0, 5.0), DomainError),
         ("binomial_fixed_trials", (10.0,), (0.5, 12.0), DomainError),
-        ("binomial_fixed_trials", (10.0,), (5.0, 10.0), OutOfImage),
+        ("binomial_fixed_trials", (10.0,), (-0.5, 5.0), DomainError),
     ])
-    def test_an_end_off_the_image_raises_the_walks_error(self, name, fixed, interval, error):
-        # The image is an interval, so checking its two ends checks every point.
+    def test_an_end_off_the_domain_raises_the_walks_error(self, name, fixed, interval, error):
+        # The domain is an interval, so checking its two ends checks every point.
         model = make_model(name, fixed)
         with pytest.raises(error) as walked:
             classify_reference(model, VAR, interval, 2)
@@ -194,6 +209,44 @@ class TestClosedFormClassification:
     def test_three_moment_link_rejected(self):
         with pytest.raises(DomainError, match="two-moment link"):
             classify_2d_case(make_model("poisson"), make_link("skewness"), (0.5, 20.0))
+
+
+class TestPaperVarianceGrid:
+    """The variance half of the paper's grid: 6 var configs x index {1, 2} x base weights."""
+
+    def test_directions_and_checks(self):
+        t0 = time.perf_counter()
+        configs = [(name, cfg) for name, cfg in load_shipped_configs() if name.startswith("var-")]
+        assert len(configs) == 6
+        for name, base in configs:
+            for base_weights in ("ones", "rhat_squared"):
+                curves = {}
+                for index in (1, 2):
+                    cfg = copy.deepcopy(base)
+                    cfg["base_weights"], cfg["sweep"]["index"] = base_weights, index
+                    exp = resolve(cfg)
+                    curve = curves[index] = run_sweep(exp.spec)
+                    tag = (name, base_weights, index)
+                    # Only B(10, 0.9) sits above p = 1/2, where the slope gap flips sign.
+                    rising = (index == 1) == (name == "var-binomial-hi")
+                    assert curve.monotonicity.direction == (
+                        "increasing" if rising else "decreasing"), tag
+                    for point in curve.points:
+                        sol = point.solution
+                        assert sol.converged and sol.n_iters == 0, tag
+                        assert sol.termination in ("exact_fit", "exact_minimum", "boundary",
+                                                   "constraint"), tag
+                    assert check_condition_A(curve, exp.em.m_hat).passed, tag
+                    assert check_condition_B(curve, exp.link).passed, tag
+                    if index == 1:
+                        r1 = [p.solution.r_star[0] for p in curve.points]
+                        case = classify_2d_case(exp.model, exp.link, (min(r1), max(r1))).case
+                        assert curve.best.kind == predict_best_weight(case), tag
+                # c_1 = 0 and c_2 = inf both pin theta to r_2 = m_hat_2.
+                zero, inf = curves[1].points[0], curves[2].points[-1]
+                assert (zero.c_value, inf.c_value) == (0.0, math.inf)
+                assert zero.solution.theta_star[0].hex() == inf.solution.theta_star[0].hex()
+        assert time.perf_counter() - t0 <= 1.0
 
 
 class TestSlopeGapTheorems:
@@ -219,12 +272,13 @@ class TestSlopeGapTheorems:
         # R' = (b + 2 c theta) / a > 0 and T' = 2 r1 > 0 on the whole image,
         # so the slopes never have opposite signs; off the binomial, no boundary.
         model = make_model(name, fixed)
-        hi = min(model.r1_image()[1], 1e6)
+        hi = min(model.a * (model.domain[0][1] or math.inf), 1e6)
         r1 = np.geomspace(1e-6 * hi, hi * (1.0 - 1e-6), 60)
         for x in r1:
-            jac = model.moment_jacobian([model.theta_from_r1(x)])
+            theta = [model.theta_from_r1(x)]
+            jac = model.moment_jacobian(theta)
             assert jac[1, 0] / jac[0, 0] > 0.0
-            assert contour_slope(VAR, (x, model_curve_value(model, x))) > 0.0
+            assert contour_slope(VAR, (x, model.moments(theta)[1])) > 0.0
         if name != "binomial_fixed_trials":
             for lo, hi in zip(r1[:-1], r1[1:]):
                 res = classify_2d_case(model, VAR, (lo, hi))
