@@ -10,9 +10,30 @@ The five one-parameter families are one quadratic family, r(theta) =
 Both moments invert in closed form, and the model curve r2 = R(r1) is the
 parabola (b / a) r1 + (c / a^2) r1^2.  Against the variance contour's slope
 T'(r1) = 2 r1 that gives R' - T' = b / a + 2 (c / a^2 - 1) r1, which changes
-sign only for the binomial (c / a^2 = 1 - 1/K), at r1 = K / 2.  The
-two-parameter families each eliminate one coordinate through a moment
-constraint in closed form (``eliminate_for_moment``).
+sign only for the binomial (c / a^2 = 1 - 1/K), at r1 = K / 2.
+
+The four two-parameter families are one product form, r_k = P_k(t) h_k(phi)
+for k = 1, 2, 3, with one row per family in ``_PRODUCT``; x^[k] is the
+rising product x (x+1) ... (x+k-1):
+
+    family       theta    t    phi    P_k(t)  h_k(phi)                    free
+    lognormal    (u, v2)  e^u  v2     t^k     e^(k^2 phi / 2)             phi
+    gamma2       (a, b)   b    a      t^k     phi^[k]                     phi
+    loglogistic  (a, b)   a    b      t^k     (k pi/phi) / sin(k pi/phi)  phi
+    beta2        (a, b)   a    a + b  t^[k]   1 / phi^[k]                 t
+
+The lognormal row is evaluated in logs, r_k = exp(k u + k^2 v2 / 2), and the
+Jacobian is r_k (d log P_k / dt dt / dtheta + d log h_k / dphi dphi / dtheta).
+``eliminate_for_moment`` holds the free coordinate: the three scale families
+(P_k = t^k) set t = (m_k / h_k(phi))^(1/k), in logs u = (log m_k - k^2 v2 / 2)
+/ k; beta2 solves (a + b)^[k] - a^[k] = a^[k] (1 - m_k) / m_k, a polynomial
+of degree k in b without constant term and with one positive root, in closed
+form (for k = 3 the largest root of ``_cubic_roots``, polished by
+NEWTON_STEPS Newton steps).  ``match_moments`` fits r_1 and r_2: t cancels
+from h_2(phi) / h_1(phi)^2 = m_2 / m_1^2, which gives phi = log of the ratio
+for lognormal, 1 / (ratio - 1) for gamma2 and the root of tan(pi/phi) /
+(pi/phi) = ratio (``brentq``) for loglogistic; then t = m_1 / h_1(phi).
+beta2 matches the mean and variance in closed form.
 
 Deterministic sampling lives here too.  The repository-wide generator is
 numpy's Philox4x64 (counter-based); per-template substreams are keyed by
@@ -30,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,6 +66,7 @@ PRNG_SUBSTREAM = "key = (seed << 64) | blake2b-64(template name)"
 # Log-logistic moments of order k exist only for shape b > k; we keep a
 # safety margin above b = M so 1/sin(k*pi/b) stays well-conditioned.
 LOGLOGISTIC_SHAPE_FLOOR = 3.5
+NEWTON_STEPS = 3  # polishing steps on each closed-form root of a cubic
 
 Bound = tuple[float | None, float | None]
 
@@ -74,20 +97,12 @@ def libm(f, a) -> np.ndarray:
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _rising(a, k):
-    """The rising product a (a+1) ... (a+k-1)."""
-    out = 1.0
-    for j in range(k):
-        out = out * (a + j)
-    return out
-
-
 class ParametricModel:
     """A named moment map theta -> r(theta) with domain and Jacobian.
 
     Subclasses implement the raw (unvalidated, broadcasting) moment map and
-    Jacobian; the public methods validate the domain first.  ``theta_dim``
-    is always ``moment_order - 1``.
+    Jacobian, or the grid forms themselves; the public methods validate the
+    domain first.  ``theta_dim`` is always ``moment_order - 1``.
     """
 
     name: str = ""
@@ -172,17 +187,6 @@ class ParametricModel:
         rows = self._raw_jacobian(self._checked_cols(theta))
         return np.array([[float(x) for x in row] for row in rows])
 
-    def eliminate_for_moment(self, i: int, target: float):
-        """Solve r_i(theta) = target for one coordinate (2-parameter models).
-
-        Returns ``(free_index, build)``, or raises OutOfImage when no
-        parameter can reach the target.  ``build(x)`` maps an (n,) array of
-        the free coordinate to the (n, 2) thetas that satisfy the constraint,
-        in closed form; a row that leaves the domain is left for
-        ``in_domain`` to reject.
-        """
-        raise NotImplementedError
-
     def domain_center(self) -> np.ndarray:
         """A canonical interior point, used as an optimizer fallback start."""
         center = []
@@ -256,183 +260,245 @@ class QuadraticModel(ParametricModel):
 
 
 # ---------------------------------------------------------------------------
-# Two-parameter families (M = 3, skewness experiments)
+# Roots
 # ---------------------------------------------------------------------------
 
 
-class LogNormalModel(ParametricModel):
-    """Log-normal with theta = (u, v2): r_i = exp(i*u + i^2*v2/2)."""
+def _cubic_roots(p, q, r):
+    """Real roots of x^3 + p x^2 + q x + r, elementwise, as a trailing axis of 3.
 
-    name = "lognormal"
-    theta_dim = 2
-    moment_order = 3
-    domain = ((None, None), (0.0, None))
-    domain_closed = ((False, False), (True, False))
-
-    def _raw_moments(self, cols):
-        u, v2 = cols
-        return [np.exp(i * u + 0.5 * i * i * v2) for i in (1, 2, 3)]
-
-    def _raw_jacobian(self, cols):
-        u, v2 = cols
-        rows = []
-        for i in (1, 2, 3):
-            # np.exp overflows to inf, as in _raw_moments.
-            r = np.exp(i * u + 0.5 * i * i * v2)
-            rows.append([i * r, 0.5 * i * i * r])
-        return rows
-
-    def eliminate_for_moment(self, i, target):
-        if target <= 0:
-            raise OutOfImage(f"lognormal: moment {i + 1} is positive, target {target} unreachable")
-        k = i + 1
-        log_t = math.log(target)
-
-        def build(v2):
-            return np.column_stack([(log_t - 0.5 * k * k * v2) / k, v2])
-
-        return 1, build
+    x = t - p / 3 gives t^3 + P t + Q = 0.  Three distinct real roots come
+    from the trigonometric form; otherwise the one real root, by Cardano's
+    formula in a form without cancellation (Press et al., Numerical Recipes,
+    3rd ed., sec. 5.6), fills every place.  No root is finite where a
+    coefficient is not.
+    """
+    s = p / 3.0
+    P, Q = q - p * s, (2.0 * s * s - q) * s + r
+    m = 2.0 * np.sqrt(-P / 3.0)
+    phi = np.arccos(np.clip(3.0 * Q / (P * m), -1.0, 1.0)) / 3.0
+    three = m[..., None] * np.cos(phi[..., None] - np.array([0.0, 2.0, 4.0]) * math.pi / 3.0)
+    A = -np.sign(Q) * np.cbrt(np.abs(Q) / 2.0 + np.sqrt(Q * Q / 4.0 + P * P * P / 27.0))
+    one = A + np.where(A == 0.0, 0.0, -P / (3.0 * A))
+    real = 4.0 * P * P * P + 27.0 * Q * Q < 0.0
+    return np.where(real[..., None], three, one[..., None]) - np.asarray(s)[..., None]
 
 
-class Gamma2Model(ParametricModel):
-    """Gamma with free shape a and scale b: r_k = b^k * a*(a+1)*...*(a+k-1)."""
+def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    name = "gamma2"
-    theta_dim = 2
-    moment_order = 3
-    domain = ((0.0, None), (0.0, None))
+    The steps of scipy.optimize.brentq, so the same root to the bit.  Raises
+    ValueError on equal signs at the ends or a nan, RuntimeError after maxiter.
+    """
+    def fx(x):
+        if math.isnan(y := float(f(x))):
+            raise ValueError(f"the function value at x={x} is nan")
+        return y
 
-    def _raw_moments(self, cols):
-        a, b = cols
-        return [b**k * _rising(a, k) for k in (1, 2, 3)]
-
-    def _raw_jacobian(self, cols):
-        a, b = cols
-        rows = []
-        for k in (1, 2, 3):
-            rising = _rising(a, k)
-            d_a = b**k * rising * sum(1.0 / (a + j) for j in range(k))
-            d_b = k * b ** (k - 1) * rising
-            rows.append([d_a, d_b])
-        return rows
-
-    def eliminate_for_moment(self, i, target):
-        if target <= 0:
-            raise OutOfImage(f"gamma2: moment {i + 1} is positive, target {target} unreachable")
-        k = i + 1
-
-        def build(a):
-            return np.column_stack([a, (target / _rising(a, k)) ** (1.0 / k)])
-
-        return 0, build
-
-
-class Beta2Model(ParametricModel):
-    """Beta(a, b): r_k = prod_{j<k} (a+j)/(a+b+j)."""
-
-    name = "beta2"
-    theta_dim = 2
-    moment_order = 3
-    domain = ((0.0, None), (0.0, None))
-
-    def _raw_moments(self, cols):
-        a, b = cols
-        s = a + b
-        out = []
-        acc = None
-        for j in range(3):
-            term = (a + j) / (s + j)
-            acc = term if acc is None else acc * term
-            out.append(acc)
-        return out
-
-    def _raw_jacobian(self, cols):
-        a, b = cols
-        s = a + b
-        rows = []
-        for k, rk in zip((1, 2, 3), self._raw_moments(cols)):
-            d_a = rk * sum(1.0 / (a + j) - 1.0 / (s + j) for j in range(k))
-            d_b = rk * sum(-1.0 / (s + j) for j in range(k))
-            rows.append([d_a, d_b])
-        return rows
-
-    def eliminate_for_moment(self, i, target):
-        # Given shape a, prod_{j<k} (a+b+j) - prod_{j<k} (a+j) = D with
-        # D = prod_{j<k} (a+j) * (1 - t) / t: a polynomial in b with no
-        # constant term, increasing and convex on b > 0.
-        if not 0.0 < target < 1.0:
-            raise OutOfImage(f"beta2: moment {i + 1} lies in (0, 1), target {target} unreachable")
-        k = i + 1
-        odds = (1.0 - target) / target
-
-        def build(a):
-            D = _rising(a, k) * odds
-            if k == 1:
-                b = D
-            elif k == 2:
-                # Root of b^2 + (2a+1) b = D, in a form without cancellation.
-                b = 2.0 * D / ((2.0 * a + 1.0) + np.sqrt((2.0 * a + 1.0) ** 2 + 4.0 * D))
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
             else:
-                # Newton on b^3 + c2 b^2 + c1 b = D from above the root (each
-                # term is positive, so D / c1 and D^(1/3) both bound it): the
-                # iterates fall monotonically until a step no longer lowers b.
-                c2, c1 = 3.0 * (a + 1.0), 3.0 * a * a + 6.0 * a + 2.0
-                b = np.minimum(D / c1, np.cbrt(D))
-                for _ in range(100):
-                    lower = b - (((b + c2) * b + c1) * b - D) / ((3.0 * b + 2.0 * c2) * b + c1)
-                    if not (lower < b).any():
-                        break
-                    b = np.fmin(lower, b)
-            return np.column_stack([a, b])
-
-        return 0, build
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
 
 
-class LogLogisticModel(ParametricModel):
-    """Log-logistic(scale a, shape b): r_k = a^k * (k*pi/b) / sin(k*pi/b), b > k."""
+# ---------------------------------------------------------------------------
+# Two-parameter families (M = 3, skewness experiments)
+# ---------------------------------------------------------------------------
 
-    name = "loglogistic"
+# The entries P and h of ``_PRODUCT``: each maps an array x to its three values
+# over k = 1, 2, 3 and, with jac, to their log-derivatives in x.
+
+
+def _powers(x, jac=False):
+    """x^k, and k / x."""
+    return [x**k for k in (1, 2, 3)], [k / x for k in (1, 2, 3)] if jac else None
+
+
+def _rising(x, jac=False, inverse=False):
+    """x^[k] and sum_{j<k} 1 / (x+j), or with inverse their inverse and negative."""
+    y, sign = [x, x + 1.0, x + 2.0], -1.0 if inverse else 1.0
+    op, first = (operator.truediv, 1.0 / x) if inverse else (operator.mul, x)
+    return (list(itertools.accumulate(y[1:], op, initial=first)),
+            list(itertools.accumulate(sign / v for v in y)) if jac else None)
+
+
+def _loglogistic_h(x, jac=False):
+    """c / sin(c) with c = k pi / x, and (c / tan(c) - 1) / x."""
+    c = [k * np.pi / x for k in (1, 2, 3)]
+    return [v / np.sin(v) for v in c], [(v / np.tan(v) - 1.0) / x for v in c] if jac else None
+
+
+def _linear(K):
+    """The entry K_k x, whose log-derivative is K_k: the log row's log P_k and log h_k."""
+    return lambda x, jac=False: ([c * x for c in K], K if jac else None)
+
+
+def _loglogistic_shape(ratio: float) -> float:
+    """The b with tan(c) / c = ratio, c = pi / b, by ``brentq``; nan where there is none."""
+    lo = LOGLOGISTIC_SHAPE_FLOOR + 1e-6
+    if not 1.0 < ratio < math.tan(math.pi / lo) / (math.pi / lo):
+        return math.nan
+    return brentq(lambda b: math.tan(math.pi / b) / (math.pi / b) - ratio, lo, 1e8, xtol=1e-12)
+
+
+# One row per family: its domain and closed bounds, the index of t in theta,
+# whether it is a scale family, whether P and h give logs, P, h, and phi as a
+# function of h_2 / h_1^2 (of its log in logs) on a scale family.
+_PRODUCT = {
+    "lognormal": (((None, None), (0.0, None)), ((False, False), (True, False)), 0, True, True,
+                  _linear((1.0, 2.0, 3.0)), _linear((0.5, 2.0, 4.5)), lambda ratio: ratio),
+    "gamma2": (((0.0, None), (0.0, None)), None, 1, True, False, _powers, _rising,
+               lambda ratio: 1.0 / (ratio - 1.0) if ratio > 1.0 else math.nan),
+    "loglogistic": (((0.0, None), (LOGLOGISTIC_SHAPE_FLOOR, None)), None, 0, True, False,
+                    _powers, _loglogistic_h, _loglogistic_shape),
+    "beta2": (((0.0, None), (0.0, None)), None, 0, False, False, _rising,
+              functools.partial(_rising, inverse=True), None),
+}
+
+
+def _beta2_build(a, i, odds):
+    """(a, b) with r_{i+1} = 1 / (1 + odds), b the positive root of the module docstring."""
+    D = _rising(a)[0][i] * odds
+    if i == 0:
+        b = D
+    elif i == 1:
+        # Root of b^2 + (2a+1) b = D, in a form without cancellation.
+        b = 2.0 * D / ((2.0 * a + 1.0) + np.sqrt((2.0 * a + 1.0) ** 2 + 4.0 * D))
+    else:
+        c2, c1 = 3.0 * (a + 1.0), 3.0 * a * a + 6.0 * a + 2.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            b = _cubic_roots(c2, c1, -D).max(axis=-1)
+        for _ in range(NEWTON_STEPS):
+            step = (((b + c2) * b + c1) * b - D) / ((3.0 * b + 2.0 * c2) * b + c1)
+            b = np.where(np.isfinite(step), b - step, b)
+    return np.column_stack([a, b])
+
+
+class ProductModel(ParametricModel):
+    """A 2-parameter family from its row of ``_PRODUCT``: r_k(theta) = P_k(t) h_k(phi)."""
+
     theta_dim = 2
     moment_order = 3
-    domain = ((0.0, None), (LOGLOGISTIC_SHAPE_FLOOR, None))
 
-    def _raw_moments(self, cols):
-        a, b = cols
-        out = []
-        for k in (1, 2, 3):
-            c = k * np.pi / b
-            out.append(a**k * c / np.sin(c))
+    def __init__(self, name, fixed_params=()):
+        self.name = name
+        (self.domain, self.domain_closed, self.t, self.scale, self.log, self.P, self.h,
+         self.phi_of_ratio) = _PRODUCT[name]
+        super().__init__(fixed_params)
+
+    def _entries(self, thetas, jac=False):
+        """(P, d log P / dt) and (h, d log h / dphi) of the row over an (n, 2) array."""
+        thetas = np.asarray(thetas, dtype=float)
+        x, y = thetas[:, self.t], thetas[:, 1 - self.t]
+        return self.P(x, jac), self.h(y if self.scale else x + y, jac)
+
+    def _r(self, p, q, out=None):
+        return np.exp(p + q, out=out) if self.log else np.multiply(p, q, out=out)
+
+    def moments(self, theta):
+        self._checked_cols(theta)
+        return self.moments_grid(np.reshape(theta, (1, 2)))[0]
+
+    def moment_jacobian(self, theta):
+        self._checked_cols(theta)
+        return self.jacobian_grid(np.reshape(theta, (1, 2)))[0]
+
+    def moments_grid(self, thetas):
+        (P, _), (h, _) = self._entries(thetas)
+        out = np.empty((len(thetas), 3))
+        for k, (p, q) in enumerate(zip(P, h)):
+            self._r(p, q, out[:, k])
         return out
 
-    def _raw_jacobian(self, cols):
-        a, b = cols
-        rows = []
-        for k in (1, 2, 3):
-            c = k * np.pi / b
-            sin_c = np.sin(c)
-            # dg/dc = (sin c - c cos c) / sin^2 c;  dc/db = -k*pi/b^2
-            dg_dc = (sin_c - c * np.cos(c)) / sin_c**2
-            d_a = k * a ** (k - 1) * (c / sin_c)
-            d_b = a**k * dg_dc * (-k * np.pi / (b * b))
-            rows.append([d_a, d_b])
-        return rows
+    def jacobian_grid(self, thetas):
+        """The chain rule, r_k (d log P_k / dt dt / dtheta + d log h_k / dphi dphi / dtheta)."""
+        (P, dP), (h, dh) = self._entries(thetas, jac=True)
+        out = np.empty((len(thetas), 3, 2))
+        for k, (p, q, dp, dq) in enumerate(zip(P, h, dP, dh)):
+            r = self._r(p, q)
+            # beta2's phi = a + b moves with t = a.
+            np.multiply(r, dp if self.scale else dp + dq, out=out[:, k, self.t])
+            np.multiply(r, dq, out=out[:, k, 1 - self.t])
+        return out
 
-    def eliminate_for_moment(self, i, target):
-        if target <= 0:
-            raise OutOfImage(f"loglogistic: moment {i + 1} is positive, target {target} unreachable")
+    def eliminate_for_moment(self, i: int, target: float):
+        """Solve r_i(theta) = target for one coordinate, as the module docstring derives.
+
+        Returns ``(free_index, build)``, or raises OutOfImage when no
+        parameter can reach the target.  ``build(x)`` maps an (n,) array of
+        the free coordinate to the (n, 2) thetas that satisfy the constraint;
+        a row that leaves the domain is left for ``in_domain`` to reject.
+        """
         k = i + 1
+        if target <= 0 or not (self.scale or target < 1.0):
+            image = "is positive" if self.scale else "lies in (0, 1)"
+            raise OutOfImage(f"{self.name}: moment {k} {image}, target {target} unreachable")
+        if not self.scale:
+            return 0, functools.partial(_beta2_build, i=i, odds=(1.0 - target) / target)
+        log_target = math.log(target)
 
-        def build(b):
-            c = k * np.pi / b
-            return np.column_stack([(target / (c / np.sin(c))) ** (1.0 / k), b])
+        def build(phi):
+            h = self.h(phi)[0][i]
+            t = (log_target - h) / k if self.log else (target / h) ** (1.0 / k)
+            return np.column_stack([t, phi] if self.t == 0 else [phi, t])
 
-        return 1, build
+        return 1 - self.t, build
+
+    def match_moments(self, m1: float, m2: float):
+        """A theta with r_1 = m1 and r_2 = m2 as the module docstring derives, or None."""
+        if not self.scale:
+            var = m2 - m1**2
+            if not 0 < m1 < 1 or var <= 0 or var >= m1 * (1 - m1):
+                return None
+            phi = m1 * (1 - m1) / var - 1.0  # a + b
+            return [m1 * phi, (1 - m1) * phi]
+        if m1 <= 0 or m2 <= 0:
+            return None
+        phi = self.phi_of_ratio(math.log(m2) - 2.0 * math.log(m1) if self.log else m2 / m1**2)
+        if math.isnan(phi):
+            return None
+        phi = max(phi, self.domain[1 - self.t][0] + 1e-6)
+        h1 = float(self.h(np.asarray(phi))[0][0])
+        t = math.log(m1) - h1 if self.log else m1 / h1
+        return [t, phi] if self.t == 0 else [phi, t]
 
 
-_MODELS = {
-    **{name: functools.partial(QuadraticModel, name) for name in _QUADRATIC},
-    **{cls.name: cls for cls in (LogNormalModel, Gamma2Model, Beta2Model, LogLogisticModel)},
-}
+_MODELS = {name: functools.partial(cls, name)
+           for cls, table in ((QuadraticModel, _QUADRATIC), (ProductModel, _PRODUCT))
+           for name in table}
 
 MODEL_NAMES = tuple(sorted(_MODELS))
 

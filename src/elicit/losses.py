@@ -144,9 +144,9 @@ def sub_loss_vector(kinds, r, em: EmpiricalMoments) -> np.ndarray:
 class WeightVector:
     """Extended-nonnegative weights c plus strictly positive base weights k.
 
-    Effective weights are elementwise c / k.  At most one entry of c may be
-    infinite (the optimizer turns it into an equality constraint); an
-    all-zero c is rejected.
+    Effective weights are elementwise c / k, finite wherever c is.  At most
+    one entry of c may be infinite (the optimizer turns it into an equality
+    constraint); an all-zero c is rejected.
     """
 
     c: np.ndarray
@@ -166,6 +166,9 @@ class WeightVector:
             raise DomainError("at most one weight may be infinite")
         if not all(0 < x < math.inf for x in k.tolist()):
             raise DomainError("base weights k must be finite and strictly positive")
+        for i, (x, y) in enumerate(zip(cs, k.tolist())):
+            if math.isfinite(x) and x / y == math.inf:
+                raise DomainError(f"finite weight c[{i}] = {x} over k[{i}] = {y} overflows")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "k", k)
 

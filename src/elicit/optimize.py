@@ -57,15 +57,16 @@ closed there, and as lo + e^-700 at an open lower bound lo.
 
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i, on a 1-parameter model
-the pinned root above.  A 2-parameter model eliminates one
-coordinate through the constraint in closed form and minimizes the remaining
-residuals over the other; its starts are lanes of the same batch as the
-finite-weight problems.  Such a lane keeps 0 in the z of the eliminated
-coordinate, and its Jacobian column for the free coordinate f is
-J_f + J_e * d theta_e / d theta_f, with d theta_e / d theta_f =
--(d r_i / d theta_f) / (d r_i / d theta_e), while the eliminated column is
-0, so a Levenberg-Marquardt step never moves it.  Nelder-Mead and gradient
-descent see only the free coordinate of such a lane.
+the pinned root above.  A 2-parameter model eliminates one coordinate
+through the constraint in closed form from its row of the product-form
+table (``eliminate_for_moment`` holds phi on a scale family and a on beta2)
+and minimizes the remaining residuals over the held one; its starts are
+lanes of the same batch as the finite-weight problems.  Such a lane keeps 0
+in the z of the eliminated coordinate, and its Jacobian column for the free
+coordinate f is J_f + J_e * d theta_e / d theta_f, with d theta_e / d
+theta_f = -(d r_i / d theta_f) / (d r_i / d theta_e), while the eliminated
+column is 0, so a Levenberg-Marquardt step never moves it.  Nelder-Mead and
+gradient descent see only the free coordinate of such a lane.
 
 A brute-force meshgrid oracle provides an independent cross-check on the
 iterative solvers.
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmodels import ParametricModel
+from .distmodels import NEWTON_STEPS, ParametricModel, _cubic_roots
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
     EmpiricalMoments,
@@ -92,7 +93,6 @@ from .losses import (
 CONSTRAINT_RTOL = 1e-9
 METHODS = ("levenberg_marquardt", "nelder_mead", "gradient_descent")
 GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
-NEWTON_STEPS = 3  # polishing steps on each root of a 1-parameter problem's F'
 
 
 @dataclass(frozen=True)
@@ -430,56 +430,6 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
     return z, float(fz), n_iters, termination
 
 
-def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    The steps of scipy.optimize.brentq, so the same root to the bit.  Raises
-    ValueError on equal signs at the ends or a nan, RuntimeError after maxiter.
-    """
-    def fx(x):
-        if math.isnan(y := float(f(x))):
-            raise ValueError(f"the function value at x={x} is nan")
-        return y
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
-
-
 def _run_lane(fun, lane, z0, free, config):
     """Nelder-Mead or gradient descent on one lane: (z, f, iterations, termination, evals).
 
@@ -533,59 +483,21 @@ def _run_solver(fun, z0, free, config):
 
 
 def moment_match_init(model: ParametricModel, em: EmpiricalMoments) -> np.ndarray:
-    """An interior start matching the low-order sample moments where it can.
+    """An interior start matching the first sample moments where the model can.
 
-    One-parameter families invert the first moment; only ``default_box`` reads that.
-    The log-normal map is inverted in closed form; gamma2/beta2/loglogistic
-    solve the first two moment equations, falling back to the domain center
-    when the sample moments are infeasible for the family.
+    One-parameter families invert the first moment; only ``default_box`` reads
+    that.  A 2-parameter model matches the first two by its ``match_moments``,
+    derived from its row of the product-form table, and falls back to the
+    domain center where the sample moments are off its image.
     """
     m = em.m_hat
     if model.theta_dim == 1:
         return interior_start(model, [model.theta_from_r1(m[0])])
-
-    name = model.name
     try:
-        if name == "lognormal":
-            if m[0] <= 0 or m[1] <= 0:
-                return model.domain_center()
-            v2 = math.log(m[1]) - 2.0 * math.log(m[0])
-            v2 = max(v2, 1e-6)
-            # Keep u consistent with the clamped v2.
-            u = math.log(m[0]) - 0.5 * v2
-            return np.array([u, v2])
-        if name == "gamma2":
-            var = m[1] - m[0] ** 2
-            if m[0] <= 0 or var <= 0:
-                return model.domain_center()
-            a = m[0] ** 2 / var
-            b = var / m[0]
-            return interior_start(model, [a, b])
-        if name == "beta2":
-            var = m[1] - m[0] ** 2
-            if not 0 < m[0] < 1 or var <= 0 or var >= m[0] * (1 - m[0]):
-                return model.domain_center()
-            common = m[0] * (1 - m[0]) / var - 1.0
-            return interior_start(model, [m[0] * common, (1 - m[0]) * common])
-        if name == "loglogistic":
-            # m2/m1^2 = tan(c)/c with c = pi/b; solvable on (1, tan(c_max)/c_max).
-            ratio = m[1] / m[0] ** 2 if m[0] > 0 else 0.0
-            b_lo = model.domain[1][0] + 1e-6
-            c_max = math.pi / b_lo
-            if not 1.0 < ratio < math.tan(c_max) / c_max:
-                return model.domain_center()
-            b = brentq(
-                lambda b: math.tan(math.pi / b) / (math.pi / b) - ratio,
-                b_lo,
-                1e8,
-                xtol=1e-12,
-            )
-            c = math.pi / b
-            a = m[0] * math.sin(c) / c
-            return interior_start(model, [a, b])
+        theta = model.match_moments(*m[:2].tolist())
     except (ValueError, OverflowError):
-        return model.domain_center()
-    return model.domain_center()
+        theta = None
+    return model.domain_center() if theta is None else interior_start(model, theta)
 
 
 def _multistart_offsets(config: OptimizerConfig, dim: int) -> np.ndarray:
@@ -831,26 +743,6 @@ def _solve_1p(model, em, kinds, rows):
                                clamped=clamped, n_evals=1 if p < P else n_evals,
                                sub_losses=sub_losses[p]))
             for p, (row, (term, clamped)) in enumerate(zip(rows, outcome))]
-
-
-def _cubic_roots(p, q, r):
-    """Real roots of x^3 + p x^2 + q x + r, elementwise, as a trailing axis of 3.
-
-    x = t - p / 3 gives t^3 + P t + Q = 0.  Three distinct real roots come
-    from the trigonometric form; otherwise the one real root, by Cardano's
-    formula in a form without cancellation (Press et al., Numerical Recipes,
-    3rd ed., sec. 5.6), fills every place.  No root is finite where a
-    coefficient is not.
-    """
-    s = p / 3.0
-    P, Q = q - p * s, (2.0 * s * s - q) * s + r
-    m = 2.0 * np.sqrt(-P / 3.0)
-    phi = np.arccos(np.clip(3.0 * Q / (P * m), -1.0, 1.0)) / 3.0
-    three = m[..., None] * np.cos(phi[..., None] - np.array([0.0, 2.0, 4.0]) * math.pi / 3.0)
-    A = -np.sign(Q) * np.cbrt(np.abs(Q) / 2.0 + np.sqrt(Q * Q / 4.0 + P * P * P / 27.0))
-    one = A + np.where(A == 0.0, 0.0, -P / (3.0 * A))
-    real = 4.0 * P * P * P + 27.0 * Q * Q < 0.0
-    return np.where(real[..., None], three, one[..., None]) - np.asarray(s)[..., None]
 
 
 def _least_stationary_points(model, em, kinds, eff):

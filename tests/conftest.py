@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,35 @@ def shipped_sweeps():
         exp = resolve(cfg)
         out[name] = (exp, run_sweep(exp.spec))
     return out
+
+
+def largest_moves(old, new, path="", moves=None) -> dict:
+    """Per field, the largest relative change of ``new`` against ``old``.
+
+    Fields are dotted key paths with list indices dropped, so every point of
+    a curve counts toward one field.  A number that moves off 0 or between
+    nan and a number, and any other value that changes, moves by inf.
+    """
+    moves = {} if moves is None else moves
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in old.keys() | new.keys():
+            largest_moves(old.get(key), new.get(key), f"{path}.{key}".lstrip("."), moves)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            largest_moves(a, b, path, moves)
+    else:
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new))
+        if numbers and old == old and new == new:
+            rel = abs(new - old) / abs(old) if old else (0.0 if new == old else math.inf)
+        else:
+            rel = 0.0 if old == new or (numbers and old != old and new != new) else math.inf
+        moves[path] = max(moves.get(path, 0.0), rel)
+    return moves
+
+
+def print_moves(old: dict, new: dict) -> None:
+    """Print, per config and field, the largest relative change that a regeneration makes."""
+    for name in sorted(old.keys() | new.keys()):
+        moved = {k: v for k, v in largest_moves(old.get(name), new.get(name)).items() if v}
+        print(f"{name}: " + (", ".join(f"{k} {v:.3g}" for k, v in sorted(moved.items()))
+                             or "unchanged"))

@@ -321,6 +321,16 @@ class TestRun:
         assert "report failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_effective_weight_rejected_before_writing(self, tmp_path, capsys):
+        # k_1 = m_hat_1^2 = 1e-10, so the finite c_1 = 1e300 has c_1 / k_1 = inf.
+        cfg_path, _ = write_config(
+            tmp_path, analytic={"name": "poisson", "params": [1e-5]},
+            base_weights="rhat_squared", sweep={"index": 2, "fixed_weights": [1e300, 1.0]})
+        assert main(["run", str(cfg_path)]) == 1
+        assert "finite weight c[0] = 1e+300 over k[0] = 1.0000000000000002e-10 overflows" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_moments_rejected_before_writing(self, tmp_path, capsys):
         # X^3 overflows for a lognormal sample with log-variance 1e4.
         cfg = json.loads((SWEEP_CONFIG_DIR / "skew-lognormal.json").read_text())
@@ -543,7 +553,7 @@ class TestCommittedOutputs:
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # Each costs a large share of the interpreter start-up; scipy.special
-    # covers the inverse CDFs, optimize.brentq the 1-D roots, and the
+    # covers the inverse CDFs, distmodels.brentq the 1-D roots, and the
     # config's key table and the objects built from it the validation.
     code = ("import sys, elicit.cli; print(sorted("
             "{'scipy.stats', 'scipy.optimize', 'jsonschema'} & set(sys.modules)))")

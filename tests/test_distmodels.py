@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
-from elicit import distmodels, make_link, make_model
+from elicit import analytic_moments, distmodels, make_link, make_model
 from elicit.distmodels import (
     MODEL_NAMES,
     TEMPLATE_NAMES,
@@ -17,6 +19,7 @@ from elicit.distmodels import (
 )
 from elicit.errors import DomainError, OutOfImage
 from elicit.links import link_value
+from elicit.optimize import moment_match_init
 from elicit.verify import _FIXED, _JACOBIAN_GRIDS, _VARIANCE_IDENTITIES, fd_jacobian
 
 ONE_PARAM = {
@@ -215,11 +218,191 @@ class TestElimination:
             np.testing.assert_allclose(model.moments_grid(thetas)[:, i], target,
                                        rtol=1e-14, atol=0.0, err_msg=f"{name} {target}")
 
+    def test_beta2_third_moment_root_is_polished(self):
+        # Where b << a the closed-form root loses digits to the shift by a + 1
+        # (relative error 1e-2 at target 1 - 1e-12); the Newton steps restore
+        # them.  Every term of the polynomial is positive, so its residual
+        # measures the relative error of b.
+        a = np.geomspace(0.01, 100.0, 25)
+        for target in (0.7, 1.0 - 1e-6, 1.0 - 1e-12):
+            b = make_model("beta2").eliminate_for_moment(2, target)[1](a)[:, 1]
+            poly = ((b + 3.0 * (a + 1.0)) * b + 3.0 * a * a + 6.0 * a + 2.0) * b
+            D = a * (a + 1.0) * (a + 2.0) * ((1.0 - target) / target)
+            np.testing.assert_allclose(poly, D, rtol=1e-14, atol=0.0, err_msg=str(target))
+
     @pytest.mark.parametrize("name, target", [("lognormal", 0.0), ("gamma2", -1.0),
                                               ("beta2", 1.0), ("loglogistic", 0.0)])
     def test_unreachable_target_raises(self, name, target):
         with pytest.raises(OutOfImage):
             make_model(name).eliminate_for_moment(1, target)
+
+
+# The per-family moment maps and Jacobians that the product-form table
+# replaced, verbatim, as the reference for every row of the table.
+def _rising_reference(a, k):
+    out = 1.0
+    for j in range(k):
+        out = out * (a + j)
+    return out
+
+
+class LogNormalReference:
+    def _raw_moments(self, cols):
+        u, v2 = cols
+        return [np.exp(i * u + 0.5 * i * i * v2) for i in (1, 2, 3)]
+
+    def _raw_jacobian(self, cols):
+        u, v2 = cols
+        rows = []
+        for i in (1, 2, 3):
+            # np.exp overflows to inf, as in _raw_moments.
+            r = np.exp(i * u + 0.5 * i * i * v2)
+            rows.append([i * r, 0.5 * i * i * r])
+        return rows
+
+
+class Gamma2Reference:
+    def _raw_moments(self, cols):
+        a, b = cols
+        return [b**k * _rising_reference(a, k) for k in (1, 2, 3)]
+
+    def _raw_jacobian(self, cols):
+        a, b = cols
+        rows = []
+        for k in (1, 2, 3):
+            rising = _rising_reference(a, k)
+            d_a = b**k * rising * sum(1.0 / (a + j) for j in range(k))
+            d_b = k * b ** (k - 1) * rising
+            rows.append([d_a, d_b])
+        return rows
+
+
+class Beta2Reference:
+    def _raw_moments(self, cols):
+        a, b = cols
+        s = a + b
+        out = []
+        acc = None
+        for j in range(3):
+            term = (a + j) / (s + j)
+            acc = term if acc is None else acc * term
+            out.append(acc)
+        return out
+
+    def _raw_jacobian(self, cols):
+        a, b = cols
+        s = a + b
+        rows = []
+        for k, rk in zip((1, 2, 3), self._raw_moments(cols)):
+            d_a = rk * sum(1.0 / (a + j) - 1.0 / (s + j) for j in range(k))
+            d_b = rk * sum(-1.0 / (s + j) for j in range(k))
+            rows.append([d_a, d_b])
+        return rows
+
+
+class LogLogisticReference:
+    def _raw_moments(self, cols):
+        a, b = cols
+        out = []
+        for k in (1, 2, 3):
+            c = k * np.pi / b
+            out.append(a**k * c / np.sin(c))
+        return out
+
+    def _raw_jacobian(self, cols):
+        a, b = cols
+        rows = []
+        for k in (1, 2, 3):
+            c = k * np.pi / b
+            sin_c = np.sin(c)
+            # dg/dc = (sin c - c cos c) / sin^2 c;  dc/db = -k*pi/b^2
+            dg_dc = (sin_c - c * np.cos(c)) / sin_c**2
+            d_a = k * a ** (k - 1) * (c / sin_c)
+            d_b = a**k * dg_dc * (-k * np.pi / (b * b))
+            rows.append([d_a, d_b])
+        return rows
+
+
+REFERENCES = {"lognormal": LogNormalReference(), "gamma2": Gamma2Reference(),
+              "beta2": Beta2Reference(), "loglogistic": LogLogisticReference()}
+
+
+class TestProductTable:
+    @staticmethod
+    def assert_rows_match(name, thetas):
+        model, reference = make_model(name), REFERENCES[name]
+        thetas = np.asarray(thetas, dtype=float)
+        cols = [thetas[:, 0], thetas[:, 1]]
+        want_r = np.column_stack(reference._raw_moments(cols))
+        want_j = np.array([[np.broadcast_to(e, len(thetas)) for e in row]
+                           for row in reference._raw_jacobian(cols)]).transpose(2, 0, 1)
+        np.testing.assert_allclose(model.moments_grid(thetas), want_r, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(model.jacobian_grid(thetas), want_j, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(TWO_PARAM))
+    def test_interior_grids(self, name):
+        # INTERIOR_GRIDS holds the points of verify._JACOBIAN_GRIDS.
+        self.assert_rows_match(name, INTERIOR_GRIDS[name])
+
+    def test_shipped_optima(self, shipped_sweeps):
+        seen = set()
+        for exp, curve in shipped_sweeps.values():
+            if exp.model.name in TWO_PARAM:
+                seen.add(exp.model.name)
+                self.assert_rows_match(exp.model.name,
+                                       [p.solution.theta_star for p in curve.points])
+        assert seen == set(TWO_PARAM)
+
+
+def family_theta(name, s, w):
+    """theta of one family from two numbers in [0, 1].
+
+    lognormal takes v2 log-uniform on [1e-3, 600] and u in a window of width
+    10 below min(5, the largest u at which r_3 stays finite).  The others are
+    log-uniform on ranges where the moment-matching start is well conditioned:
+    its sample variance m_2 - m_1^2 loses about log10(m_1^2 / var) digits.
+    """
+    def spread(lo, hi, x):
+        return lo * (hi / lo) ** x
+
+    if name == "lognormal":
+        v2 = spread(1e-3, 600.0, s)
+        top = min(5.0, min((700.0 - 0.5 * k * k * v2) / k for k in (1, 2, 3)))
+        return [top - 10.0 * w, v2]
+    ranges = {"gamma2": ((1e-2, 1e3), (1e-3, 1e3)), "beta2": ((0.05, 50.0), (0.05, 50.0)),
+              "loglogistic": ((1e-2, 1e2), (3.6, 1e3))}[name]
+    return [spread(*ranges[0], s), spread(*ranges[1], w)]
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestTableDerivations:
+    @pytest.mark.parametrize("name", sorted(TWO_PARAM))
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(s=UNIT, w=UNIT)
+    @example(s=1.0, w=0.0)
+    @example(s=1.0, w=1.0)
+    def test_build_meets_the_constraint(self, name, i, s, w):
+        model = make_model(name)
+        theta = family_theta(name, s, w)
+        target = float(model.moments(theta)[i])
+        f, build = model.eliminate_for_moment(i, target)
+        (built,) = build(np.array([theta[f]]))
+        assert built[f] == theta[f] and model.in_domain([built]).all()
+        assert abs(model.moments(built)[i] - target) <= 1e-14 * target, (theta, built)
+
+    @pytest.mark.parametrize("name", sorted(TWO_PARAM))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s=UNIT, w=UNIT)
+    @example(s=1.0, w=0.0)
+    @example(s=1.0, w=1.0)
+    def test_moment_matching_start_recovers_theta(self, name, s, w):
+        model = make_model(name)
+        theta = np.array(family_theta(name, s, w))
+        start = moment_match_init(model, analytic_moments(model, theta))
+        assert np.abs(start - theta).max() <= 1e-9 * np.abs(theta).max(), (theta, start)
 
 
 def curve_value(model, r1):

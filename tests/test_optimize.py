@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from elicit import analytic_moments, make_model, minimize, optimize
+from elicit import analytic_moments, distmodels, make_model, minimize, optimize
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import DomainError, EmptyGrid, OutOfImage
@@ -71,6 +71,14 @@ class TestMinimize:
     def test_poisson_constrained_second_moment(self, poisson_em_3_15):
         sol = minimize(POISSON, WeightVector.of([1.0, np.inf]), poisson_em_3_15)
         assert sol.r_star[1] == pytest.approx(15.0, abs=1e-9)
+
+    def test_overflowing_effective_weight_is_rejected(self, poisson_em_3_15):
+        # c_1 / k_1 = 1e310 once dropped sub-loss 1 as inactive: theta = 3.405,
+        # the exact fit of r_2, where c_1 = inf gives the r_1 fit theta = 3.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"c\[0\] = 1e\+300 over k\[0\] = 1e-10"):
+                minimize(POISSON, WeightVector.of([1e300, 1.0], [1e-10, 1.0]), poisson_em_3_15)
 
     def test_constraint_off_the_image_lands_on_the_end(self):
         # m_hat_1 = 12 > K: the root p = 1.2 is clipped to the closed end p = 1.
@@ -431,7 +439,7 @@ class TestWinnerSelection:
                 f, _ = super().eliminate_for_moment(i, target)
                 return f, lambda v2: np.column_stack([np.full_like(v2, np.nan), v2])
 
-        model = NoFeasibleBuild()
+        model = NoFeasibleBuild("lognormal")
         em = analytic_moments(model, [0.3, 1.2], perturb=[0.1, 0.5, 4.0])
         weights = [WeightVector.of([1.0, 1.0, 1.0]), WeightVector.of([np.inf, 1.0, 1.0])]
         with warnings.catch_warnings():
@@ -1035,7 +1043,7 @@ class TestClosedFormInverse:
     @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
     def test_constraint_on_the_second_moment_uses_no_bracket(self, monkeypatch, name, fixed, _):
         model = make_model(name, fixed)
-        monkeypatch.setattr(optimize, "brentq", None)
+        monkeypatch.setattr(distmodels, "brentq", None)
         em = analytic_moments(model, [0.5], perturb=[0.1, 0.0])
         sol = minimize(model, WeightVector.of([1.0, np.inf]), em)
         assert sol.termination == "constraint" and not sol.clamped
@@ -1043,13 +1051,13 @@ class TestClosedFormInverse:
 
 
 class TestBrentq:
-    """optimize.brentq takes the same steps as scipy.optimize.brentq."""
+    """distmodels.brentq takes the same steps as scipy.optimize.brentq."""
 
     @staticmethod
     def assert_same_steps(f, xa, xb, **tols):
         # Same evaluation points and the same root, compared as bit patterns.
         ours, theirs = [], []
-        root = optimize.brentq(lambda x: ours.append(x) or f(x), xa, xb, **tols)
+        root = distmodels.brentq(lambda x: ours.append(x) or f(x), xa, xb, **tols)
         want = scipy_brentq(lambda x: theirs.append(x) or f(x), xa, xb, **tols)
         assert [float(x).hex() for x in ours] == [float(x).hex() for x in theirs]
         assert float(root).hex() == float(want).hex()
@@ -1057,7 +1065,7 @@ class TestBrentq:
     @staticmethod
     def recorded_calls(monkeypatch, module, run):
         calls = []
-        real = optimize.brentq
+        real = distmodels.brentq
 
         def spy(f, xa, xb, **tols):
             calls.append((f, xa, xb, tols))
@@ -1072,7 +1080,7 @@ class TestBrentq:
     def test_loglogistic_start_site(self, monkeypatch):
         model = make_model("loglogistic")
         ems = [analytic_moments(model, [1.0, b]) for b in (4.0, 6.0, 25.0)]
-        calls = self.recorded_calls(monkeypatch, optimize, lambda: [
+        calls = self.recorded_calls(monkeypatch, distmodels, lambda: [
             moment_match_init(model, em) for em in ems])
         for f, xa, xb, tols in calls:
             self.assert_same_steps(f, xa, xb, **tols)
@@ -1089,13 +1097,13 @@ class TestBrentq:
                                rtol=8.9e-16)
 
     def test_root_at_an_end(self):
-        assert optimize.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-        assert optimize.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+        assert distmodels.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert distmodels.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
     def test_same_signs_raise_value_error(self):
         with pytest.raises(ValueError):
-            optimize.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+            distmodels.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_no_convergence_raises_runtime_error(self):
         with pytest.raises(RuntimeError):
-            optimize.brentq(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0, maxiter=3)
+            distmodels.brentq(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0, maxiter=3)

@@ -6,6 +6,9 @@ of the grid-start answer, as exact floats.  Regenerate it (only when a
 change is meant to move these outputs) with
 
     PYTHONPATH=src python tests/test_shipped_oracle.py
+
+which first prints, per config and field, the largest relative change
+against the committed file.
 """
 
 import json
@@ -36,11 +39,12 @@ def test_shipped_oracle_answers_match_reference(shipped_sweeps):
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import load_shipped_configs
+    from conftest import load_shipped_configs, print_moves
 
     from elicit.config import resolve
 
     out = {name: snapshot(resolve(cfg)) for name, cfg in load_shipped_configs()}
+    print_moves(json.loads(DATA.read_text()) if DATA.exists() else {}, out)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {DATA} ({len(out)} configs)")

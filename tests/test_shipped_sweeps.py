@@ -6,6 +6,9 @@ verdicts of the run report.  Regenerate it (only when a change is meant to
 move these outputs) with
 
     PYTHONPATH=src python tests/test_shipped_sweeps.py
+
+which first prints, per config and field, the largest relative change
+against the committed file.
 """
 
 import json
@@ -60,7 +63,7 @@ def test_shipped_sweeps_match_reference(shipped_sweeps):
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import load_shipped_configs
+    from conftest import load_shipped_configs, print_moves
 
     from elicit.config import resolve
     from elicit.sweep import run_sweep
@@ -69,6 +72,7 @@ if __name__ == "__main__":
     for name, cfg in load_shipped_configs():
         exp = resolve(cfg)
         out[name] = snapshot(exp, run_sweep(exp.spec))
+    print_moves(json.loads(DATA.read_text()) if DATA.exists() else {}, out)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {DATA} ({len(out)} sweeps)")

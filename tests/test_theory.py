@@ -13,7 +13,7 @@ from elicit.config import resolve
 from elicit.errors import DomainError, MixedCase, TooFewPoints
 from elicit.links import contour_slope
 from elicit.sweep import run_sweep
-from elicit.optimize import brentq
+from elicit.distmodels import brentq
 from elicit.theory import (
     check_condition_A,
     check_condition_B,
