@@ -200,13 +200,14 @@ def _oracle_solutions(exp: Experiment, width: float):
 @click.argument("config_path", type=click.Path())
 @click.option("--width", default=0.1, show_default=True, type=float)
 def cmd_oracle(config_path, width):
-    """Compare the iterative optimizer against the brute-force meshgrid.
+    """Compare the optimizer against the brute-force meshgrid.
 
     Runs at the config's fixed weights with the swept entry set to 1, from
-    the configured starts and from those plus the grid minimizer, all lanes
-    of one batched solve, and logs the target-property value reached from each.
-    On a 1-parameter model the two answers always agree, since every such
-    problem is solved in closed form whatever the start.
+    the configured starts and from those plus the grid minimizer, in one
+    ``minimize_many`` call, and logs the target-property value reached from
+    each.  The two answers differ only under ``nelder_mead`` or
+    ``gradient_descent``: the closed forms of the 1-parameter models and the
+    default ``profile`` solve take no start.
     """
     exp = resolve(load_config(config_path))
     grid, sol_cfg, sol_grid = _oracle_solutions(exp, width)

@@ -32,7 +32,8 @@ form (for k = 3 the largest root of ``_cubic_roots``, polished by
 NEWTON_STEPS Newton steps).  ``match_moments`` fits r_1 and r_2: t cancels
 from h_2(phi) / h_1(phi)^2 = m_2 / m_1^2, which gives phi = log of the ratio
 for lognormal, 1 / (ratio - 1) for gamma2 and the root of tan(pi/phi) /
-(pi/phi) = ratio (``brentq``) for loglogistic; then t = m_1 / h_1(phi).
+(pi/phi) = ratio (``newton_in_bracket``) for loglogistic; then t = m_1 /
+h_1(phi).
 beta2 matches the mean and variance in closed form.
 
 Deterministic sampling lives here too.  The repository-wide generator is
@@ -284,54 +285,33 @@ def _cubic_roots(p, q, r):
     return np.where(real[..., None], three, one[..., None]) - np.asarray(s)[..., None]
 
 
-def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def newton_in_bracket(f, a, b, fa, fb, da, db, xtol, rtol=0.0):
+    """A root of f per row, by Newton's method kept inside the row's bracket [a, b].
 
-    The steps of scipy.optimize.brentq, so the same root to the bit.  Raises
-    ValueError on equal signs at the ends or a nan, RuntimeError after maxiter.
+    f(a) < 0 < f(b) on each row (a may exceed b), and da, db are f' there.
+    ``f(rows, x)`` returns f and f' at x for the given rows.  Each step is
+    Newton's from the end nearer the root by |f|, or bisects the bracket
+    where that step leaves it, and replaces the end whose sign it shares, so
+    every row converges.  A row stops at x once the Newton step from x, or
+    the bracket, is at most xtol + rtol |x|, or f vanishes there; the rows
+    leave one by one.  Returns each row's last x.
     """
-    def fx(x):
-        if math.isnan(y := float(f(x))):
-            raise ValueError(f"the function value at x={x} is nan")
-        return y
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+    a, b, fa, fb, da, db = (np.array(v, dtype=float) for v in (a, b, fa, fb, da, db))
+    x = np.where(fa == 0.0, a, b)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    while live.size:
+        A, B, FA, FB, DA, DB = (v[live] for v in (a, b, fa, fb, da, db))
+        near = np.abs(FA) < np.abs(FB)
+        X = np.where(near, A, B)
+        newton = X - np.where(near, FA, FB) / np.where(near, DA, DB)
+        x[live] = new = np.where((newton - A) * (newton - B) < 0.0, newton, 0.5 * (A + B))
+        F, D = f(live, new)
+        below = F < 0.0
+        a[live], fa[live], da[live] = (np.where(below, v, w) for v, w in ((new, A), (F, FA), (D, DA)))
+        b[live], fb[live], db[live] = (np.where(below, w, v) for v, w in ((new, B), (F, FB), (D, DB)))
+        tol = xtol + rtol * np.abs(new)
+        live = live[(F != 0.0) & (np.abs(F) > tol * np.abs(D)) & (np.abs(a[live] - b[live]) > tol)]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -339,39 +319,56 @@ def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100) -> 
 # ---------------------------------------------------------------------------
 
 # The entries P and h of ``_PRODUCT``: each maps an array x to its three values
-# over k = 1, 2, 3 and, with jac, to their log-derivatives in x.
+# over k = 1, 2, 3 and, up to ``order``, to the derivatives of their logs in x.
 
 
-def _powers(x, jac=False):
+def _powers(x, order=0):
     """x^k, and k / x."""
-    return [x**k for k in (1, 2, 3)], [k / x for k in (1, 2, 3)] if jac else None
+    return [[x**k for k in (1, 2, 3)], *([[k / x for k in (1, 2, 3)]] if order else [])]
 
 
-def _rising(x, jac=False, inverse=False):
-    """x^[k] and sum_{j<k} 1 / (x+j), or with inverse their inverse and negative."""
+def _rising(x, order=0, inverse=False):
+    """x^[k] and the first two derivatives of its log, or with inverse 1 / x^[k] and theirs."""
     y, sign = [x, x + 1.0, x + 2.0], -1.0 if inverse else 1.0
     op, first = (operator.truediv, 1.0 / x) if inverse else (operator.mul, x)
-    return (list(itertools.accumulate(y[1:], op, initial=first)),
-            list(itertools.accumulate(sign / v for v in y)) if jac else None)
+    out = [list(itertools.accumulate(y[1:], op, initial=first))]
+    for n in range(1, order + 1):  # sum_{j<k} (-1)^(n-1) / (x+j)^n
+        out.append(list(itertools.accumulate(sign * (-1.0) ** (n - 1) / v**n for v in y)))
+    return out
 
 
-def _loglogistic_h(x, jac=False):
-    """c / sin(c) with c = k pi / x, and (c / tan(c) - 1) / x."""
+def _loglogistic_h(x, order=0):
+    """c / sin(c) with c = k pi / x, and the first two derivatives of its log in x."""
     c = [k * np.pi / x for k in (1, 2, 3)]
-    return [v / np.sin(v) for v in c], [(v / np.tan(v) - 1.0) / x for v in c] if jac else None
+    out = [[v / np.sin(v) for v in c]]
+    if order:
+        out.append([(v / np.tan(v) - 1.0) / x for v in c])
+    if order > 1:
+        out.append([(1.0 - 2.0 * v / np.tan(v) + (v / np.sin(v)) ** 2) / (x * x) for v in c])
+    return out
 
 
 def _linear(K):
     """The entry K_k x, whose log-derivative is K_k: the log row's log P_k and log h_k."""
-    return lambda x, jac=False: ([c * x for c in K], K if jac else None)
+    return lambda x, order=0: [[c * x for c in K], K, (0.0, 0.0, 0.0)][:order + 1]
 
 
 def _loglogistic_shape(ratio: float) -> float:
-    """The b with tan(c) / c = ratio, c = pi / b, by ``brentq``; nan where there is none."""
-    lo = LOGLOGISTIC_SHAPE_FLOOR + 1e-6
-    if not 1.0 < ratio < math.tan(math.pi / lo) / (math.pi / lo):
+    """The b with tan(c) / c = ratio, c = pi / b, by ``newton_in_bracket``; nan where there is none."""
+    def f(_, c):
+        tan = np.tan(c)
+        return tan / c - ratio, (1.0 / np.cos(c) ** 2 - tan / c) / c
+
+    ends = np.array([math.pi / 1e8, _LOGLOGISTIC_C])
+    (f_lo, f_hi), (d_lo, d_hi) = f(None, ends)
+    if not f_lo < 0.0 < f_hi:
         return math.nan
-    return brentq(lambda b: math.tan(math.pi / b) / (math.pi / b) - ratio, lo, 1e8, xtol=1e-12)
+    c = newton_in_bracket(f, ends[:1], ends[1:], [f_lo], [f_hi], [d_lo], [d_hi], 0.0,
+                          4.0 * np.finfo(float).eps)
+    return math.pi / float(c[0])
+
+
+_LOGLOGISTIC_C = math.pi / (LOGLOGISTIC_SHAPE_FLOOR + 1e-6)
 
 
 # One row per family: its domain and closed bounds, the index of t in theta,
@@ -419,11 +416,11 @@ class ProductModel(ParametricModel):
          self.phi_of_ratio) = _PRODUCT[name]
         super().__init__(fixed_params)
 
-    def _entries(self, thetas, jac=False):
-        """(P, d log P / dt) and (h, d log h / dphi) of the row over an (n, 2) array."""
+    def _entries(self, thetas, order=0):
+        """P and h of the row over an (n, 2) array, each with ``order`` log-derivatives."""
         thetas = np.asarray(thetas, dtype=float)
         x, y = thetas[:, self.t], thetas[:, 1 - self.t]
-        return self.P(x, jac), self.h(y if self.scale else x + y, jac)
+        return self.P(x, order), self.h(y if self.scale else x + y, order)
 
     def _r(self, p, q, out=None):
         return np.exp(p + q, out=out) if self.log else np.multiply(p, q, out=out)
@@ -437,7 +434,7 @@ class ProductModel(ParametricModel):
         return self.jacobian_grid(np.reshape(theta, (1, 2)))[0]
 
     def moments_grid(self, thetas):
-        (P, _), (h, _) = self._entries(thetas)
+        (P,), (h,) = self._entries(thetas)
         out = np.empty((len(thetas), 3))
         for k, (p, q) in enumerate(zip(P, h)):
             self._r(p, q, out[:, k])
@@ -445,7 +442,7 @@ class ProductModel(ParametricModel):
 
     def jacobian_grid(self, thetas):
         """The chain rule, r_k (d log P_k / dt dt / dtheta + d log h_k / dphi dphi / dtheta)."""
-        (P, dP), (h, dh) = self._entries(thetas, jac=True)
+        (P, dP), (h, dh) = self._entries(thetas, 1)
         out = np.empty((len(thetas), 3, 2))
         for k, (p, q, dp, dq) in enumerate(zip(P, h, dP, dh)):
             r = self._r(p, q)

@@ -9,33 +9,6 @@ term
 where w_i is 1 for the squared loss and a or b (by the sign of d_i) for the
 asymmetric one.  Its Jacobian is diag(sqrt(eff * w)) . moment_jacobian.
 
-Problems are solved in batches.  One lane is one (weight vector, start)
-pair, and the residual is evaluated for every lane at once: a row of
-effective weights per lane, with inactive terms masked to a zero residual
-rather than summed, so a moment that is undefined on an inactive term
-rejects nothing.  Every operation acts on each lane alone, so a lane's
-result does not depend on which other lanes share its batch.
-
-Only 2-parameter problems are solved iteratively.  Every coordinate of a
-2-parameter domain is unbounded or bounded below only, and one bounded
-below is reparameterized as log(theta - lo), so iterates stay strictly
-interior; the Jacobian in z picks up the factor d theta / d z.  Three
-solvers share the residual:
-
-* ``levenberg_marquardt`` (the default): damped Gauss-Newton on (rho, J),
-  advancing every lane of the batch together, with isotropic damping
-  relative to the largest diagonal entry of J^T J and Nielsen's damping
-  update.  A trial point where rho or J is undefined or not finite is a
-  rejected step.
-* ``nelder_mead``: a simplex on rho . rho, run lane by lane.
-* ``gradient_descent``: steepest descent on rho . rho with gradient
-  2 J^T rho and backtracking line search, run lane by lane, kept
-  specifically to reproduce its documented sensitivity to the starting point
-  on ill-conditioned problems.
-
-Each problem runs from a moment-matching start plus random multistarts, and
-the lowest (loss, theta) over its lanes wins.
-
 The residuals leave out the sample variance v_hat_i that each sub-loss
 carries.  It is constant in theta; left in, it can dwarf the data-dependent
 part, so that float64 cannot see the residuals the theory checks are meant
@@ -57,19 +30,30 @@ closed there, and as lo + e^-700 at an open lower bound lo.
 
 An infinite weight on coordinate i is never summed into the objective; it
 becomes the hard constraint r_i(theta) = m_hat_i, on a 1-parameter model
-the pinned root above.  A 2-parameter model eliminates one coordinate
-through the constraint in closed form from its row of the product-form
-table (``eliminate_for_moment`` holds phi on a scale family and a on beta2)
-and minimizes the remaining residuals over the held one; its starts are
-lanes of the same batch as the finite-weight problems.  Such a lane keeps 0
-in the z of the eliminated coordinate, and its Jacobian column for the free
-coordinate f is J_f + J_e * d theta_e / d theta_f, with d theta_e / d
-theta_f = -(d r_i / d theta_f) / (d r_i / d theta_e), while the eliminated
-column is 0, so a Levenberg-Marquardt step never moves it.  Nelder-Mead and
-gradient descent see only the free coordinate of such a lane.
+the pinned root above.  A 2-parameter problem is solved by one of
+
+* ``profile`` (the default): a 1-D search over the shape of the model's row
+  of the product-form table, with t minimized out at each shape
+  (``elicit.profile``); a constrained problem stays on the fit of its
+  constrained moment.  It takes no start and no setting of
+  ``OptimizerConfig`` but the method.
+* ``nelder_mead``: a simplex on rho . rho.
+* ``gradient_descent``: steepest descent on rho . rho with gradient
+  2 J^T rho and backtracking line search, kept specifically to reproduce
+  its documented sensitivity to the starting point on ill-conditioned
+  problems.
+
+The last two run on each problem from a moment-matching start plus random
+multistarts, and the lowest (loss, theta) over its starts wins.  Every
+coordinate of a 2-parameter domain is unbounded or bounded below only, and
+one bounded below is reparameterized as log(theta - lo), so iterates stay
+strictly interior.  A constrained problem eliminates one coordinate through
+the constraint in closed form from its row of the product-form table
+(``eliminate_for_moment`` holds phi on a scale family and a on beta2) and
+searches the other (``_problem_objective``).
 
 A brute-force meshgrid oracle provides an independent cross-check on the
-iterative solvers.
+solvers.
 """
 
 from __future__ import annotations
@@ -79,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import profile
 from .distmodels import NEWTON_STEPS, ParametricModel, _cubic_roots
 from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
 from .losses import (
@@ -91,19 +76,25 @@ from .losses import (
 )
 
 CONSTRAINT_RTOL = 1e-9
-METHODS = ("levenberg_marquardt", "nelder_mead", "gradient_descent")
+_ROW = np.zeros(1, dtype=int)
+_CONVERGED = ("converged", "boundary", "exact_fit", "constraint")
+METHODS = ("profile", "nelder_mead", "gradient_descent")
 GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the iterative solve, which only 2-parameter problems take.
+    """Settings of the 2-parameter solve.
 
-    Every 1-parameter problem is solved in closed form, with no start and no
-    iteration, so no setting moves its answer.
+    ``method`` picks the solver.  ``max_iters``, ``tol_loss``, ``tol_step``,
+    ``multistart``, ``init`` and ``seed`` are read only by ``nelder_mead``
+    and ``gradient_descent``: the default ``profile`` solve takes no start
+    and stops on its own tolerances.  Every 1-parameter problem is solved in
+    closed form, with no start and no iteration, so no setting moves its
+    answer.
     """
 
-    method: str = "levenberg_marquardt"
+    method: str = "profile"
     max_iters: int = 10000
     tol_loss: float = 1e-12
     tol_step: float = 1e-10
@@ -137,30 +128,37 @@ class Solution:
     v_hat_i, i.e. the full weighted total loss including the sample
     variances; ``sub_losses`` include v_hat as well.
 
-    ``termination`` says why the solve stopped: ``converged`` (the solver's
-    stopping rule held), ``max_iters``, ``no_descent`` (no step was left
+    ``termination`` says why the solve stopped.  On a 2-parameter model:
+    ``converged`` (the profile's outer search, or the iterative solver's
+    stopping rule, held), ``boundary`` (the profile's minimum at the closed
+    lower end of shape, lognormal's v2 = 0), ``exact_fit`` or ``constraint``
+    (no active term but a constraint, or one and none: F is 0 along a
+    curve), ``open_end`` and ``multimodal`` (the profile's minimum toward an
+    open end of shape, or a second grid minimum that competes with it; see
+    ``elicit.profile``), ``max_iters``, or ``no_descent`` (no step was left
     where the loss is defined, or gradient descent's line search found no
-    descent), ``exact_fit`` (one active sub-loss on a 1-parameter model) or
-    ``constraint`` (an infinite weight on a 1-parameter model), the two
-    solved by the root of the pinned moment clipped to the domain's ends,
-    ``exact_minimum`` (both sub-losses active on a 1-parameter model, an
-    interior optimum): the least root of the loss's cubic derivative, or
-    ``boundary``: a 1-parameter model whose loss is least at an end of the
-    domain, which is also where an exact fit's clipped root lands.  These
-    four take no iterations and are converged; a ``boundary`` loss is the
-    infimum over the domain's closure.  ``converged`` is False after
-    ``max_iters``, when no start reached a point with a finite loss, and
-    when a 2-parameter constrained solve ends off its constraint.
+    descent).  On a 1-parameter model: ``exact_fit`` (one active sub-loss) or
+    ``constraint`` (an infinite weight), the two solved by the root of the
+    pinned moment clipped to the domain's ends, ``exact_minimum`` (both
+    sub-losses active, an interior optimum): the least root of the loss's
+    cubic derivative, or ``boundary``: a loss least at an end of the domain,
+    which is also where an exact fit's clipped root lands; a ``boundary``
+    loss is the infimum over the domain's closure.  ``converged`` is False
+    after ``max_iters``, ``open_end``, ``multimodal`` or ``no_bracket``, when
+    no start reached a point with a finite loss, and when a constrained
+    solve ends off its constraint.
 
     ``clamped`` marks a ``constraint`` whose root of r_i = m_hat_i was
     clipped to an end of the domain, so that r_i misses m_hat_i.
 
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
-    problem's starts; ``exact_minimum`` and ``boundary`` score each
-    candidate root and end of the domain once, and a pinned root once.
-    ``start_index`` is the winning start's place in the start list: 0 for
-    the configured init, 1..multistart for the random offsets; None when no
-    start was used (a closed form or the meshgrid).
+    problem's starts under ``nelder_mead`` and ``gradient_descent``, and 0
+    under ``profile``; ``exact_minimum`` and ``boundary`` on a 1-parameter
+    model score each candidate root and end of the domain once, and a pinned
+    root once.  ``start_index`` is the winning start's place in the start
+    list: 0 for the configured init, 1..multistart for the random offsets;
+    None when no start was used (a closed form, the profile or the
+    meshgrid).
     """
 
     theta_star: np.ndarray
@@ -236,106 +234,6 @@ def _sq(rho, ok) -> np.ndarray:
     return np.where(ok, (rho * rho).sum(axis=1), math.inf)
 
 
-def _lm_point(fun, z, lanes):
-    """f, J^T J as (d, d, n) and J^T rho as (d, n), and where all are defined and finite.
-
-    Lanes on the last axis make each term one long elementwise pass.  The
-    sums over moment rows run from 0.0 in row order, as numpy's reduction.
-    """
-    rho, J, ok = fun(z, lanes, jac=True)
-    f = (rho * rho).sum(axis=1)
-    A = g = 0.0
-    for Jm, rm in zip(J.transpose(1, 2, 0).copy(), rho.T.copy()):
-        A = A + Jm[:, None] * Jm[None, :]
-        g = g + Jm * rm
-    ok = ok & np.isfinite(f) & np.isfinite(A).all(axis=(0, 1)) & np.isfinite(g).all(axis=0)
-    return f, A, g, ok
-
-
-def _damped_step(A, damping, g):
-    """h solving (A + damping * I) h = -g per lane (last axis), in closed form for d = 2.
-
-    nan where the damped matrix is singular, so the step is rejected.
-    """
-    a = A[0, 0] + damping
-    c = A[1, 1] + damping
-    b = A[0, 1]
-    det = a * c - b * b
-    det = np.where(det == 0.0, math.nan, det)
-    return np.stack([(b * g[1] - c * g[0]) / det, (b * g[0] - a * g[1]) / det])
-
-
-def _levenberg_marquardt(point, z0, max_iters, tol_loss, tol_step):
-    """Damped Gauss-Newton on f = rho . rho, every row of z0 a lane.
-
-    ``point(z, lanes)`` gives (f, J^T J, J^T rho, ok) for the rows z of the
-    given lanes, laid out as by ``_lm_point``.  Each lane's step solves
-    (J^T J + mu * s * I) h = -J^T rho, where s is the largest diagonal entry
-    of J^T J at its current point, so mu is relative to the curvature there.
-    From a start whose moments miss the data by many orders of magnitude,
-    J^T J falls by as many orders within a few steps; an absolute damping
-    would lag behind it for dozens of short steps.  A step is accepted when
-    it lowers f, and mu then follows Nielsen's update; otherwise mu grows by
-    a doubling factor.  A lane has converged when f reaches 0 or J^T rho
-    vanishes, or when a step of at most tol_step * (1 + |z|) lowers f by at
-    most tol_loss * f (a rejected step lowers it by nothing); it ends in
-    no_descent when such a step lands where rho or J is undefined, or when
-    its start is undefined.  A lane leaves the batch once it stops.  z and h
-    are (2, n), so reducing over the coordinates is elementwise.
-
-    Returns z, f, iterations, termination and evaluations, one per lane.
-    """
-    n, d = z0.shape
-    z_out = np.array(z0, dtype=float)
-    f_out = np.full(n, math.inf)
-    iters = np.zeros(n, dtype=int)
-    evals = np.ones(n, dtype=int)
-    term = np.full(n, "no_descent", dtype=object)
-    diagonal = np.arange(d)
-
-    f, A, g, ok = point(z_out, np.arange(n))
-    lanes = np.flatnonzero(ok)
-    z, f, A, g = z_out[lanes].T, f[lanes], A[..., lanes], g[:, lanes]
-    mu, nu = np.full(len(lanes), 1e-3), np.full(len(lanes), 2.0)
-    for it in range(1, max_iters + 1):
-        if not lanes.size:
-            break
-        flat = (f == 0.0) | ~g.any(axis=0)
-        damping = mu * A[diagonal, diagonal].max(axis=0)
-        h = _damped_step(A, damping, g)
-        # A non-finite h is neither small nor tried: it is rejected and mu grows.
-        small = np.abs(h).max(axis=0) <= tol_step * (1.0 + np.abs(z).max(axis=0))
-        tried = ~flat & np.isfinite(h).all(axis=0)
-        # Untried lanes are evaluated where they stand, and the result is dropped.
-        f_t, A_t, g_t, ok_t = point(np.where(tried, z + h, z).T, lanes)
-        evals[lanes] += tried
-        better = tried & ok_t & (f_t < f)
-        df = f - f_t
-        predicted = (h * (damping * h - g)).sum(axis=0)
-        gain = np.where(predicted > 0.0, df / predicted, 1.0)
-        mu = np.where(better, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), mu * nu)
-        nu = np.where(better, 2.0, 2.0 * nu)
-        z = np.where(better, z + h, z)
-        f = np.where(better, f_t, f)
-        A = np.where(better, A_t, A)
-        g = np.where(better, g_t, g)
-        # A small step that does not lower f meets the stopping rule; one that
-        # lands where rho or J is undefined leaves no descent to take.
-        rejected = ~flat & ~better & small
-        stop = flat | rejected | (better & small & (df <= tol_loss * f))
-        if stop.any():
-            done = lanes[stop]
-            z_out[done], f_out[done] = z[:, stop].T, f[stop]
-            iters[done] = it - flat[stop]
-            term[done] = np.where((rejected & ~ok_t)[stop], "no_descent", "converged")
-            keep = ~stop
-            lanes, z, f, A, g, mu, nu = (x[..., keep] for x in (lanes, z, f, A, g, mu, nu))
-    z_out[lanes], f_out[lanes] = z.T, f
-    iters[lanes] = max_iters
-    term[lanes] = "max_iters"
-    return z_out, f_out, iters, term, evals
-
-
 def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
     """Standard simplex method; stops on relative loss spread and simplex size."""
     n = len(z0)
@@ -355,6 +253,9 @@ def _nelder_mead(f, z0, max_iters, tol_loss, tol_step):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         f_best, f_worst = values[0], values[-1]
+        if f_best == math.inf:
+            termination = "no_descent"  # no vertex where the loss is defined
+            break
         loss_ok = (f_worst - f_best) <= tol_loss * (1.0 + abs(f_best))
         size = np.max(np.abs(simplex[1:] - simplex[0]))
         step_ok = size <= tol_step * (1.0 + np.max(np.abs(simplex[0])))
@@ -430,29 +331,29 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
     return z, float(fz), n_iters, termination
 
 
-def _run_lane(fun, lane, z0, free, config):
-    """Nelder-Mead or gradient descent on one lane: (z, f, iterations, termination, evals).
+def _run_lane(fun, z0, free, config):
+    """Nelder-Mead or gradient descent from z0: (z, f, iterations, termination, evals).
 
-    The solver moves only the coordinates of z0 flagged in ``free``.
+    ``fun(z, jac=False)`` gives (rho, d rho / d z or None, ok) at one z.  The
+    solver moves only the coordinates of z0 flagged in ``free``.
     """
-    lanes = np.array([lane])
     evals = 0
 
     def full(x):
         z = z0.copy()
         z[free] = x
-        return z[None]
+        return z
 
     def f(x):
         nonlocal evals
         evals += 1
-        rho, _, ok = fun(full(x), lanes)
+        rho, _, ok = fun(full(x))
         return float(_sq(rho, ok)[0])
 
     def grad(x):
         nonlocal evals
         evals += 1
-        rho, J, ok = fun(full(x), lanes, jac=True)
+        rho, J, ok = fun(full(x), jac=True)
         return 2.0 * (J * rho[:, :, None]).sum(axis=1)[0, free] if ok[0] else None
 
     args = (z0[free], config.max_iters, config.tol_loss, config.tol_step)
@@ -460,21 +361,7 @@ def _run_lane(fun, lane, z0, free, config):
         x, *out = _gradient_descent(f, grad, *args)
     else:
         x, *out = _nelder_mead(f, *args)
-    return (full(x)[0], *out, evals)
-
-
-def _run_solver(fun, z0, free, config):
-    """Solve every lane (row of z0): z, f, iterations, terminations and evaluations.
-
-    ``free`` flags, per lane, the coordinates of z the solver may move.
-    """
-    if config.method == "levenberg_marquardt":
-        return _levenberg_marquardt(lambda z, lanes: _lm_point(fun, z, lanes), z0,
-                                    config.max_iters, config.tol_loss, config.tol_step)
-    runs = [_run_lane(fun, k, z, free[k], config) for k, z in enumerate(z0)]
-    z, f, iters, term, evals = zip(*runs)
-    return (np.array(z), np.array(f), np.array(iters), np.array(term, dtype=object),
-            np.array(evals))
+    return (full(x), *out, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -567,55 +454,34 @@ def _finite_objective(model, em, kinds, eff):
     return residual
 
 
-def _lane_objective(model, residual, eliminated):
-    """``fun`` over the z rows of a batch, and ``thetas(z, lanes)`` decoding them.
+def _problem_objective(model, residual, elim):
+    """``fun(z, jac=False)`` over one problem's z, and ``theta(z)`` decoding it.
 
-    ``residual`` is the batch's ``_finite_objective``.  ``eliminated`` lists
-    (lo, hi, free index, constraint index, build) per constrained problem:
-    its lanes lo..hi-1 search the free coordinate, ``build`` supplies the
-    other from the constraint, and the constraint's row d r_i / d theta is
-    read from the residual's moment Jacobian: one ``jacobian_grid`` each.
+    ``residual`` is the problem's ``_finite_objective``.  ``elim`` is None or
+    (free index f, constraint index i, build): z then searches coordinate f,
+    ``build`` supplies the other from the constraint, and the Jacobian column
+    of f is J_f + J_e d theta_e / d theta_f, with d theta_e / d theta_f =
+    -(d r_i / d theta_f) / (d r_i / d theta_e) read from the same
+    ``jacobian_grid``; the other column is 0.
     """
 
-    def thetas(z, lanes):
-        theta, dtheta = _from_z(z, model.domain)
-        for lo, hi, f, _, build in eliminated:
-            rows = (lanes >= lo) & (lanes < hi)
-            theta[rows] = build(theta[rows, f])
-        return theta, dtheta
+    def theta(z):
+        th, dth = _from_z(z[None], model.domain)
+        return (th if elim is None else elim[2](th[:, elim[0]])), dth
 
-    def fun(z, lanes, jac=False):
-        theta, dtheta = thetas(z, lanes)
-        rho, J, jr, ok = residual(theta, lanes, jac)
+    def fun(z, jac=False):
+        th, dth = theta(z)
+        rho, J, jr, ok = residual(th, _ROW, jac)
         if not jac:
             return rho, None, ok
-        Jz = J * dtheta[:, None, :]
-        for lo, hi, f, i, _ in eliminated:
-            rows = (lanes >= lo) & (lanes < hi)
-            e = 1 - f
-            slope = -jr[rows, i, f] / jr[rows, i, e]
-            Jz[rows] = 0.0
-            Jz[rows, :, f] = ((J[rows, :, f] + J[rows, :, e] * slope[:, None])
-                              * dtheta[rows, f, None])
+        if elim is None:
+            return rho, J * dth[:, None, :], ok
+        f, i, _ = elim
+        Jz = np.zeros_like(J)
+        Jz[:, :, f] = (J[:, :, f] + J[:, :, 1 - f] * (-jr[:, i, f] / jr[:, i, 1 - f])[:, None]) * dth[:, f, None]
         return rho, Jz, ok
 
-    return fun, thetas
-
-
-def _winners(spans, end, start):
-    """Each problem's best candidate: its lane, theta, f and whether it is ok.
-
-    ``end`` and ``start`` hold (theta, f, ok) per lane at the solver's end
-    and raw start; lanes spans[p]..spans[p+1]-1 are problem p's.  A stable
-    sort of the candidates (each lane's end, then its start, in lane order)
-    by (problem, not ok, f, theta) puts first the lowest ok (f, theta), the
-    earlier one on a tie; a problem with no ok candidate gets one not ok.
-    """
-    theta, f, ok = (np.stack(pair, axis=1) for pair in zip(end, start))
-    theta, f, ok = theta.reshape(len(f) * 2, -1), f.ravel(), ok.ravel()
-    problem = np.repeat(np.arange(len(spans) - 1), 2 * np.diff(spans))
-    win = np.lexsort((*theta.T[::-1], f, ~ok, problem))[2 * spans[:-1]]
-    return win // 2, theta[win], f[win], ok[win]
+    return fun, theta
 
 
 def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
@@ -795,6 +661,40 @@ def _least_stationary_points(model, em, kinds, eff):
     return _least_point(model, em, kinds, eff, theta.reshape(len(eff), -1))
 
 
+def _solve_profile(model, em, kinds, rows, out):
+    """Fill ``out`` with the profile solve of every 2-parameter row of ``minimize_many``."""
+    solved = []
+    for k, i, eff, _ in rows:
+        try:
+            if i is not None:
+                model.eliminate_for_moment(i, float(em.m_hat[i]))  # raises OutOfImage
+            solved.append((k, -1 if i is None else i, eff))
+        except ElicitError as exc:
+            out[k] = exc
+    if not solved:
+        return out
+    keys, held, eff = zip(*solved)
+    eff, held = np.array(eff), np.array(held)
+    theta, term = profile.solve(model, em, kinds, eff, held)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta, np.arange(len(eff)))
+        r_star = model.moments_grid(theta)
+        sub_losses = sub_loss_vector(kinds, r_star, em)
+    loss = _sq(rho, ok) + _loss_constant(eff, em)
+    m_hat = em.m_hat
+    for p, k in enumerate(keys):
+        i = held[p]
+        try:
+            if not model.in_domain(theta[p:p + 1])[0]:
+                model.moments(theta[p])  # raises the DomainError naming the bound
+            on = i < 0 or abs(r_star[p, i] - m_hat[i]) <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i]))
+            out[k] = _solution(theta[p], r_star[p], loss[p], kinds, em, str(term[p]),
+                               converged=on and term[p] in _CONVERGED, sub_losses=sub_losses[p])
+        except ElicitError as exc:
+            out[k] = exc
+    return out
+
+
 def minimize_many(
     model: ParametricModel,
     weights_list,
@@ -803,17 +703,17 @@ def minimize_many(
     config: OptimizerConfig | None = None,
     starts=None,
 ) -> list[Solution | ElicitError]:
-    """``minimize`` for every weight vector, the iterative ones as one batch.
+    """``minimize`` for every weight vector.
 
     Returns one Solution per weight vector, or the ElicitError that its
     problem raised, so one infeasible problem leaves the others solved.
-    Each result equals ``minimize`` on that weight vector alone.
+    Each result equals ``minimize`` on that weight vector alone.  Every
+    1-parameter problem is solved in closed form by ``_solve_1p``, and every
+    2-parameter one by ``profile.solve`` under the default method, all of them
+    together; both ignore ``config``'s other settings and ``starts``.
     ``starts``, when given, holds per weight vector None or theta starts that
-    replace the configured ones of a finite-weight problem, pulled inside the domain.
-    Every 1-parameter problem is solved in closed form by ``_solve_1p``, all
-    of them together, and ignores ``config`` and ``starts``; only
-    2-parameter problems form the iterative batch.  Winners come from
-    ``_winners``, their moments from one ``moments_grid``.
+    replace the configured ones of a finite-weight problem under
+    ``nelder_mead`` or ``gradient_descent``, pulled inside the domain.
     """
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
     out: list = [None] * len(weights_list)
@@ -829,85 +729,68 @@ def minimize_many(
         return out
 
     config = config or OptimizerConfig()
-    batch = []      # (result index, constraint index, active weights, starts, (free index, build))
+    if config.method == "profile":
+        return _solve_profile(model, em, kinds, rows, out)
     base = None
     for k, i, eff, _ in rows:
         try:
             elim = None
             if i is None and starts is not None and starts[k] is not None:
-                lanes = [interior_start(model, x) for x in starts[k]]
+                x0s = [interior_start(model, x) for x in starts[k]]
             else:
                 base = base or _starts(_resolve_init(model, em, config), model.domain, config)
-                lanes = base
+                x0s = base
                 if i is not None:
                     f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
-                    lanes = _starts(base[0][f:f + 1], model.domain[f:f + 1], config)
-                    elim = (f, build)
-            batch.append((k, i, eff, lanes, elim))
-        except ElicitError as exc:
-            out[k] = exc
-    if not batch:
-        return out
-
-    # Every start is one lane, and lanes lo..hi-1 hold one problem's starts.
-    # A constrained problem's lanes search its free coordinate f and hold 0
-    # in the z of the eliminated one.
-    spans = np.cumsum([0] + [len(lanes) for _, _, _, lanes, _ in batch])
-    n, d = spans[-1], model.theta_dim
-    eff_rows = np.array([eff for _, _, eff, _, _ in batch])
-    z0 = np.zeros((n, d))
-    theta0 = np.empty((n, d))
-    free = np.ones((n, d), dtype=bool)
-    eliminated = []
-    for (_, i, _, lanes, elim), lo, hi in zip(batch, spans, spans[1:]):
-        x = np.asarray(lanes, dtype=float)
-        if elim is None:
-            z0[lo:hi], theta0[lo:hi] = _to_z(x, model.domain), x
-        else:
-            f, build = elim
-            z0[lo:hi, f] = _to_z(x, model.domain[f:f + 1])[:, 0]
-            theta0[lo:hi] = build(x[:, 0])
-            free[lo:hi, 1 - f] = False
-            eliminated.append((lo, hi, f, i, build))
-
-    residual = _finite_objective(model, em, kinds, np.repeat(eff_rows, np.diff(spans), axis=0))
-    fun, thetas = _lane_objective(model, residual, eliminated)
-    # Each raw start is itself a candidate, scored without the z round trip,
-    # so a start sitting exactly on the minimizer is returned bit-exact.  A
-    # lane searching theta itself always has a theta; an eliminated lane has
-    # one where the constraint's build lands inside the domain.
-    every, direct = np.arange(n), free.all(axis=1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, f_end, iters, term, evals = _run_solver(fun, z0, free, config)
-        theta_end = thetas(z, every)[0]
-        rho, _, _, ok = residual(theta0, every)
-        lane, theta, excess, ok = _winners(
-            spans, (theta_end, f_end, direct | model.in_domain(theta_end)),
-            (theta0, _sq(rho, ok), direct | model.in_domain(theta0)))
-        r_star = model.moments_grid(theta)
-        sub_losses = sub_loss_vector(kinds, r_star, em)
-    loss = excess + _loss_constant(eff_rows, em)
-    inside = model.in_domain(theta)
-    n_iters = np.add.reduceat(iters, spans[:-1])
-    # Scoring each raw start is one evaluation on top of the solver's.
-    n_evals = np.add.reduceat(evals, spans[:-1]) + np.diff(spans)
-    m_hat = em.m_hat
-    for p, (k, i, _, _, _) in enumerate(batch):
-        try:
-            if not ok[p]:
-                raise OutOfImage(f"{model.name}: constraint r_{i + 1} = {float(m_hat[i])} "
-                                 "admits no interior solution")
-            if not inside[p]:
-                model.moments(theta[p])  # raises the DomainError naming the bound
-            on_constraint = i is None or (abs(r_star[p, i] - m_hat[i])
-                                          <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i])))
-            out[k] = _solution(theta[p], r_star[p], loss[p], kinds, em, str(term[lane[p]]),
-                               n_iters[p], theta0[lane[p]], converged=on_constraint,
-                               start_index=int(lane[p] - spans[p]), n_evals=n_evals[p],
-                               sub_losses=sub_losses[p])
+                    x0s, elim = _starts(base[0][f:f + 1], model.domain[f:f + 1], config), (f, i, build)
+            out[k] = _best_of_starts(model, em, kinds, eff, elim, x0s, config)
         except ElicitError as exc:
             out[k] = exc
     return out
+
+
+def _best_of_starts(model, em, kinds, eff, elim, x0s, config) -> Solution:
+    """Nelder-Mead or gradient descent on one problem from each start; the best candidate wins.
+
+    Each start's raw theta is a candidate beside the solver's end, scored
+    without the z round trip, so a start sitting exactly on the minimizer is
+    returned bit-exact.  The least (not in the domain, f, theta) wins, the
+    earlier candidate on a tie (each start's end, then the start itself, in
+    start order).  A search over theta itself always has a theta; one over
+    ``elim``'s free coordinate has one where ``build`` lands inside the domain.
+    """
+    residual = _finite_objective(model, em, kinds, np.array([eff]))
+    fun, theta_of = _problem_objective(model, residual, elim)
+    free = np.ones(model.theta_dim, dtype=bool)
+    candidates, n_iters, n_evals = [], 0, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for index, x0 in enumerate(x0s):
+            x0 = np.asarray(x0, dtype=float)
+            if elim is None:
+                z0, theta0 = _to_z(x0, model.domain), x0
+            else:
+                f = elim[0]
+                z0, free[1 - f] = np.zeros(model.theta_dim), False
+                z0[f], theta0 = _to_z(x0, model.domain[f:f + 1])[0], elim[2](x0)[0]
+            z, f_end, iters, term, evals = _run_lane(fun, z0, free, config)
+            theta_end = theta_of(z)[0][0]
+            rho, _, _, ok = residual(theta0[None], _ROW)
+            for theta, value in ((theta_end, f_end), (theta0, float(_sq(rho, ok)[0]))):
+                inside = elim is None or bool(model.in_domain(theta[None])[0])
+                candidates.append(((not inside, value, *theta.tolist()), theta, term, theta0, index))
+            n_iters, n_evals = n_iters + iters, n_evals + evals + 1
+        (outside, excess, *_), theta, term, theta0, index = min(candidates, key=lambda c: c[0])
+        if outside:
+            raise OutOfImage(f"{model.name}: constraint r_{elim[1] + 1} = {float(em.m_hat[elim[1]])} "
+                             "admits no interior solution")
+        if not model.in_domain(theta[None])[0]:
+            model.moments(theta)  # raises the DomainError naming the bound
+        r_star = model.moments_grid(theta[None])[0]
+    i, m_hat = None if elim is None else elim[1], em.m_hat
+    on_constraint = i is None or abs(r_star[i] - m_hat[i]) <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i]))
+    return _solution(theta, r_star, excess + _loss_constant(np.array([eff]), em)[0], kinds, em,
+                     term, n_iters, theta0, converged=on_constraint, start_index=index,
+                     n_evals=n_evals)
 
 
 def minimize(

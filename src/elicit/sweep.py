@@ -11,10 +11,10 @@ All grid points are solved by one ``minimize_many`` call.  On a
 inverting the moment map, the interior points as the least stationary point
 of a quartic or an end of the domain, all at once, so the optimizer
 settings move none of them.  On a 2-parameter model every point, the
-infinite-weight endpoint included, contributes its starts as lanes of one
-batched Levenberg-Marquardt loop.  Each point is solved exactly once, and every
-lane is computed independently of the others, so a point's result does not
-depend on the rest of the grid: it equals ``minimize`` on that point alone.
+infinite-weight endpoint included, is a row of one profile solve
+(``elicit.profile``).  Each point is solved exactly once, and every row is
+computed independently of the others, so a point's result does not depend
+on the rest of the grid: it equals ``minimize`` on that point alone.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from elicit import analytic_moments, make_model, optimize
+from elicit import analytic_moments, make_model, optimize, profile
 from elicit.config import resolve
 from elicit.sweep import run_sweep
 from elicit.verify import analytic_variance_spec as make_variance_spec
@@ -16,25 +16,32 @@ DIAGNOSTIC_CONFIG_DIR = REPO_ROOT / "configs" / "diagnostics"
 
 @pytest.fixture(autouse=True)
 def no_iterative_one_parameter_solve():
-    """Fail any test in which a 1-parameter problem reaches the iterative solver.
+    """Fail any test in which a 1-parameter problem reaches an iterative or profile solve.
 
     Every 1-parameter problem has a closed-form answer.  The guard raises
     inside the solve and also fails the test afterwards, in case a caller
     caught the error.
     """
     seen = []
-    run_solver = optimize._run_solver
+    run_lane, solve = optimize._run_lane, profile.solve
 
-    def guarded(fun, z0, free, config):
-        if z0.shape[1] == 1:
-            seen.append(len(z0))
+    def guarded_lane(fun, z0, free, config):
+        if len(z0) == 1:
+            seen.append("a lane")
             raise AssertionError("a 1-parameter problem reached the iterative solver")
-        return run_solver(fun, z0, free, config)
+        return run_lane(fun, z0, free, config)
+
+    def guarded_profile(model, em, kinds, eff, held):
+        if model.theta_dim == 1:
+            seen.append(f"{len(eff)} profile rows")
+            raise AssertionError("a 1-parameter problem reached the profile solve")
+        return solve(model, em, kinds, eff, held)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimize, "_run_solver", guarded)
+        patch.setattr(optimize, "_run_lane", guarded_lane)
+        patch.setattr(profile, "solve", guarded_profile)
         yield
-    assert not seen, f"1-parameter batches of {seen} lanes reached the iterative solver"
+    assert not seen, f"1-parameter problems reached an iterative or profile solve: {seen}"
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elicit import cli, optimize, verify
+from elicit import cli, optimize, profile, verify
 from elicit.cli import _oracle_solutions, main
 from elicit.config import load_config, resolve
 from elicit.errors import ElicitError
@@ -223,7 +223,7 @@ class TestRun:
         cfg_path, out = write_config(tmp_path)
         main(["run", str(cfg_path)])
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["optimizer"]["method"] == "levenberg_marquardt"
+        assert manifest["optimizer"]["method"] == "profile"
         assert manifest["optimizer"]["tol_loss"] == 1e-12
         assert manifest["base_weights"] == "ones"
         assert manifest["sweep"]["fixed_weights"] == [1.0, 1.0]
@@ -262,7 +262,7 @@ class TestRun:
         cfg_path, out = write_config(
             tmp_path, model={"name": "lognormal", "fixed_params": []}, link="skewness",
             analytic={"name": "lognormal", "params": [0.3, 1.2], "perturb": [0.1, 0.5, 4.0]},
-            optimizer={"multistart": 0, "max_iters": 1}
+            optimizer={"method": "nelder_mead", "multistart": 0, "max_iters": 1}
         )
         assert main(["run", str(cfg_path)]) == 2
         assert (out / "curve.csv").exists()  # outputs still written
@@ -448,35 +448,33 @@ class TestOracle:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["skew-lognormal", "skew-gamma2"])
-    def test_one_levenberg_marquardt_call_per_run(self, monkeypatch, capsys, name):
-        # The configured starts and the grid minimizer are lanes of one batch,
-        # and both answers equal those of two separate solves.
+    def test_one_profile_solve_per_run(self, monkeypatch, capsys, name):
+        # The configured and the grid-start problems are two rows of one
+        # profile solve, which takes no start: both answers equal the solve alone.
         cfg_path = SWEEP_CONFIG_DIR / f"{name}.json"
         exp = resolve(load_config(cfg_path))
-        config = exp.spec.optimizer
-        lanes = []
-        solve = optimize._levenberg_marquardt
+        rows = []
+        solve = profile.solve
 
-        def counted(point, z0, *args):
-            lanes.append(len(z0))
-            return solve(point, z0, *args)
+        def counted(model, em, kinds, eff, held):
+            rows.append(len(eff))
+            return solve(model, em, kinds, eff, held)
 
-        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
+        monkeypatch.setattr(profile, "solve", counted)
         assert main(["oracle", str(cfg_path), "--width", "0.01"]) == 0
-        assert lanes == [config.multistart + 2]
+        assert rows == [2]
         printed = capsys.readouterr().out
         grid, configured, grid_start = _oracle_solutions(exp, 0.01)
         monkeypatch.undo()
 
-        weights = exp.spec.weights_at(1.0)
-        alone = minimize(exp.model, weights, exp.em, exp.spec.kinds, config)
-        from_grid = minimize(exp.model, weights, exp.em, exp.spec.kinds,
-                             replace(config, init=tuple(grid.theta_star), multistart=0))
-        best = min(alone, from_grid, key=lambda sol: (sol.loss, tuple(sol.theta_star)))
-        for got, want in ((configured, alone), (grid_start, best)):
-            assert np.array_equal(got.theta_star, want.theta_star)
-            assert got.loss == want.loss
-            assert f"loss = {want.loss:.6e}" in printed
+        alone = minimize(exp.model, exp.spec.weights_at(1.0), exp.em, exp.spec.kinds,
+                         exp.spec.optimizer)
+        for got in (configured, grid_start):
+            assert np.array_equal(got.theta_star, alone.theta_star)
+            assert got.loss == alone.loss <= grid.loss
+        configured_line, grid_line = printed.splitlines()[:2]
+        for line in (configured_line, grid_line):
+            assert f"loss = {alone.loss:.6e}" in line
 
     def test_sensitivity_config_logs_two_gammas(self, capsys):
         code = main(["oracle", str(DIAGNOSTIC_CONFIG_DIR / "sensitivity-lognormal.json"),
@@ -553,7 +551,7 @@ class TestCommittedOutputs:
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # Each costs a large share of the interpreter start-up; scipy.special
-    # covers the inverse CDFs, distmodels.brentq the 1-D roots, and the
+    # covers the inverse CDFs, distmodels.newton_in_bracket the 1-D roots, and the
     # config's key table and the objects built from it the validation.
     code = ("import sys, elicit.cli; print(sorted("
             "{'scipy.stats', 'scipy.optimize', 'jsonschema'} & set(sys.modules)))")

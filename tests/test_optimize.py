@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from elicit import analytic_moments, distmodels, make_model, minimize, optimize
+from elicit import analytic_moments, distmodels, make_model, minimize, optimize, profile
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
 from elicit.errors import DomainError, EmptyGrid, OutOfImage
@@ -183,74 +183,33 @@ def lognormal_9_sample_moments():
     return empirical_moments(sample(SamplingTemplate("lognormal", (0.0, 9.0), 1000, seed=17)), 3)
 
 
-class TestLevenbergMarquardt:
-    def test_is_the_default_and_the_others_stay_selectable(self):
-        assert OptimizerConfig().method == "levenberg_marquardt"
+class TestMethods:
+    def test_profile_is_the_default_and_the_others_stay_selectable(self):
+        assert OptimizerConfig().method == "profile"
+        assert optimize.METHODS == ("profile", "nelder_mead", "gradient_descent")
         model, w, em = gamma2_problem()
         losses = [minimize(model, w, em, config=OptimizerConfig(method=m)).loss
                   for m in optimize.METHODS]
         assert max(losses) - min(losses) <= 1e-9 * (1.0 + min(losses))
 
-    def test_undefined_trial_points_are_rejected_without_warnings(self, monkeypatch):
-        # From (0, 1) on the renormalized lognormal(0, 9) problem, some trial
-        # steps land where r_3 or its Jacobian overflows.
+    def test_overflowing_grid_points_raise_no_warnings(self):
+        # On the renormalized lognormal(0, 9) problem r_3 overflows at the
+        # grid's large v2; the overflow stays inside the solve.
         model = make_model("lognormal")
         em = lognormal_9_sample_moments()
         w = WeightVector.of([1.0, 1.0, 1.0], renormalize_base(em))
-        reference = minimize(model, w, em)
-        undefined = []
-        lm_point = optimize._lm_point
-
-        def counting(fun, z, lanes):
-            out = lm_point(fun, z, lanes)
-            undefined.append(not out[3].all())
-            return out
-
-        monkeypatch.setattr(optimize, "_lm_point", counting)
+        simplex = minimize(model, w, em, config=OptimizerConfig(method="nelder_mead"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = minimize(model, w, em, config=OptimizerConfig(multistart=0, init=(0.0, 1.0)))
-        assert any(undefined)
-        assert sol.converged
-        assert sol.loss <= reference.loss + 1e-9 * (1.0 + abs(reference.loss))
-
-    def test_undefined_region_ends_in_no_descent(self):
-        # rho = z_1 - 3 is undefined beyond z_1 = 1.5: the solver walks to the
-        # edge and stops there.  z_2 moves nothing.
-        def fun(z, lanes, jac=False):
-            J = np.broadcast_to([[[1.0, 0.0]]], (len(z), 1, 2))
-            return z[:, :1] - 3.0, J, z[:, 0] <= 1.5
-
-        z, f, _, termination, _ = optimize._levenberg_marquardt(
-            lambda z, lanes: optimize._lm_point(fun, z, lanes), np.zeros((1, 2)),
-            1000, 1e-12, 1e-10)
-        assert termination[0] == "no_descent"
-        assert 1.5 - 1e-6 < z[0, 0] <= 1.5 and z[0, 1] == 0.0
-        assert f[0] == (z[0, 0] - 3.0) ** 2
-
-    def test_damping_follows_the_curvature_from_far_starts(self):
-        # rho_1 = exp(z) - 2: from z0 a Gauss-Newton step lowers z by about 1
-        # while J^T J falls by e^2, so 20 more units of start distance cost
-        # about 20 more steps.  A damping fixed in absolute units lags behind
-        # J^T J and took 68 more.  Both starts run as lanes of one batch, and
-        # z_2 moves nothing.
-        def fun(z, lanes, jac=False):
-            e = np.exp(z[:, 0])
-            rho = np.column_stack([e - 2.0, 0.5 * (z[:, 0] - 1.0)])
-            J = np.stack([e, np.full_like(e, 0.5)], axis=1)[:, :, None]
-            return rho, np.concatenate([J, np.zeros_like(J)], axis=2), np.ones(len(z), dtype=bool)
-
-        z, _, iters, termination, _ = optimize._levenberg_marquardt(
-            lambda z, lanes: optimize._lm_point(fun, z, lanes),
-            np.array([[10.0, 0.0], [30.0, 0.0]]), 1000, 1e-12, 1e-10)
-        assert list(termination) == ["converged", "converged"]
-        assert z[:, 0] == pytest.approx([0.7107536660] * 2, abs=1e-9)
-        assert iters[1] - iters[0] <= 25
+            sol = minimize(model, w, em)
+        assert sol.converged and sol.termination == "converged"
+        assert sol.loss <= simplex.loss + 1e-9 * (1.0 + abs(simplex.loss))
 
     def test_undefined_start_is_not_converged(self):
-        # r_3 overflows at v2 = 100, and no multistart offers a way out.  The
-        # overflow stays inside the solver: no warning escapes.
-        cfg = OptimizerConfig(multistart=0, init=(0.0, 100.0))
+        # r_3 overflows at v2 = 100, and no multistart offers a way out: gradient
+        # descent finds no gradient there.  The overflow stays inside the
+        # solver: no warning escapes.
+        cfg = OptimizerConfig(method="gradient_descent", multistart=0, init=(0.0, 100.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = minimize(make_model("lognormal"), WeightVector.of([1.0, 1.0, 1.0]),
@@ -330,23 +289,24 @@ class TestStartsArgument:
             assert_same_solution(sol, alone)
 
 
-def best_lane_reference(lanes, end, start, term):
-    """The (loss, lexicographic theta) best candidate over the given lanes, by a strict-< scan.
+def best_start_reference(model, w, em, kinds, lanes):
+    """The (loss, lexicographic theta) best candidate over one problem's starts, by a strict-< scan.
 
-    ``end`` and ``start`` hold (theta, f, ok) per lane at the solver's end
-    and at the raw start.  Returns (theta, loss, termination, start, start
-    index), or None when no candidate has a theta in the domain.
+    ``lanes`` holds (raw start theta, z at the solver's end, termination) per
+    start of a finite-weight problem.  Returns (theta, excess loss,
+    termination, start, start index).
     """
+    residual = optimize._finite_objective(model, em, kinds or default_kinds(3),
+                                          np.array([optimize._active_terms(w, em)[1]]))
     best = None
-    for index, lane in enumerate(lanes):
-        for theta, f, ok in (end, start):
-            if not ok[lane]:
-                continue
-            key = (float(f[lane]), tuple(theta[lane]))
+    for index, (x0, z, term) in enumerate(lanes):
+        end = optimize._from_z(z[None], model.domain)[0][0]
+        for theta in (end, x0):
+            rho, _, _, ok = residual(theta[None], np.zeros(1, dtype=int))
+            key = (float(optimize._sq(rho, ok)[0]), tuple(theta))
             if best is None or key < best[0]:
-                best = (key, (theta[lane].copy(), key[0], str(term[lane]),
-                              start[0][lane].copy(), index))
-    return None if best is None else best[1]
+                best = (key, (theta.copy(), key[0], term, x0, index))
+    return best[1]
 
 
 def loss_constant_reference(weights, em):
@@ -359,81 +319,64 @@ def loss_constant_reference(weights, em):
     return float(out)
 
 
+SIMPLEX = OptimizerConfig(method="nelder_mead")
+
+
 class TestWinnerSelection:
-    """The sort in ``_winners`` picks what the strict-< scan over lanes picked."""
+    """Of a problem's starts, the least (loss, theta) candidate wins, as a strict-< scan picks it."""
 
     @staticmethod
-    def solve_against_reference(monkeypatch, model, weights, em, kinds=None, config=None,
+    def solve_against_reference(monkeypatch, model, w, em, kinds=None, config=SIMPLEX,
                                 starts=None):
-        seen = {}
-        run_solver, winners = optimize._run_solver, optimize._winners
+        lanes = []
+        run_lane = optimize._run_lane
 
-        def spy_solver(*args):
-            out = run_solver(*args)
-            seen["term"] = out[3]
+        def spy(fun, z0, free, cfg):
+            out = run_lane(fun, z0, free, cfg)
+            lanes.append((out[0], out[3]))
             return out
 
-        def spy_winners(spans, end, start):
-            seen.update(spans=spans, end=end, start=start, result=winners(spans, end, start))
-            return seen["result"]
-
-        monkeypatch.setattr(optimize, "_run_solver", spy_solver)
-        monkeypatch.setattr(optimize, "_winners", spy_winners)
-        sols = optimize.minimize_many(model, weights, em, kinds, config, starts=starts)
+        monkeypatch.setattr(optimize, "_run_lane", spy)
+        (sol,) = optimize.minimize_many(model, [w], em, kinds, config,
+                                        starts=None if starts is None else [starts])
         monkeypatch.undo()
-
-        spans, term = seen["spans"], seen["term"]
-        lane, theta, f, ok = seen["result"]
-        ref = [best_lane_reference(range(lo, hi), seen["end"], seen["start"], term)
-               for lo, hi in zip(spans, spans[1:])]
-        for p, r in enumerate(ref):
-            assert (r is None) == (not ok[p])
-            if r is not None:
-                r_theta, r_f, r_term, r_start, r_index = r
-                assert np.array_equal(theta[p], r_theta) and f[p] == r_f
-                assert term[lane[p]] == r_term and lane[p] - spans[p] == r_index
-                assert np.array_equal(seen["start"][0][lane[p]], r_start)
-        # The iterative problems' Solutions, in batch order, carry the winners.
-        iterative = [(w, s) for w, s in zip(weights, sols)
-                     if isinstance(s, optimize.Solution) and s.start_index is not None]
-        found = [r for r in ref if r is not None]
-        assert len(iterative) == len(found)
-        for (w, sol), (r_theta, r_f, r_term, r_start, r_index) in zip(iterative, found):
-            assert np.array_equal(sol.theta_star, r_theta)
-            assert sol.loss == r_f + loss_constant_reference(w, em)
-            assert (sol.termination, sol.start_index) == (r_term, r_index)
-            assert np.array_equal(sol.start_used, r_start)
-            assert np.array_equal(sol.r_star, model.moments(sol.theta_star))
-        return sols, seen
+        if starts is None:
+            x0s = optimize._starts(optimize._resolve_init(model, em, config), model.domain, config)
+        else:
+            x0s = [optimize.interior_start(model, x) for x in starts]
+        assert len(lanes) == len(x0s)
+        theta, excess, term, start, index = best_start_reference(
+            model, w, em, kinds, [(x0, z, t) for x0, (z, t) in zip(x0s, lanes)])
+        assert np.array_equal(sol.theta_star, theta)
+        assert sol.loss == excess + loss_constant_reference(w, em)
+        assert (sol.termination, sol.start_index) == (term, index)
+        assert np.array_equal(sol.start_used, start)
+        assert np.array_equal(sol.r_star, model.moments(sol.theta_star))
+        return sol
 
     @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal", "skew-beta2"])
-    def test_shipped_sweep_batches(self, monkeypatch, name):
+    def test_shipped_configs(self, monkeypatch, name):
         spec = shipped_experiment(name).spec
-        weights = [spec.weights_at(c) for c in [0.0, *spec.grid, math.inf]]
-        sols, _ = self.solve_against_reference(monkeypatch, spec.model, weights, spec.em,
-                                               spec.kinds, spec.optimizer)
-        assert all(isinstance(s, optimize.Solution) for s in sols)
+        self.solve_against_reference(monkeypatch, spec.model, spec.weights_at(1.0), spec.em,
+                                     spec.kinds)
 
     def test_duplicate_starts_pick_the_earlier_lane(self, monkeypatch):
         model = make_model("lognormal")
         em = analytic_moments(model, [0.3, 1.2], perturb=[0.1, 0.5, 4.0])
-        (sol,), _ = self.solve_against_reference(
-            monkeypatch, model, [WeightVector.of([1.0, 1.0, 1.0])], em,
-            starts=[[[0.2, 1.0], [0.2, 1.0]]])
+        sol = self.solve_against_reference(monkeypatch, model, WeightVector.of([1.0, 1.0, 1.0]),
+                                           em, starts=[[0.2, 1.0], [0.2, 1.0]])
         assert sol.start_index == 0
 
     def test_start_on_the_minimizer_ends_where_it_starts(self, monkeypatch):
         # Gamma2 moments at theta = (1, 1): the moment-matching start is the
-        # exact fit, and the z round trip of 1.0 is exact, so end and start tie.
+        # exact fit, and it wins with the earliest index.
         model = make_model("gamma2")
         em = analytic_moments(model, [1.0, 1.0])
-        (sol,), seen = self.solve_against_reference(
-            monkeypatch, model, [WeightVector.of([1.0, 1.0, 1.0])], em)
-        end, start = seen["end"], seen["start"]
-        assert np.array_equal(end[0][0], start[0][0]) and end[1][0] == start[1][0] == 0.0
+        sol = self.solve_against_reference(monkeypatch, model, WeightVector.of([1.0, 1.0, 1.0]),
+                                           em)
         assert np.array_equal(sol.theta_star, [1.0, 1.0]) and sol.start_index == 0
 
-    def test_constrained_problem_without_a_feasible_lane(self, monkeypatch):
+    def test_constrained_problem_without_a_feasible_lane(self):
         class NoFeasibleBuild(type(make_model("lognormal"))):
             def eliminate_for_moment(self, i, target):
                 f, _ = super().eliminate_for_moment(i, target)
@@ -444,7 +387,7 @@ class TestWinnerSelection:
         weights = [WeightVector.of([1.0, 1.0, 1.0]), WeightVector.of([np.inf, 1.0, 1.0])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (sol, err), _ = self.solve_against_reference(monkeypatch, model, weights, em)
+            sol, err = optimize.minimize_many(model, weights, em, config=SIMPLEX)
         assert sol.converged
         assert isinstance(err, OutOfImage) and "admits no interior solution" in str(err)
 
@@ -455,80 +398,58 @@ class TestWinnerSelection:
                 assert np.array_equal(sol.r_star, exp.model.moments(sol.theta_star)), name
 
 
-class TestOneJacobianPerEvaluation:
-    def test_skew_gamma2_sweep(self, monkeypatch):
-        # The c = inf lanes read their constraint row from the same Jacobian.
-        exp = shipped_experiment("skew-gamma2")
-        model = exp.model
-        jacobians, per_point = [], []
-        jacobian_grid, lm_point = model.jacobian_grid, optimize._lm_point
-
-        def counting_jacobian(thetas):
-            jacobians.append(len(thetas))
-            return jacobian_grid(thetas)
-
-        def counting_point(fun, z, lanes):
-            before = len(jacobians)
-            out = lm_point(fun, z, lanes)
-            per_point.append(len(jacobians) - before)
-            return out
-
-        monkeypatch.setattr(model, "jacobian_grid", counting_jacobian)
-        monkeypatch.setattr(optimize, "_lm_point", counting_point)
-        curve = run_sweep(exp.spec)
-        assert curve.points[-1].c_value == math.inf and curve.points[-1].converged
-        assert per_point and set(per_point) == {1}
-
-
 class TestEliminatedLanes:
     @pytest.mark.parametrize("name, theta0", [("lognormal", [0.3, 1.2]), ("gamma2", [2.0, 3.0]),
                                               ("beta2", [2.0, 5.0]), ("loglogistic", [1.0, 6.0])])
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_jacobian_matches_central_difference(self, name, theta0, i):
-        # A lane of the constrained problem r_i = m_hat_i searches the free
-        # coordinate; its Jacobian in z is the total derivative through the
-        # elimination, and the eliminated column is 0.
+        # A gradient-descent lane of the constrained problem r_i = m_hat_i
+        # searches the free coordinate; its Jacobian in z is the total
+        # derivative through the elimination, and the eliminated column is 0.
         model = make_model(name)
         em = analytic_moments(model, theta0)
         em = analytic_moments(model, theta0, perturb=0.01 * em.m_hat * np.array([1.0, -1.0, 1.0]))
         c = np.ones(3)
         c[i] = np.inf
         f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
-        free = theta0[f] * np.array([0.7, 1.0, 1.5, 2.0])
-        z = np.zeros((len(free), 2))
-        z[:, f] = optimize._to_z(free[:, None], model.domain[f:f + 1])[:, 0]
-        eff = np.tile(optimize._active_terms(WeightVector.of(c), em)[1], (len(free), 1))
+        eff = np.array([optimize._active_terms(WeightVector.of(c), em)[1]])
         residual = optimize._finite_objective(model, em, default_kinds(3), eff)
-        fun, _ = optimize._lane_objective(model, residual,
-                                          [(0, len(free), f, i, build)])
-        lanes = np.arange(len(free))
-        _, J, ok = fun(z, lanes, jac=True)
-        assert ok.all()
-        assert (J[:, :, 1 - f] == 0.0).all()
-        h = np.zeros_like(z)
-        h[:, f] = 1e-6 * (1.0 + np.abs(z[:, f]))
-        fd = (fun(z + h, lanes)[0] - fun(z - h, lanes)[0]) / (2.0 * h[:, f, None])
-        scale = np.abs(J[:, :, f]).max(axis=1, keepdims=True)
-        assert (np.abs(J[:, :, f] - fd) <= 1e-6 * scale).all()
+        fun, _ = optimize._problem_objective(model, residual, (f, i, build))
+        for free in theta0[f] * np.array([0.7, 1.0, 1.5, 2.0]):
+            z = np.zeros(2)
+            z[f] = optimize._to_z(np.array([free]), model.domain[f:f + 1])[0]
+            _, J, ok = fun(z, jac=True)
+            assert ok.all()
+            assert (J[:, :, 1 - f] == 0.0).all()
+            h = np.zeros_like(z)
+            h[f] = 1e-6 * (1.0 + abs(z[f]))
+            fd = (fun(z + h)[0] - fun(z - h)[0]) / (2.0 * h[f])
+            scale = np.abs(J[:, :, f]).max()
+            assert (np.abs(J[:, :, f] - fd) <= 1e-6 * scale).all()
 
 
 class TestTelemetry:
     @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal"])
-    def test_start_index_names_the_start_used(self, shipped_sweeps, name):
-        exp, curve = shipped_sweeps[name]
-        cfg = exp.spec.optimizer
-        init = optimize._resolve_init(exp.model, exp.em, cfg)
-        starts = optimize._starts(init, exp.model.domain, cfg)
-        for point in curve.points:
-            sol = point.solution
+    def test_start_index_names_the_start_used(self, name):
+        spec = shipped_experiment(name).spec
+        init = optimize._resolve_init(spec.model, spec.em, SIMPLEX)
+        starts = optimize._starts(init, spec.model.domain, SIMPLEX)
+        assert len(starts) == SIMPLEX.multistart + 1
+        for c in (0.0, 1.0, math.inf):
+            sol = minimize(spec.model, spec.weights_at(c), spec.em, spec.kinds, SIMPLEX)
             assert sol.n_evals >= sol.n_iters >= 0
-            if sol.termination in ("exact_fit", "constraint", "exact_minimum"):
-                assert sol.start_index is None
-            elif math.isfinite(point.c_value):
+            if math.isfinite(c):
                 assert np.array_equal(sol.start_used, starts[sol.start_index])
             else:
-                assert 0 <= sol.start_index <= cfg.multistart
-        assert len(starts) == cfg.multistart + 1
+                assert 0 <= sol.start_index <= SIMPLEX.multistart
+
+    @pytest.mark.parametrize("name", ["skew-gamma2", "skew-lognormal"])
+    def test_profile_solutions_use_no_start(self, shipped_sweeps, name):
+        exp, curve = shipped_sweeps[name]
+        for point in curve.points:
+            sol = point.solution
+            assert (sol.start_index, sol.n_iters, sol.n_evals) == (None, 0, 0)
+            assert np.array_equal(sol.start_used, sol.theta_star)
 
 
 class TestTermination:
@@ -537,7 +458,7 @@ class TestTermination:
         assert sol.termination == "converged" and sol.converged
 
     def test_max_iters(self):
-        cfg = OptimizerConfig(max_iters=1, multistart=0)
+        cfg = OptimizerConfig(method="nelder_mead", max_iters=1, multistart=0)
         sol = minimize(*gamma2_problem(), config=cfg)
         assert sol.termination == "max_iters" and not sol.converged
 
@@ -709,9 +630,10 @@ class TestExactMinimum:
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SWEEP_CONFIG_DIR.glob("var-*.json"))])
     def test_shipped_variance_sweeps_take_no_lanes(self, monkeypatch, name):
         def no_lanes(*args):
-            raise AssertionError("a 1-parameter sweep reached Levenberg-Marquardt")
+            raise AssertionError("a 1-parameter sweep reached an iterative or profile solve")
 
-        monkeypatch.setattr(optimize, "_levenberg_marquardt", no_lanes)
+        monkeypatch.setattr(optimize, "_run_lane", no_lanes)
+        monkeypatch.setattr(profile, "solve", no_lanes)
         curve = run_sweep(shipped_experiment(name).spec)
         terminations = [p.solution.termination for p in curve.points]
         assert terminations == ["exact_fit", *["exact_minimum"] * 41, "constraint"]
@@ -1043,67 +965,79 @@ class TestClosedFormInverse:
     @pytest.mark.parametrize("name,fixed,_", QUADRATIC_FAMILIES)
     def test_constraint_on_the_second_moment_uses_no_bracket(self, monkeypatch, name, fixed, _):
         model = make_model(name, fixed)
-        monkeypatch.setattr(distmodels, "brentq", None)
+        monkeypatch.setattr(distmodels, "newton_in_bracket", None)
+        monkeypatch.setattr(profile, "newton_in_bracket", None)
         em = analytic_moments(model, [0.5], perturb=[0.1, 0.0])
         sol = minimize(model, WeightVector.of([1.0, np.inf]), em)
         assert sol.termination == "constraint" and not sol.clamped
         assert abs(sol.r_star[1] - em.m_hat[1]) <= 4 * np.spacing(em.m_hat[1])
 
 
-class TestBrentq:
-    """distmodels.brentq takes the same steps as scipy.optimize.brentq."""
+class TestNewtonInBracket:
+    """distmodels.newton_in_bracket: Newton's method kept inside a bracket, row by row."""
 
-    @staticmethod
-    def assert_same_steps(f, xa, xb, **tols):
-        # Same evaluation points and the same root, compared as bit patterns.
-        ours, theirs = [], []
-        root = distmodels.brentq(lambda x: ours.append(x) or f(x), xa, xb, **tols)
-        want = scipy_brentq(lambda x: theirs.append(x) or f(x), xa, xb, **tols)
-        assert [float(x).hex() for x in ours] == [float(x).hex() for x in theirs]
-        assert float(root).hex() == float(want).hex()
+    def test_roots_of_smooth_functions_match_brentq(self):
+        cases = [(lambda x: x**3 - 2.0 * x - 5.0, lambda x: 3.0 * x * x - 2.0, 2.0, 3.0),
+                 (lambda x: x**3 - 2.0 * x - 5.0, lambda x: 3.0 * x * x - 2.0, -10.0, 10.0),
+                 (lambda x: x - math.cos(x), lambda x: 1.0 + math.sin(x), 0.0, 1.0),
+                 (lambda x: math.exp(x) - 2.0, math.exp, -30.0, 30.0)]
 
-    @staticmethod
-    def recorded_calls(monkeypatch, module, run):
-        calls = []
-        real = distmodels.brentq
+        def f(live, x):
+            pairs = [(cases[k][0](v), cases[k][1](v)) for k, v in zip(live, x.tolist())]
+            return tuple(np.array(v) for v in zip(*pairs))
 
-        def spy(f, xa, xb, **tols):
-            calls.append((f, xa, xb, tols))
-            return real(f, xa, xb, **tols)
+        a, b = (np.array([c[j] for c in cases]) for j in (2, 3))
+        (fa, da), (fb, db) = f(range(4), a), f(range(4), b)
+        x = distmodels.newton_in_bracket(f, a, b, fa, fb, da, db, 0.0, 4 * np.finfo(float).eps)
+        for root, (g, _, lo, hi) in zip(x, cases):
+            want = scipy_brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            assert abs(root - want) <= 4 * np.spacing(want)
 
-        monkeypatch.setattr(module, "brentq", spy)
-        run()
-        monkeypatch.undo()
-        assert calls
-        return calls
+    def test_rows_leave_one_by_one(self):
+        # Roots of x^2 = 1 and x^2 = 4: the first, from a wide bracket, takes
+        # more steps, and the second row leaves before it.
+        target, rows = np.array([1.0, 4.0]), []
 
-    def test_loglogistic_start_site(self, monkeypatch):
+        def f(live, x):
+            rows.append(live.tolist())
+            return x * x - target[live], 2.0 * x
+
+        a, b = np.array([0.5, 1.9]), np.array([1e6, 2.1])
+        x = distmodels.newton_in_bracket(f, a, b, a * a - target, b * b - target, 2.0 * a,
+                                         2.0 * b, 0.0, 4 * np.finfo(float).eps)
+        assert rows[0] == [0, 1] and rows[-1] == [0]
+        assert x[0] == pytest.approx(1.0, rel=1e-15) and x[1] == pytest.approx(2.0, rel=1e-15)
+
+    def test_a_step_out_of_the_bracket_bisects(self):
+        # Newton from x = 0.1 on arctan jumps far outside [-0.1, 10]: bisection keeps it inside.
+        seen = []
+
+        def f(live, x):
+            seen.extend(x.tolist())
+            return np.arctan(x - 3.0), 1.0 / (1.0 + (x - 3.0) ** 2)
+
+        x = distmodels.newton_in_bracket(f, np.array([-0.1]), np.array([10.0]),
+                                         np.arctan([-3.1]), np.arctan([7.0]),
+                                         1.0 / (1.0 + np.array([3.1]) ** 2),
+                                         1.0 / (1.0 + np.array([7.0]) ** 2), 1e-14)
+        assert all(-0.1 <= v <= 10.0 for v in seen)
+        assert x[0] == pytest.approx(3.0, abs=1e-13)
+
+    def test_a_root_at_an_end_is_returned_as_it(self):
+        def f(live, x):
+            raise AssertionError("no evaluation is needed")
+
+        x = distmodels.newton_in_bracket(f, np.array([1.0]), np.array([2.0]), [0.0], [1.0],
+                                         [1.0], [1.0], 1e-12)
+        assert x[0] == 1.0
+
+    @pytest.mark.parametrize("b", [3.6, 4.0, 6.0, 25.0, 1e3])
+    def test_loglogistic_start_site(self, b):
+        # The loglogistic start solves tan(c) / c = ratio for c = pi / b.
         model = make_model("loglogistic")
-        ems = [analytic_moments(model, [1.0, b]) for b in (4.0, 6.0, 25.0)]
-        calls = self.recorded_calls(monkeypatch, distmodels, lambda: [
-            moment_match_init(model, em) for em in ems])
-        for f, xa, xb, tols in calls:
-            self.assert_same_steps(f, xa, xb, **tols)
-
-    def test_smooth_functions(self):
-        self.assert_same_steps(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)
-        self.assert_same_steps(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0,
-                               xtol=1e-15, rtol=8.9e-16)
-        for ratio in (1.01, 1.2, 1.39):
-            self.assert_same_steps(
-                lambda b: math.tan(math.pi / b) / (math.pi / b) - ratio,
-                3.5 + 1e-6, 1e8, xtol=1e-12)
-        self.assert_same_steps(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-15,
-                               rtol=8.9e-16)
-
-    def test_root_at_an_end(self):
-        assert distmodels.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-        assert distmodels.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
-
-    def test_same_signs_raise_value_error(self):
-        with pytest.raises(ValueError):
-            distmodels.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_no_convergence_raises_runtime_error(self):
-        with pytest.raises(RuntimeError):
-            distmodels.brentq(lambda x: x**3 - 2.0 * x - 5.0, -10.0, 10.0, maxiter=3)
+        em = analytic_moments(model, [1.0, b])
+        theta = moment_match_init(model, em)
+        assert theta == pytest.approx([1.0, b], rel=1e-9)
+        ratio = em.m_hat[1] / em.m_hat[0] ** 2
+        c = math.pi / distmodels._loglogistic_shape(ratio)
+        assert abs(math.tan(c) / c - ratio) <= 4 * np.spacing(ratio)

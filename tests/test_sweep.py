@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elicit import link_value, make_link, make_model, minimize, optimize
+from elicit import link_value, make_link, make_model, minimize, optimize, profile
 from elicit.config import resolve
 from elicit.errors import EndpointMissing, TooFewPoints
 from elicit.losses import WeightVector
@@ -91,19 +91,19 @@ class TestRunSweep:
                             kinds=spec.kinds, config=config)
             assert warm.loss >= point.solution.loss, point.c_value
 
-    def test_two_param_curve_is_one_levenberg_marquardt_call(self, monkeypatch):
-        # Every grid point and the c = inf endpoint advance as lanes of one batch.
+    def test_two_param_curve_is_one_profile_solve(self, monkeypatch):
+        # Every grid point and the c = inf endpoint are rows of one profile solve.
         exp = resolve(json.loads((SWEEP_CONFIG_DIR / "skew-gamma2.json").read_text()))
-        lanes = []
-        solve = optimize._levenberg_marquardt
+        rows = []
+        solve = profile.solve
 
-        def counted(point, z0, *args):
-            lanes.append(len(z0))
-            return solve(point, z0, *args)
+        def counted(model, em, kinds, eff, held):
+            rows.append(len(eff))
+            return solve(model, em, kinds, eff, held)
 
-        monkeypatch.setattr(optimize, "_levenberg_marquardt", counted)
+        monkeypatch.setattr(profile, "solve", counted)
         curve = run_sweep(exp.spec)
-        assert lanes == [len(curve.points) * (exp.spec.optimizer.multistart + 1)]
+        assert rows == [len(curve.points)]
         assert curve.points[-1].c_value == math.inf and curve.points[-1].converged
 
     @pytest.mark.parametrize("name", ["var-exponential", "skew-lognormal"])
