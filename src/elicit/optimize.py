@@ -43,14 +43,13 @@ the pinned root above.  A 2-parameter problem is solved by one of
   its documented sensitivity to the starting point on ill-conditioned
   problems.
 
-The last two run on each problem from a moment-matching start plus random
-multistarts, and the lowest (loss, theta) over its starts wins.  Every
-coordinate of a 2-parameter domain is unbounded or bounded below only, and
-one bounded below is reparameterized as log(theta - lo), so iterates stay
-strictly interior.  A constrained problem eliminates one coordinate through
-the constraint in closed form from its row of the product-form table
-(``eliminate_for_moment`` holds phi on a scale family and a on beta2) and
-searches the other (``_problem_objective``).
+The last two run on each finite-weight problem from a moment-matching start
+plus random multistarts, and the lowest (loss, theta) over its starts wins.
+Every coordinate of a 2-parameter domain is unbounded or bounded below only,
+and one bounded below is reparameterized as log(theta - lo), so iterates
+stay strictly interior.  A constrained 2-parameter problem is a 1-D search
+along its constraint, which the profile solves whatever the start, so it
+takes the profile under every method.
 
 A brute-force meshgrid oracle provides an independent cross-check on the
 solvers.
@@ -65,7 +64,7 @@ import numpy as np
 
 from . import profile
 from .distmodels import NEWTON_STEPS, ParametricModel, _cubic_roots
-from .errors import DomainError, ElicitError, EmptyGrid, OutOfImage
+from .errors import DomainError, ElicitError, EmptyGrid
 from .losses import (
     EmpiricalMoments,
     SquaredLoss,
@@ -454,34 +453,19 @@ def _finite_objective(model, em, kinds, eff):
     return residual
 
 
-def _problem_objective(model, residual, elim):
-    """``fun(z, jac=False)`` over one problem's z, and ``theta(z)`` decoding it.
+def _lane_objective(model, residual):
+    """``fun(z, jac=False)`` over one problem's z: (rho, d rho / d z or None, ok).
 
-    ``residual`` is the problem's ``_finite_objective``.  ``elim`` is None or
-    (free index f, constraint index i, build): z then searches coordinate f,
-    ``build`` supplies the other from the constraint, and the Jacobian column
-    of f is J_f + J_e d theta_e / d theta_f, with d theta_e / d theta_f =
-    -(d r_i / d theta_f) / (d r_i / d theta_e) read from the same
-    ``jacobian_grid``; the other column is 0.
+    ``residual`` is the problem's ``_finite_objective``; the Jacobian in z
+    picks up the factor d theta / d z.
     """
 
-    def theta(z):
-        th, dth = _from_z(z[None], model.domain)
-        return (th if elim is None else elim[2](th[:, elim[0]])), dth
-
     def fun(z, jac=False):
-        th, dth = theta(z)
-        rho, J, jr, ok = residual(th, _ROW, jac)
-        if not jac:
-            return rho, None, ok
-        if elim is None:
-            return rho, J * dth[:, None, :], ok
-        f, i, _ = elim
-        Jz = np.zeros_like(J)
-        Jz[:, :, f] = (J[:, :, f] + J[:, :, 1 - f] * (-jr[:, i, f] / jr[:, i, 1 - f])[:, None]) * dth[:, f, None]
-        return rho, Jz, ok
+        theta, dtheta = _from_z(z[None], model.domain)
+        rho, J, _, ok = residual(theta, _ROW, jac)
+        return rho, None if J is None else J * dtheta[:, None, :], ok
 
-    return fun, theta
+    return fun
 
 
 def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
@@ -672,7 +656,7 @@ def _solve_profile(model, em, kinds, rows, out):
         except ElicitError as exc:
             out[k] = exc
     if not solved:
-        return out
+        return
     keys, held, eff = zip(*solved)
     eff, held = np.array(eff), np.array(held)
     theta, term = profile.solve(model, em, kinds, eff, held)
@@ -692,7 +676,6 @@ def _solve_profile(model, em, kinds, rows, out):
                                converged=on and term[p] in _CONVERGED, sub_losses=sub_losses[p])
         except ElicitError as exc:
             out[k] = exc
-    return out
 
 
 def minimize_many(
@@ -729,68 +712,50 @@ def minimize_many(
         return out
 
     config = config or OptimizerConfig()
-    if config.method == "profile":
-        return _solve_profile(model, em, kinds, rows, out)
+    # A constrained 2-parameter problem is a 1-D search along its constraint,
+    # which the profile solves whatever the start: so under every method.
+    iterative = config.method != "profile"
+    _solve_profile(model, em, kinds, [row for row in rows if not iterative or row[1] is not None], out)
     base = None
-    for k, i, eff, _ in rows:
+    for k, _, eff, _ in (row for row in rows if iterative and row[1] is None):
+        if starts is not None and starts[k] is not None:
+            x0s = [interior_start(model, x) for x in starts[k]]
+        else:
+            base = base or _starts(_resolve_init(model, em, config), model.domain, config)
+            x0s = base
         try:
-            elim = None
-            if i is None and starts is not None and starts[k] is not None:
-                x0s = [interior_start(model, x) for x in starts[k]]
-            else:
-                base = base or _starts(_resolve_init(model, em, config), model.domain, config)
-                x0s = base
-                if i is not None:
-                    f, build = model.eliminate_for_moment(i, float(em.m_hat[i]))
-                    x0s, elim = _starts(base[0][f:f + 1], model.domain[f:f + 1], config), (f, i, build)
-            out[k] = _best_of_starts(model, em, kinds, eff, elim, x0s, config)
+            out[k] = _best_of_starts(model, em, kinds, eff, x0s, config)
         except ElicitError as exc:
             out[k] = exc
     return out
 
 
-def _best_of_starts(model, em, kinds, eff, elim, x0s, config) -> Solution:
-    """Nelder-Mead or gradient descent on one problem from each start; the best candidate wins.
+def _best_of_starts(model, em, kinds, eff, x0s, config) -> Solution:
+    """Nelder-Mead or gradient descent on one finite-weight problem from each start.
 
     Each start's raw theta is a candidate beside the solver's end, scored
     without the z round trip, so a start sitting exactly on the minimizer is
-    returned bit-exact.  The least (not in the domain, f, theta) wins, the
-    earlier candidate on a tie (each start's end, then the start itself, in
-    start order).  A search over theta itself always has a theta; one over
-    ``elim``'s free coordinate has one where ``build`` lands inside the domain.
+    returned bit-exact.  The least (f, theta) wins, the earlier candidate on
+    a tie (each start's end, then the start itself, in start order).
     """
     residual = _finite_objective(model, em, kinds, np.array([eff]))
-    fun, theta_of = _problem_objective(model, residual, elim)
+    fun = _lane_objective(model, residual)
     free = np.ones(model.theta_dim, dtype=bool)
     candidates, n_iters, n_evals = [], 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for index, x0 in enumerate(x0s):
             x0 = np.asarray(x0, dtype=float)
-            if elim is None:
-                z0, theta0 = _to_z(x0, model.domain), x0
-            else:
-                f = elim[0]
-                z0, free[1 - f] = np.zeros(model.theta_dim), False
-                z0[f], theta0 = _to_z(x0, model.domain[f:f + 1])[0], elim[2](x0)[0]
-            z, f_end, iters, term, evals = _run_lane(fun, z0, free, config)
-            theta_end = theta_of(z)[0][0]
-            rho, _, _, ok = residual(theta0[None], _ROW)
-            for theta, value in ((theta_end, f_end), (theta0, float(_sq(rho, ok)[0]))):
-                inside = elim is None or bool(model.in_domain(theta[None])[0])
-                candidates.append(((not inside, value, *theta.tolist()), theta, term, theta0, index))
+            z, f_end, iters, term, evals = _run_lane(fun, _to_z(x0, model.domain), free, config)
+            rho, _, _, ok = residual(x0[None], _ROW)
+            for theta, value in ((_from_z(z, model.domain)[0], f_end), (x0, float(_sq(rho, ok)[0]))):
+                candidates.append(((value, *theta.tolist()), theta, term, x0, index))
             n_iters, n_evals = n_iters + iters, n_evals + evals + 1
-        (outside, excess, *_), theta, term, theta0, index = min(candidates, key=lambda c: c[0])
-        if outside:
-            raise OutOfImage(f"{model.name}: constraint r_{elim[1] + 1} = {float(em.m_hat[elim[1]])} "
-                             "admits no interior solution")
+        (excess, *_), theta, term, x0, index = min(candidates, key=lambda c: c[0])
         if not model.in_domain(theta[None])[0]:
             model.moments(theta)  # raises the DomainError naming the bound
         r_star = model.moments_grid(theta[None])[0]
-    i, m_hat = None if elim is None else elim[1], em.m_hat
-    on_constraint = i is None or abs(r_star[i] - m_hat[i]) <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i]))
     return _solution(theta, r_star, excess + _loss_constant(np.array([eff]), em)[0], kinds, em,
-                     term, n_iters, theta0, converged=on_constraint, start_index=index,
-                     n_evals=n_evals)
+                     term, n_iters, x0, start_index=index, n_evals=n_evals)
 
 
 def minimize(

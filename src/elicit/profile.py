@@ -1,40 +1,41 @@
 """The default solve of every 2-parameter problem: a 1-D search over shape.
 
-Each 2-parameter model is a row of the product-form table, r_k = h_k(phi)
+Each 2-parameter model is a row of the product-form table r_k = h_k(phi)
 P_k(t) (``distmodels``), so at fixed shape phi every moment is a polynomial
-in one coordinate t.  The profile P(phi) = min_t F(t, phi) of the total loss
-is then searched over phi alone: variable projection (Golub & Pereyra, SIAM
+in one coordinate t, and the profile P(phi) = min_t F(t, phi) of the total
+loss is searched over phi alone: variable projection (Golub & Pereyra, SIAM
 J. Numer. Anal. 10, 1973).
 
-**Inner.**  At fixed phi, dF/dt / 2 = sum_k W_k d_k h_k P_k'(t), with d_k =
-r_k - m_hat_k and W_k the effective weight times w_k(d_k), is a polynomial
-of degree 5 whose second derivative increases in t, so dF/dt rises, falls
-and rises again: its least and its greatest root are the only minima of F.
-Below every single-moment fit t_k (r_k(t_k) = m_hat_k) each d_k < 0, and
-above every fit each d_k > 0, so both roots lie between the fits.  Newton
-from the least fit climbs monotonically to the least root, where dF/dt is
-concave, and from an upper bound down to the greatest, where it is convex;
-a lane that meets d^2F/dt^2 <= 0 has no root on its side and goes to the
-other end.  The lower score wins.  On a scale family t is measured in units
-of the fit T of the held moment K (below), s = t / T, so that s stays near 1.
+**Inner.**  At fixed phi, dF/dt is a polynomial of degree 5 in t whose
+second derivative increases, so it rises, falls and rises again: its least
+and its greatest root are the only minima of F.  Below every single-moment
+fit t_k (r_k(t_k) = m_hat_k) each residual is negative and above every fit
+positive, so both roots lie between the fits.  Newton from the least fit
+climbs monotonically to the least root, where dF/dt is concave, and from
+an upper bound down to the greatest, where it is convex; a lane that meets
+d^2F/dt^2 <= 0 has no root on its side and goes to the other end.  The
+lower of the two wins.  On a scale family t is measured in units of the fit
+T of the held moment K (below), so that it stays near 1.
 
-**Outer.**  P is searched along the curve that holds one moment r_K fixed:
-the dominant active term (largest w_K m_hat_K^2), or the constrained moment
-of a problem with c_K = inf, whose t then stays on that fit.  By the
-envelope theorem dP/dphi is dF/dphi along any such curve, and this one
-leaves out the largest term, whose rounding would swamp the others.
-dP/dphi and d^2P/dphi^2 come from the derivatives of the table's rows;
-both are corrected for the pending inner Newton step, so they are exact to
-second order in its distance from t*.  In z = log(phi - lo), a grid that
-depends on the model's bounds alone is scanned first; the grid point of
-least P and its neighbour across the sign change of dP bracket the minimum,
-which ``newton_in_bracket`` then refines.
+**Outer.**  dP/dphi and d^2P/dphi^2 are taken along the curve that holds
+one moment r_K at its fit: the constrained moment of a problem with c_K =
+inf, whose t stays on that curve, and otherwise the active term with the
+largest w_K m_hat_K^2.  By the envelope theorem any such curve gives dP/dphi,
+and this one leaves out the largest term, whose rounding would swamp the
+others.  Both are corrected for the lane's pending Newton step, so they are
+exact to second order in its distance from t*.  In z = log(phi - lo), a grid
+that depends on the model's bounds alone is scanned; the grid's least P and
+its neighbour across the sign change of dP bracket the minimum, refined by
+``newton_in_bracket``.  Each problem's rows leave the search when they have
+converged, so its answer does not depend on the others.
 
-**Terminations.**  ``converged`` for a refined minimum; ``boundary`` where P
-rises from a closed lower end of phi (lognormal's v2 = 0), returned as that
-end; ``open_end`` where P still falls at the grid's end toward an open
-bound of phi; ``multimodal`` where the grid holds a second minimum within
-``RIVAL`` of the first.  The last two are not converged.
+**Terminations.**  ``converged``; ``boundary`` where P rises from a closed
+lower end of phi (lognormal's v2 = 0), returned as that end; ``exact_fit``
+or ``constraint`` where F is 0 along a curve (one active term, or none but
+a constraint), returned at phi = lo + 1; and, not converged, ``open_end``
+where P still falls at an end of the grid, ``no_bracket`` where the signs
+of dP at the bracket's ends disagree with the scan, and ``multimodal`` where
+another grid minimum lies within ``RIVAL`` of the minimum found.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ SCAN_STEPS = 6      # inner Newton steps at each grid point
 MAX_STEPS = 100     # a cap on inner Newton steps where they run to convergence
 STEP_RTOL = 1e-7    # an inner Newton step this small, relative, is the last one
 Z_TOL = 1e-14       # the outer search stops where its Newton step in z is this small
-RIVAL = 0.1         # a second grid minimum within this of the first, relative, competes
+RIVAL = 0.1         # another grid minimum within this of the minimum, relative, competes
 
 _K = np.array([1.0, 2.0, 3.0])
 
@@ -73,108 +74,102 @@ _RISING = _derivative_table([0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 3.0, 1.0])
 
 def _rising_inverse(D):
     """The t >= 0 with t^[k] = D_k, per column k = 1, 2, 3 of D >= 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t2 = 2.0 * D[:, 1] / (1.0 + np.sqrt(1.0 + 4.0 * D[:, 1]))
-        t3 = _cubic_roots(0.0, -1.0, -D[:, 2]).max(axis=-1) - 1.0  # (t+1)^3 - (t+1) = D_3
-        for _ in range(NEWTON_STEPS):
-            step = (t3 * (t3 + 1.0) * (t3 + 2.0) - D[:, 2]) / ((3.0 * t3 + 6.0) * t3 + 2.0)
-            t3 = np.where(np.isfinite(step), t3 - step, t3)
+    t2 = 2.0 * D[:, 1] / (1.0 + np.sqrt(1.0 + 4.0 * D[:, 1]))
+    t3 = _cubic_roots(0.0, -1.0, -D[:, 2]).max(axis=-1) - 1.0  # (t+1)^3 - (t+1) = D_3
+    for _ in range(NEWTON_STEPS):
+        step = (t3 * (t3 + 1.0) * (t3 + 2.0) - D[:, 2]) / ((3.0 * t3 + 6.0) * t3 + 2.0)
+        t3 = np.where(np.isfinite(step), t3 - step, t3)
     return np.column_stack([D[:, 0], t2, np.maximum(t3, 0.0)])
 
 
-def _setup(model, m_hat, kinds, eff, phi, held):
-    """The row's entries at each phi: r_k = H_k Q_k(s), with the bounds of s.
+class _Rows:
+    """The problems of one ``solve``, with what their rows need at every phi."""
 
-    Returns H, the first two derivatives of log h_k in phi, the held moment
-    K, the ends (lo, hi) of s and the maps t -> s and s -> t of both lanes.
-    ``held`` is the constrained moment's index, or -1.
-    """
-    n = len(phi)
-    h, L1, L2 = (np.broadcast_to(np.column_stack(v), (n, 3)) for v in model.h(phi, 2))
-    active = eff > 0.0
-    fits = active & (m_hat > 0.0)
-    neg, pos = (eff * np.array([np.max(kind.weight(np.array([sign]))) for kind in kinds])
-                for sign in (-1.0, 1.0))
-    K = np.where(held >= 0, held, np.argmax(np.where(fits, pos * m_hat * m_hat, -1.0), axis=1))
-    rows = np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if model.scale:
-            L = h if model.log else np.log(h)
-            x = (np.log(m_hat) - L) / _K
-            log_T = np.where(fits.any(axis=1) | (held >= 0), x[rows, K], 0.0)
-            H = np.exp(_K * log_T[:, None] + L)
-            fit = np.exp(x - log_T[:, None])
-            # Above s_k rho_k^(1/k) term k alone outweighs every negative term.
-            C = np.where(fits, _K * neg * m_hat * m_hat, 0.0).sum(axis=1, keepdims=True) / 4.0
-            rho = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * C / (_K * pos * m_hat * m_hat)))
-            hi = np.min(np.where(fits, fit * rho ** (1.0 / _K), math.inf), axis=1)
-            T = np.tile(log_T, 2)
-            maps = (((lambda t: np.exp(t - T)), (lambda s: T + np.log(s))) if model.log else
-                    ((lambda t: t * np.exp(-T)), (lambda s: np.exp(T) * s)))
-        else:
-            H, maps = h, (lambda t: t, lambda s: s)
-            fit = np.minimum(_rising_inverse(m_hat / h), phi[:, None])
-            hi = np.where((active & (m_hat >= 1.0)).any(axis=1), phi,
-                          np.max(np.where(fits, fit, 0.0), axis=1))
-    lo = np.min(np.where(fits, fit, math.inf), axis=1)
-    lo = np.where((active & ~fits).any(axis=1) | ~fits.any(axis=1), 0.0, lo)
-    hi = np.where(fits.any(axis=1), np.maximum(hi, lo), lo)
-    pin = held >= 0
-    lo[pin] = hi[pin] = fit[rows[pin], K[pin]]
-    return H, L1, L2, K, lo, hi, maps
+    def __init__(self, model, em, kinds, eff, held):
+        self.model, self.m_hat, self.kinds, self.eff = model, em.m_hat, kinds, eff
+        self.squared = all(isinstance(kind, SquaredLoss) for kind in kinds)
+        m2 = em.m_hat * em.m_hat
+        neg, pos = (eff * [float(np.max(kind.weight(np.array([sign])))) for kind in kinds]
+                    for sign in (-1.0, 1.0))
+        self.fits = (eff > 0.0) & (em.m_hat > 0.0)
+        self.open = ((eff > 0.0) & ~self.fits).any(axis=1) | ~self.fits.any(axis=1)
+        self.pinned = held >= 0
+        self.K = np.where(self.pinned, held, np.argmax(np.where(self.fits, pos * m2, -1.0), axis=1))
+        # On a scale family every root lies below s_k rho_k^(1/k) for each
+        # fit s_k: beyond it term k alone outweighs every negative term.
+        C = np.where(self.fits, _K * neg * m2, 0.0).sum(axis=1, keepdims=True) / 4.0
+        with np.errstate(divide="ignore"):
+            self.grow = (0.5 + 0.5 * np.sqrt(1.0 + 4.0 * C / (_K * pos * m2))) ** (1.0 / _K)
 
+    def point(self, rows, phi, start=None, steps=None):
+        """P, dP/dphi, d^2P/dphi^2 and theta at each row's phi, and both lanes' next t.
 
-def profile_point(model, m_hat, kinds, eff, phi, held, start=None, steps=None):
-    """P, dP/dphi and d^2P/dphi^2 at each row's phi, with t and the lanes' next t.
+        Pinned rows stay on the fit of their moment.  ``start`` holds both
+        lanes' t from a nearby phi, or None.  Each lane takes ``steps`` Newton
+        steps, or steps until its step falls below STEP_RTOL; it is scored
+        at the last point it evaluated.
+        """
+        model, m_hat, n, ar = self.model, self.m_hat, len(rows), np.arange(len(rows))
+        fits, K, pinned = self.fits[rows], self.K[rows], self.pinned[rows]
+        h, L1, L2 = (np.broadcast_to(np.column_stack(v), (n, 3)) for v in model.h(phi, 2))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if model.scale:
+                L = h if model.log else np.log(h)
+                x = (np.log(m_hat) - L) / _K
+                T = np.where(fits.any(axis=1) | pinned, x[ar, K], 0.0)
+                H, fit = np.exp(_K * T[:, None] + L), np.exp(x - T[:, None])
+                hi = np.min(np.where(fits, fit * self.grow[rows], math.inf), axis=1)
+            else:
+                H, T = h, None
+                fit = np.minimum(_rising_inverse(m_hat / h), phi[:, None])
+                hi = np.max(np.where(fits, fit, 0.0), axis=1)
+                hi = np.where(((self.eff[rows] > 0.0) & (m_hat >= 1.0)).any(axis=1), phi, hi)
+            lo = np.where(self.open[rows], 0.0, np.min(np.where(fits, fit, math.inf), axis=1))
+            hi = np.where(fits.any(axis=1), np.maximum(hi, lo), lo)
+            lo[pinned] = hi[pinned] = fit[ar[pinned], K[pinned]]
+            to_s, to_t = self._maps(np.tile(T, 2) if model.scale else None)
+            lower, upper = np.tile(lo, 2), np.tile(hi, 2)
+            s = np.concatenate([lo, hi]) if start is None else np.clip(to_s(start), lower, upper)
+            other, H2, eff = np.concatenate([hi, lo]), np.vstack([H, H]), np.tile(self.eff[rows], (2, 1))
+            table, moving = (_POWERS if model.scale else _RISING), np.ones(2 * n, dtype=bool)
+            for _ in range(steps or MAX_STEPS):
+                S = s
+                Q = H2[:, None, :] * ((S[:, None] ** np.arange(4.0)) @ table).reshape(-1, 3, 3)
+                d = Q[:, 0] - m_hat
+                W = eff if self.squared else eff * np.column_stack(
+                    [kind.weight(d[:, i]) * np.ones(len(d)) for i, kind in enumerate(self.kinds)])
+                gp = (W * Q[:, 1] * Q[:, 1] + W * d * Q[:, 2]).sum(axis=1)
+                step = (W * d * Q[:, 1]).sum(axis=1) / gp
+                if not moving.any():
+                    break
+                new = np.where((gp > 0.0) & np.isfinite(S - step), np.clip(S - step, lower, upper), other)
+                s = np.where(moving, new, S)
+                if steps is None:
+                    moving &= np.abs(new - S) > STEP_RTOL * np.abs(S)
+            F = np.where(np.isfinite(F := (W * d * d).sum(axis=1)), F, math.inf)
+            pick = np.where(F[n:] < F[:n], ar + n, ar)
+            (r, dr, d2r), d, W, step = Q[pick].transpose(1, 0, 2), d[pick], W[pick], step[pick]
+            # Along s = s_K(phi) + u, which holds r_K: tau = ds_K / dphi.
+            r_p, r_pp, r_sp = r * L1, r * (L1 * L1 + L2), dr * L1
+            tau = (-r_p[ar, K] / dr[ar, K])[:, None]
+            tau_p = (-(r_pp + (2.0 * r_sp + d2r * tau) * tau)[ar, K] / dr[ar, K])[:, None]
+            D, X = r_p + dr * tau, r_sp + d2r * tau
+            E = r_pp + (2.0 * r_sp + d2r * tau) * tau + dr * tau_p
+            F_pu = (W * (dr * D + d * X)).sum(axis=1)
+            dP = 2.0 * ((W * d * D).sum(axis=1) - np.where(pinned, 0.0, step * F_pu))
+            d2P = 2.0 * ((W * (D * D + d * E)).sum(axis=1) - np.where(pinned, 0.0, F_pu * F_pu / gp[pick]))
+            theta = np.empty((n, 2))
+            theta[:, model.t] = to_t(S)[pick]
+            theta[:, 1 - model.t] = phi if model.scale else phi - theta[:, 0]
+            return F[pick], dP, d2P, theta, to_t(s).reshape(2, -1).T
 
-    Rows with ``held`` >= 0 stay on the fit of that moment.  ``start`` holds
-    both lanes' t from a nearby phi, lower lanes first, or None.  Each lane
-    takes ``steps`` Newton steps, or steps until every lane has converged,
-    and is scored at the last point it evaluated.
-    """
-    n = len(phi)
-    H, L1, L2, K, lo, hi, (to_s, to_t) = _setup(model, m_hat, kinds, eff, phi, held)
-    lower, upper = np.tile(lo, 2), np.tile(hi, 2)
-    s = np.concatenate([lo, hi]) if start is None else np.clip(to_s(start), lower, upper)
-    other = np.concatenate([hi, lo])
-    table = _POWERS if model.scale else _RISING
-    H2, eff2 = np.vstack([H, H]), np.vstack([eff, eff])
-    squared = all(isinstance(kind, SquaredLoss) for kind in kinds)
-    moving = np.ones(2 * n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps or MAX_STEPS):
-            S = s
-            Q = H2[:, None, :] * ((S[:, None] ** np.arange(4.0)) @ table).reshape(-1, 3, 3)
-            d = Q[:, 0] - m_hat
-            W = eff2 if squared else eff2 * np.column_stack(
-                [kind.weight(d[:, i]) * np.ones(len(d)) for i, kind in enumerate(kinds)])
-            Wd = W * d
-            gp = (W * Q[:, 1] * Q[:, 1] + Wd * Q[:, 2]).sum(axis=1)
-            step = (Wd * Q[:, 1]).sum(axis=1) / gp
-            if not moving.any():
-                break
-            new = S - step
-            new = np.where((gp > 0.0) & np.isfinite(new), np.clip(new, lower, upper), other)
-            s = np.where(moving, new, S)
-            if steps is None:  # a lane stops after a step below STEP_RTOL, at its end
-                moving &= np.abs(new - S) > STEP_RTOL * np.abs(S)
-        F = (Wd * d).sum(axis=1)
-        F = np.where(np.isfinite(F), F, math.inf)
-        pick = np.where(F[n:] < F[:n], np.arange(n, 2 * n), np.arange(n))
-        (r, dr, d2r), d, W, Wd, step = Q[pick].transpose(1, 0, 2), d[pick], W[pick] if W.ndim else W, Wd[pick], step[pick]
-        # Derivatives along the curve s = s_K(phi) + u that holds r_K: tau = ds_K/dphi.
-        rows = np.arange(n)
-        r_p, r_pp, r_sp = r * L1, r * (L1 * L1 + L2), dr * L1
-        tau = -r_p[rows, K] / dr[rows, K]
-        tau_p = -(r_pp + (2.0 * r_sp + d2r * tau[:, None]) * tau[:, None])[rows, K] / dr[rows, K]
-        D = r_p + dr * tau[:, None]
-        E = r_pp + (2.0 * r_sp + d2r * tau[:, None]) * tau[:, None] + dr * tau_p[:, None]
-        X = r_sp + d2r * tau[:, None]
-        free = held < 0
-        F_pu = np.where(free, (W * dr * D + Wd * X).sum(axis=1), 0.0)
-        dP = 2.0 * ((Wd * D).sum(axis=1) - step * F_pu)
-        d2P = 2.0 * ((W * D * D + Wd * E).sum(axis=1) - np.where(free, F_pu * F_pu / gp[pick], 0.0))
-        return F[pick], dP, d2P, to_t(S)[pick], to_t(s)
+    def _maps(self, T):
+        """t -> s and s -> t for both lanes, s = t / e^T on a scale family (in logs on lognormal)."""
+        if T is None:
+            return (lambda t: t.T.ravel()), (lambda s: s)
+        if self.model.log:
+            return (lambda t: np.exp(t.T.ravel() - T)), (lambda s: T + np.log(s))
+        return (lambda t: t.T.ravel() * np.exp(-T)), (lambda s: np.exp(T) * s)
 
 
 def solve(model, em, kinds, eff, held):
@@ -185,70 +180,47 @@ def solve(model, em, kinds, eff, held):
     n, rows = len(eff), np.arange(len(eff))
     e = 1 - model.t     # the theta coordinate that phi moves at fixed t
     lo = model.domain[e][0] if model.scale else 0.0   # beta2's phi = a + b > 0
-    # With no active term beside a constraint, or one and no constraint, F
-    # is 0 along a curve: its point at phi = lo + 1 is returned.
-    active, constrained = eff > 0.0, held >= 0
-    flat = active.sum(axis=1) == ~constrained
-    held = np.where(flat & ~constrained, np.argmax(active, axis=1), held)
-
-    def point(rows, phi, start=None, steps=None):
-        P, dP, d2P, t, lanes = profile_point(model, em.m_hat, kinds, eff[rows], phi, held[rows],
-                                             start, steps)
-        theta = np.empty((len(rows), 2))
-        theta[:, model.t] = t
-        theta[:, e] = phi if model.scale else phi - t
-        return P, dP, d2P, theta, lanes.reshape(2, -1).T
+    flat = (eff > 0.0).sum(axis=1) == (held < 0)
+    term = np.where(flat, np.where(held < 0, "exact_fit", "constraint"), "converged").astype(object)
+    problems = _Rows(model, em, kinds, eff, np.where(flat & (held < 0), np.argmax(eff > 0.0, axis=1), held))
 
     # The scan, in z = log(phi - lo), where dP/dz = dP/dphi e^z.
     G, x = len(GRID), np.exp(GRID)
-    P, dP, _, theta, lanes = point(np.repeat(rows, G), np.tile(lo + x, n), steps=SCAN_STEPS)
+    P, dP, _, theta, lanes = problems.point(np.repeat(rows, G), np.tile(lo + x, n), steps=SCAN_STEPS)
     P, dP, lanes = P.reshape(n, G), dP.reshape(n, G) * x, lanes.reshape(n, G, 2)
     j = np.argmin(P, axis=1)
     theta, best = theta.reshape(n, G, 2)[rows, j], P[rows, j]
-    term = np.where(constrained & flat, "constraint", np.where(flat, "exact_fit", "converged"))
     done = flat | (dP[rows, j] == 0.0)
     if flat.any():
-        theta[flat] = point(rows[flat], np.full(flat.sum(), lo + 1.0), steps=1)[3]
-    if model.domain_closed and model.domain_closed[e][0] and model.scale:
-        P_end, dP_end, _, theta_end, _ = point(rows, np.full(n, lo), steps=SCAN_STEPS)
+        theta[flat] = problems.point(rows[flat], np.full(flat.sum(), lo + 1.0), steps=1)[3]
+    if model.scale and model.domain_closed and model.domain_closed[e][0]:
+        P_end, dP_end, _, theta_end, _ = problems.point(rows, np.full(n, lo), steps=SCAN_STEPS)
         end = ~done & (dP_end >= 0.0) & (P_end <= best)
         theta[end], best[end], term[end], done[end] = theta_end[end], P_end[end], "boundary", True
     a = np.where(dP[rows, j] < 0.0, j, j - 1)
-    open_end = ~done & ((a < 0) | (a >= G - 1))
-    term[open_end] = "open_end"
-    search = np.flatnonzero(~done & ~open_end)
+    term[~done & ((a < 0) | (a >= G - 1))] = "open_end"
+    search = np.flatnonzero(term == "converged")
+    a = a[search]
     # Both ends of each bracket, to convergence, warm from the scan.
-    m, a = len(search), a[search]
-    ends, both = np.concatenate([a, a + 1]), np.tile(search, 2)
-    P_e, dP_e, d2P_e, theta_e, lanes_e = point(both, lo + x[ends], lanes[both, ends].T.ravel())
+    ends, both, m = np.concatenate([a, a + 1]), np.tile(search, 2), len(search)
+    P_e, dP_e, d2P_e, theta_e, lanes_e = problems.point(both, lo + x[ends], lanes[both, ends])
     g, dg = dP_e * x[ends], (d2P_e * x[ends] + dP_e) * x[ends]
     ok = (g[:m] < 0.0) & (g[m:] > 0.0)
     term[search[~ok]] = "no_bracket"
-    near = np.where(-g[:m] < g[m:], np.arange(m), np.arange(m, 2 * m))[ok]
-    lo_end, hi_end = np.flatnonzero(ok), np.flatnonzero(ok) + m
-    search, warm = search[ok], lanes_e[near]
+    near = np.where(-g[:m] < g[m:], rows[:m], rows[:m] + m)[ok]
+    search, warm, A, B = search[ok], lanes_e[near], np.flatnonzero(ok), np.flatnonzero(ok) + m
     theta[search], best[search] = theta_e[near], P_e[near]
 
     def f(live, z):
         rows = search[live]
-        best[rows], dP, d2P, theta[rows], warm[live] = point(rows, lo + np.exp(z), warm[live].T.ravel())
-        x = np.exp(z)
-        return dP * x, (d2P * x + dP) * x
+        best[rows], dP, d2P, theta[rows], warm[live] = problems.point(rows, lo + np.exp(z), warm[live])
+        return dP * np.exp(z), (d2P * np.exp(z) + dP) * np.exp(z)
 
     z = GRID[ends]
-    newton_in_bracket(f, z[lo_end], z[hi_end], g[lo_end], g[hi_end], dg[lo_end], dg[hi_end], Z_TOL)
-    # A grid minimum is where dP turns from negative to positive, zeros
-    # skipped, or an end where it points outward.  One away from j whose
-    # value is within RIVAL of the minimum found competes with it.
-    sign = np.sign(dP)
-    for k in range(1, G):
-        sign[:, k] = np.where(sign[:, k] == 0.0, sign[:, k - 1], sign[:, k])
-    turn = np.zeros((n, G), dtype=bool)
-    turn[:, 1:] = (sign[:, :-1] < 0.0) & (sign[:, 1:] > 0.0)
-    turn[:, :-1] |= turn[:, 1:]
-    turn[:, 0] |= np.sign(dP)[rows, np.argmax(dP != 0.0, axis=1)] > 0.0
-    turn[:, -1] |= sign[:, -1] < 0.0
-    far = np.abs(np.arange(G) - j[:, None]) > 1
-    rival = (turn & far & (P <= best[:, None] + RIVAL * np.abs(best[:, None]))).any(axis=1)
-    term[rival & (term == "converged")] = "multimodal"
+    newton_in_bracket(f, z[A], z[B], g[A], g[B], dg[A], dg[B], Z_TOL)
+    # Another grid minimum, away from j, within RIVAL of the minimum found competes with it.
+    Pp = np.pad(P, ((0, 0), (1, 1)), constant_values=math.inf)
+    rival = (P <= Pp[:, :-2]) & (P <= Pp[:, 2:]) & (np.abs(np.arange(G) - j[:, None]) > 1)
+    term[(rival & (P <= best[:, None] + RIVAL * np.abs(best[:, None]))).any(axis=1)
+         & (term == "converged")] = "multimodal"
     return theta, term

@@ -249,6 +249,35 @@ class TestPaperVarianceGrid:
         assert time.perf_counter() - t0 <= 1.0
 
 
+class TestPaperSkewGrid:
+    """The skewness half of the paper's grid: 6 skew configs x index {1, 2, 3} x base weights."""
+
+    def test_directions_and_checks(self):
+        t0 = time.perf_counter()
+        configs = [(name, cfg) for name, cfg in load_shipped_configs() if name.startswith("skew-")]
+        assert len(configs) == 6
+        for name, base in configs:
+            for base_weights in ("ones", "rhat_squared"):
+                for index in (1, 2, 3):
+                    cfg = copy.deepcopy(base)
+                    cfg["base_weights"], cfg["sweep"]["index"] = base_weights, index
+                    exp = resolve(cfg)
+                    curve = run_sweep(exp.spec)
+                    tag = (name, base_weights, index)
+                    assert all(p.converged and p.solution.termination in ("converged", "boundary")
+                               for p in curve.points), tag
+                    # Weight on the mean raises skewness and is best at zero; weight on
+                    # r_2 or r_3 lowers it and is best at infinity.  beta2 under unit
+                    # base weights flips on r_2.
+                    rising = index == 1 or (name, base_weights, index) == ("skew-beta2", "ones", 2)
+                    assert curve.monotonicity.direction == (
+                        "increasing" if rising else "decreasing"), tag
+                    assert curve.best.kind == ("zero" if rising else "infinity"), tag
+                    assert check_condition_A(curve, exp.em.m_hat).passed, tag
+                    assert check_condition_B(curve, exp.link).passed, tag
+        assert time.perf_counter() - t0 <= 2.0
+
+
 class TestSlopeGapTheorems:
     """Under the variance link R' - T' = b/a + 2 r1 (c/a^2 - 1) on every 1-parameter model."""
 
