@@ -101,9 +101,9 @@ def libm(f, a) -> np.ndarray:
 class ParametricModel:
     """A named moment map theta -> r(theta) with domain and Jacobian.
 
-    Subclasses implement the raw (unvalidated, broadcasting) moment map and
-    Jacobian, or the grid forms themselves; the public methods validate the
-    domain first.  ``theta_dim`` is always ``moment_order - 1``.
+    Subclasses implement ``moments_grid`` and ``jacobian_grid`` over rows of
+    interior points; ``moments`` and ``moment_jacobian`` validate one theta
+    first.  ``theta_dim`` is always ``moment_order - 1``.
     """
 
     name: str = ""
@@ -131,17 +131,6 @@ class ParametricModel:
             raise DomainError(f"{self.name}: fixed_params must be {rule}")
         self._bounds = _bounds(self.domain, self.domain_closed)
 
-    # -- hooks -------------------------------------------------------------
-
-    def _raw_moments(self, cols: list[np.ndarray]) -> list[np.ndarray]:
-        raise NotImplementedError
-
-    def _raw_jacobian(self, cols: list[np.ndarray]) -> list[list]:
-        """Rows dr_i / dtheta_j over broadcasting columns; entries may be scalars."""
-        raise NotImplementedError
-
-    # -- public surface ----------------------------------------------------
-
     def in_domain(self, thetas) -> np.ndarray:
         """(n,) mask of the rows of an (n, d) array that are finite and inside the domain."""
         thetas = np.asarray(thetas, dtype=float)
@@ -150,8 +139,8 @@ class ParametricModel:
             ok &= _BOUND_OPS[op](thetas[:, j], bound)
         return ok
 
-    def _checked_cols(self, theta) -> list[np.ndarray]:
-        """One theta as 0-d columns, after the rule of ``in_domain`` names any violated bound."""
+    def _check(self, theta) -> None:
+        """Raise DomainError naming the rule of ``in_domain`` that one theta violates."""
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if len(theta) != self.theta_dim:
             raise DomainError(f"{self.name}: theta = {theta.tolist()} must hold "
@@ -163,30 +152,14 @@ class ParametricModel:
                 if jj == j and not _BOUND_OPS[op](x, bound):
                     raise DomainError(
                         f"{self.name}: theta[{j}] = {x} violates theta[{j}] {op} {bound}")
-        return [np.asarray(x) for x in theta]
 
     def moments(self, theta) -> np.ndarray:
-        return np.array([float(m) for m in self._raw_moments(self._checked_cols(theta))])
-
-    def moments_grid(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorized moment map over an (n, d) array of interior points."""
-        thetas = np.asarray(thetas, dtype=float)
-        cols = [thetas[:, j] for j in range(self.theta_dim)]
-        return np.column_stack(self._raw_moments(cols))
-
-    def jacobian_grid(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorized moment Jacobian, (n, M, d), over an (n, d) array of interior points."""
-        thetas = np.asarray(thetas, dtype=float)
-        rows = self._raw_jacobian([thetas[:, j] for j in range(self.theta_dim)])
-        out = np.empty((len(thetas), self.moment_order, self.theta_dim))
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                out[:, i, j] = entry
-        return out
+        self._check(theta)
+        return self.moments_grid(np.reshape(theta, (1, self.theta_dim)))[0]
 
     def moment_jacobian(self, theta) -> np.ndarray:
-        rows = self._raw_jacobian(self._checked_cols(theta))
-        return np.array([[float(x) for x in row] for row in rows])
+        self._check(theta)
+        return self.jacobian_grid(np.reshape(theta, (1, self.theta_dim)))[0]
 
     def domain_center(self) -> np.ndarray:
         """A canonical interior point, used as an optimizer fallback start."""
@@ -236,13 +209,13 @@ class QuadraticModel(ParametricModel):
         super().__init__(fixed_params)
         self.a, self.b, self.c = coefficients(*self.fixed_params)
 
-    def _raw_moments(self, cols):
-        (t,) = cols
-        return [self.a * t, self.b * t + self.c * t * t]
+    def moments_grid(self, thetas):
+        t = np.asarray(thetas, dtype=float)[:, 0]
+        return np.column_stack([self.a * t, self.b * t + self.c * t * t])
 
-    def _raw_jacobian(self, cols):
-        (t,) = cols
-        return [[self.a], [self.b + 2.0 * self.c * t]]
+    def jacobian_grid(self, thetas):
+        t = np.asarray(thetas, dtype=float)[:, :1]
+        return np.stack([np.full_like(t, self.a), self.b + 2.0 * self.c * t], axis=1)
 
     def theta_from_r1(self, r1: float) -> float:
         """Closed-form inverse of the first moment."""
@@ -424,14 +397,6 @@ class ProductModel(ParametricModel):
 
     def _r(self, p, q, out=None):
         return np.exp(p + q, out=out) if self.log else np.multiply(p, q, out=out)
-
-    def moments(self, theta):
-        self._checked_cols(theta)
-        return self.moments_grid(np.reshape(theta, (1, 2)))[0]
-
-    def moment_jacobian(self, theta):
-        self._checked_cols(theta)
-        return self.jacobian_grid(np.reshape(theta, (1, 2)))[0]
 
     def moments_grid(self, thetas):
         (P,), (h,) = self._entries(thetas)

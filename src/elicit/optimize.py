@@ -127,37 +127,28 @@ class Solution:
     v_hat_i, i.e. the full weighted total loss including the sample
     variances; ``sub_losses`` include v_hat as well.
 
-    ``termination`` says why the solve stopped.  On a 2-parameter model:
-    ``converged`` (the profile's outer search, or the iterative solver's
-    stopping rule, held), ``boundary`` (the profile's minimum at the closed
-    lower end of shape, lognormal's v2 = 0), ``exact_fit`` or ``constraint``
-    (no active term but a constraint, or one and none: F is 0 along a
-    curve), ``open_end`` and ``multimodal`` (the profile's minimum toward an
-    open end of shape, or a second grid minimum that competes with it; see
-    ``elicit.profile``), ``max_iters``, or ``no_descent`` (no step was left
-    where the loss is defined, or gradient descent's line search found no
-    descent).  On a 1-parameter model: ``exact_fit`` (one active sub-loss) or
-    ``constraint`` (an infinite weight), the two solved by the root of the
-    pinned moment clipped to the domain's ends, ``exact_minimum`` (both
-    sub-losses active, an interior optimum): the least root of the loss's
-    cubic derivative, or ``boundary``: a loss least at an end of the domain,
-    which is also where an exact fit's clipped root lands; a ``boundary``
-    loss is the infimum over the domain's closure.  ``converged`` is False
-    after ``max_iters``, ``open_end``, ``multimodal`` or ``no_bracket``, when
-    no start reached a point with a finite loss, and when a constrained
-    solve ends off its constraint.
+    ``termination`` says why the solve stopped.  On a 1-parameter model:
+    ``exact_fit`` (one active sub-loss) or ``constraint`` (an infinite
+    weight), the root of the pinned moment clipped to the domain's ends;
+    ``exact_minimum`` (both sub-losses active), the least root of the loss's
+    cubic derivative; or ``boundary``, an end of the domain, where the loss
+    is the infimum over the domain's closure.  On a 2-parameter model the
+    profile's terminations (``elicit.profile``), or under ``nelder_mead``
+    and ``gradient_descent`` ``converged``, ``max_iters`` or ``no_descent``
+    (no step was left where the loss is defined, or the line search found no
+    descent).  ``converged`` is False after ``max_iters``, ``open_end``,
+    ``no_bracket`` or ``multimodal``, without a finite loss, and when a
+    constrained solve ends off its constraint.
 
     ``clamped`` marks a ``constraint`` whose root of r_i = m_hat_i was
     clipped to an end of the domain, so that r_i misses m_hat_i.
 
     ``n_iters`` and ``n_evals`` (residual evaluations) are summed over the
-    problem's starts under ``nelder_mead`` and ``gradient_descent``, and 0
-    under ``profile``; ``exact_minimum`` and ``boundary`` on a 1-parameter
-    model score each candidate root and end of the domain once, and a pinned
-    root once.  ``start_index`` is the winning start's place in the start
-    list: 0 for the configured init, 1..multistart for the random offsets;
-    None when no start was used (a closed form, the profile or the
-    meshgrid).
+    starts of ``nelder_mead`` and ``gradient_descent``; a 1-parameter closed
+    form counts the candidate roots and ends it scores, and the profile 0.
+    ``start_index`` is the winning start's place in the start list: 0 for
+    the configured init, 1..multistart for the random offsets; None when no
+    start was used.
     """
 
     theta_star: np.ndarray
@@ -221,10 +212,7 @@ def interior_start(model: ParametricModel, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Core solvers (operating on an unconstrained residual rho(z))
-#
-# ``fun(z, lanes, jac)`` evaluates the rows z of the given lanes and returns
-# (rho, J or None, ok), ok marking the rows where rho is defined and finite.
+# Nelder-Mead and gradient descent, on rho . rho over z
 # ---------------------------------------------------------------------------
 
 
@@ -330,37 +318,27 @@ def _gradient_descent(f, grad, z0, max_iters, tol_loss, tol_step):
     return z, float(fz), n_iters, termination
 
 
-def _run_lane(fun, z0, free, config):
+def _run_lane(model, residual, z0, config):
     """Nelder-Mead or gradient descent from z0: (z, f, iterations, termination, evals).
 
-    ``fun(z, jac=False)`` gives (rho, d rho / d z or None, ok) at one z.  The
-    solver moves only the coordinates of z0 flagged in ``free``.
+    ``residual`` is the problem's ``_finite_objective``; theta = ``_from_z``
+    of z, so the gradient 2 J^T rho picks up the factor d theta / d z.
     """
     evals = 0
 
-    def full(x):
-        z = z0.copy()
-        z[free] = x
-        return z
-
-    def f(x):
+    def f(z, jac=False):
         nonlocal evals
         evals += 1
-        rho, _, ok = fun(full(x))
-        return float(_sq(rho, ok)[0])
+        theta, dtheta = _from_z(z[None], model.domain)
+        rho, J, ok = residual(theta, _ROW, jac)
+        if not jac:
+            return float(_sq(rho, ok)[0])
+        return 2.0 * (J * dtheta[:, None, :] * rho[:, :, None]).sum(axis=1)[0] if ok[0] else None
 
-    def grad(x):
-        nonlocal evals
-        evals += 1
-        rho, J, ok = fun(full(x), jac=True)
-        return 2.0 * (J * rho[:, :, None]).sum(axis=1)[0, free] if ok[0] else None
-
-    args = (z0[free], config.max_iters, config.tol_loss, config.tol_step)
+    args = (z0, config.max_iters, config.tol_loss, config.tol_step)
     if config.method == "gradient_descent":
-        x, *out = _gradient_descent(f, grad, *args)
-    else:
-        x, *out = _nelder_mead(f, *args)
-    return (full(x), *out, evals)
+        return (*_gradient_descent(f, lambda z: f(z, jac=True), *args), evals)
+    return (*_nelder_mead(f, *args), evals)
 
 
 # ---------------------------------------------------------------------------
@@ -417,55 +395,38 @@ def _loss_constant(eff, em: EmpiricalMoments) -> np.ndarray:
 
 
 def _finite_objective(model, em, kinds, eff):
-    """The residual over the active terms, as ``residual(theta, lanes, jac=False)``.
+    """The residual over the active terms, as ``residual(theta, rows, jac=False)``.
 
-    ``eff`` holds one row of effective weights per lane, 0 on every inactive
-    term; row k of the (n, d) ``theta`` belongs to lane ``lanes[k]``.  rho_i
-    = sqrt(eff_i * w_i(d_i)) * d_i with d_i = r_i - m_hat_i on the active
-    terms and 0 on the others; squared losses have w_i = 1, so their roots
-    are taken once.  Returns (rho, d rho / d theta, moment Jacobian, ok),
-    the Jacobians None unless ``jac``; ok marks the rows inside the domain
-    with a finite rho.  v_hat is left out, so the solvers see the residuals
-    down to float64 resolution; callers add ``_loss_constant`` back.
+    ``eff`` holds one row of effective weights per problem, 0 on every
+    inactive term; row k of the (n, d) ``theta`` belongs to problem
+    ``rows[k]``.  rho_i = sqrt(eff_i * w_i(d_i)) * d_i with d_i = r_i -
+    m_hat_i on the active terms and 0 on the others; squared losses have w_i
+    = 1, so their roots are taken once.  Returns (rho, d rho / d theta or
+    None unless ``jac``, ok); ok marks the rows inside the domain with a
+    finite rho.  v_hat is left out, so the solvers see the residuals down to
+    float64 resolution; callers add ``_loss_constant`` back.
     """
     m_hat = em.m_hat
     active = eff > 0.0
     squared = all(isinstance(kind, SquaredLoss) for kind in kinds)
     root = np.sqrt(eff) if squared else None
 
-    def residual(theta, lanes, jac=False):
+    def residual(theta, rows, jac=False):
         d = model.moments_grid(theta) - m_hat
-        on = active[lanes]
+        on = active[rows]
         if squared:
-            s = root[lanes]
+            s = root[rows]
         else:
             w = np.empty_like(d)
             for i, kind in enumerate(kinds):
                 w[:, i] = kind.weight(d[:, i])
-            s = np.sqrt(eff[lanes] * w)
+            s = np.sqrt(eff[rows] * w)
         rho = np.where(on, s * d, 0.0)
         ok = model.in_domain(theta) & np.isfinite(rho).all(axis=1)
-        if not jac:
-            return rho, None, None, ok
-        jr = model.jacobian_grid(theta)
-        return rho, np.where(on[..., None], s[:, :, None] * jr, 0.0), jr, ok
+        J = np.where(on[..., None], s[:, :, None] * model.jacobian_grid(theta), 0.0) if jac else None
+        return rho, J, ok
 
     return residual
-
-
-def _lane_objective(model, residual):
-    """``fun(z, jac=False)`` over one problem's z: (rho, d rho / d z or None, ok).
-
-    ``residual`` is the problem's ``_finite_objective``; the Jacobian in z
-    picks up the factor d theta / d z.
-    """
-
-    def fun(z, jac=False):
-        theta, dtheta = _from_z(z[None], model.domain)
-        rho, J, _, ok = residual(theta, _ROW, jac)
-        return rho, None if J is None else J * dtheta[:, None, :], ok
-
-    return fun
 
 
 def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
@@ -515,7 +476,7 @@ def _excess_1p(model, em, kinds, eff, points) -> np.ndarray:
     """The excess loss at an (n, K) array of thetas, row k under eff[k]; inf off the domain."""
     n, K = points.shape
     residual = _finite_objective(model, em, kinds, np.repeat(eff, K, axis=0))
-    rho, _, _, ok = residual(points.reshape(-1, 1), np.arange(n * K))
+    rho, _, ok = residual(points.reshape(-1, 1), np.arange(n * K))
     return _sq(rho, ok).reshape(n, K)
 
 
@@ -577,7 +538,7 @@ def _solve_1p(model, em, kinds, rows):
             fits = _moment_fits(model, em.m_hat)
             roots = [fits[row[3]] for row in pinned]
             theta = np.array([min(max(lo, t), hi[0] if hi else math.inf) for t in roots])
-            rho, _, _, ok = _finite_objective(model, em, kinds, eff[:P])(theta[:, None], np.arange(P))
+            rho, _, ok = _finite_objective(model, em, kinds, eff[:P])(theta[:, None], np.arange(P))
             excess = _sq(rho, ok)
             outcome = [("constraint", t != r) if row[1] is not None
                        else ("boundary" if t != r else "exact_fit", False)
@@ -661,7 +622,7 @@ def _solve_profile(model, em, kinds, rows, out):
     eff, held = np.array(eff), np.array(held)
     theta, term = profile.solve(model, em, kinds, eff, held)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho, _, _, ok = _finite_objective(model, em, kinds, eff)(theta, np.arange(len(eff)))
+        rho, _, ok = _finite_objective(model, em, kinds, eff)(theta, np.arange(len(eff)))
         r_star = model.moments_grid(theta)
         sub_losses = sub_loss_vector(kinds, r_star, em)
     loss = _sq(rho, ok) + _loss_constant(eff, em)
@@ -739,14 +700,12 @@ def _best_of_starts(model, em, kinds, eff, x0s, config) -> Solution:
     a tie (each start's end, then the start itself, in start order).
     """
     residual = _finite_objective(model, em, kinds, np.array([eff]))
-    fun = _lane_objective(model, residual)
-    free = np.ones(model.theta_dim, dtype=bool)
     candidates, n_iters, n_evals = [], 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for index, x0 in enumerate(x0s):
             x0 = np.asarray(x0, dtype=float)
-            z, f_end, iters, term, evals = _run_lane(fun, _to_z(x0, model.domain), free, config)
-            rho, _, _, ok = residual(x0[None], _ROW)
+            z, f_end, iters, term, evals = _run_lane(model, residual, _to_z(x0, model.domain), config)
+            rho, _, ok = residual(x0[None], _ROW)
             for theta, value in ((_from_z(z, model.domain)[0], f_end), (x0, float(_sq(rho, ok)[0]))):
                 candidates.append(((value, *theta.tolist()), theta, term, x0, index))
             n_iters, n_evals = n_iters + iters, n_evals + evals + 1

@@ -102,12 +102,13 @@ class _Rows:
             self.grow = (0.5 + 0.5 * np.sqrt(1.0 + 4.0 * C / (_K * pos * m2))) ** (1.0 / _K)
 
     def point(self, rows, phi, start=None, steps=None):
-        """P, dP/dphi, d^2P/dphi^2 and theta at each row's phi, and both lanes' next t.
+        """P, dP/dphi, d^2P/dphi^2 and theta at each row's phi, and both lanes' next place.
 
         Pinned rows stay on the fit of their moment.  ``start`` holds both
-        lanes' t from a nearby phi, or None.  Each lane takes ``steps`` Newton
-        steps, or steps until its step falls below STEP_RTOL; it is scored
-        at the last point it evaluated.
+        lanes' places from a nearby phi (log t on a scale family, t on
+        beta2), or None.  Each lane takes ``steps`` Newton steps, or steps
+        until its step falls below STEP_RTOL; it is scored at the last point
+        it evaluated.
         """
         model, m_hat, n, ar = self.model, self.m_hat, len(rows), np.arange(len(rows))
         fits, K, pinned = self.fits[rows], self.K[rows], self.pinned[rows]
@@ -127,9 +128,12 @@ class _Rows:
             lo = np.where(self.open[rows], 0.0, np.min(np.where(fits, fit, math.inf), axis=1))
             hi = np.where(fits.any(axis=1), np.maximum(hi, lo), lo)
             lo[pinned] = hi[pinned] = fit[ar[pinned], K[pinned]]
-            to_s, to_t = self._maps(np.tile(T, 2) if model.scale else None)
+            T2 = np.tile(T, 2) if model.scale else 0.0
             lower, upper = np.tile(lo, 2), np.tile(hi, 2)
-            s = np.concatenate([lo, hi]) if start is None else np.clip(to_s(start), lower, upper)
+            if start is None:
+                s = np.concatenate([lo, hi])
+            else:
+                s = np.clip(np.exp(start.T.ravel() - T2) if model.scale else start.T.ravel(), lower, upper)
             other, H2, eff = np.concatenate([hi, lo]), np.vstack([H, H]), np.tile(self.eff[rows], (2, 1))
             table, moving = (_POWERS if model.scale else _RISING), np.ones(2 * n, dtype=bool)
             for _ in range(steps or MAX_STEPS):
@@ -158,18 +162,12 @@ class _Rows:
             F_pu = (W * (dr * D + d * X)).sum(axis=1)
             dP = 2.0 * ((W * d * D).sum(axis=1) - np.where(pinned, 0.0, step * F_pu))
             d2P = 2.0 * ((W * (D * D + d * E)).sum(axis=1) - np.where(pinned, 0.0, F_pu * F_pu / gp[pick]))
+            place = (lambda s: T2 + np.log(s)) if model.scale else (lambda s: s)
             theta = np.empty((n, 2))
-            theta[:, model.t] = to_t(S)[pick]
-            theta[:, 1 - model.t] = phi if model.scale else phi - theta[:, 0]
-            return F[pick], dP, d2P, theta, to_t(s).reshape(2, -1).T
-
-    def _maps(self, T):
-        """t -> s and s -> t for both lanes, s = t / e^T on a scale family (in logs on lognormal)."""
-        if T is None:
-            return (lambda t: t.T.ravel()), (lambda s: s)
-        if self.model.log:
-            return (lambda t: np.exp(t.T.ravel() - T)), (lambda s: T + np.log(s))
-        return (lambda t: t.T.ravel() * np.exp(-T)), (lambda s: np.exp(T) * s)
+            t = place(S)[pick]
+            theta[:, model.t] = np.exp(t) if model.scale and not model.log else t
+            theta[:, 1 - model.t] = phi if model.scale else phi - t
+            return F[pick], dP, d2P, theta, place(s).reshape(2, -1).T
 
 
 def solve(model, em, kinds, eff, held):

@@ -25,11 +25,11 @@ def no_iterative_one_parameter_solve():
     seen = []
     run_lane, solve = optimize._run_lane, profile.solve
 
-    def guarded_lane(fun, z0, free, config):
-        if len(z0) == 1:
+    def guarded_lane(model, residual, z0, config):
+        if model.theta_dim == 1:
             seen.append("a lane")
             raise AssertionError("a 1-parameter problem reached the iterative solver")
-        return run_lane(fun, z0, free, config)
+        return run_lane(model, residual, z0, config)
 
     def guarded_profile(model, em, kinds, eff, held):
         if model.theta_dim == 1:

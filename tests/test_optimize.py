@@ -302,7 +302,7 @@ def best_start_reference(model, w, em, kinds, lanes):
     for index, (x0, z, term) in enumerate(lanes):
         end = optimize._from_z(z[None], model.domain)[0][0]
         for theta in (end, x0):
-            rho, _, _, ok = residual(theta[None], np.zeros(1, dtype=int))
+            rho, _, ok = residual(theta[None], np.zeros(1, dtype=int))
             key = (float(optimize._sq(rho, ok)[0]), tuple(theta))
             if best is None or key < best[0]:
                 best = (key, (theta.copy(), key[0], term, x0, index))
@@ -331,8 +331,8 @@ class TestWinnerSelection:
         lanes = []
         run_lane = optimize._run_lane
 
-        def spy(fun, z0, free, cfg):
-            out = run_lane(fun, z0, free, cfg)
+        def spy(model, residual, z0, cfg):
+            out = run_lane(model, residual, z0, cfg)
             lanes.append((out[0], out[3]))
             return out
 
