@@ -608,17 +608,9 @@ def _least_stationary_points(model, em, kinds, eff):
 
 def _solve_profile(model, em, kinds, rows, out):
     """Fill ``out`` with the profile solve of every 2-parameter row of ``minimize_many``."""
-    solved = []
-    for k, i, eff, _ in rows:
-        try:
-            if i is not None:
-                model.eliminate_for_moment(i, float(em.m_hat[i]))  # raises OutOfImage
-            solved.append((k, -1 if i is None else i, eff))
-        except ElicitError as exc:
-            out[k] = exc
-    if not solved:
+    if not rows:
         return
-    keys, held, eff = zip(*solved)
+    keys, held, eff = zip(*((k, -1 if i is None else i, eff) for k, i, eff, _ in rows))
     eff, held = np.array(eff), np.array(held)
     theta, term = profile.solve(model, em, kinds, eff, held)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -664,7 +656,10 @@ def minimize_many(
     rows = []       # (result index, constraint index, active weights, pinned moment)
     for k, weights in enumerate(weights_list):
         try:
-            rows.append((k, *_active_terms(weights, em)))
+            row = (k, *_active_terms(weights, em))
+            if model.theta_dim == 2 and row[1] is not None:  # raises OutOfImage off the image
+                model.eliminate_for_moment(row[1], float(em.m_hat[row[1]]))
+            rows.append(row)
         except ElicitError as exc:
             out[k] = exc
     if model.theta_dim == 1 and rows:

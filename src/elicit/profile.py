@@ -98,7 +98,7 @@ class _Rows:
         # On a scale family every root lies below s_k rho_k^(1/k) for each
         # fit s_k: beyond it term k alone outweighs every negative term.
         C = np.where(self.fits, _K * neg * m2, 0.0).sum(axis=1, keepdims=True) / 4.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             self.grow = (0.5 + 0.5 * np.sqrt(1.0 + 4.0 * C / (_K * pos * m2))) ** (1.0 / _K)
 
     def point(self, rows, phi, start=None, steps=None):

@@ -255,6 +255,45 @@ class TestBatch:
             minimize(POISSON, bad, poisson_em_3_15)
 
 
+class TestProfileTerminations:
+    """The profile's ends, flat problems and independence of the other rows."""
+
+    def test_lognormal_closed_end_is_a_boundary(self):
+        # m_hat_2 and m_hat_3 below the v2 = 0 curve: the profile rises from v2 = 0,
+        # which is returned as itself.
+        model = make_model("lognormal")
+        em = analytic_moments(model, [0.3, 0.01], perturb=[0.0, -0.2, -0.5])
+        w = WeightVector.of([1.0, 1.0, 1.0])
+        sol = minimize(model, w, em)
+        assert (sol.termination, sol.converged, sol.theta_star[1]) == ("boundary", True, 0.0)
+        simplex = minimize(model, w, em, config=OptimizerConfig(method="nelder_mead"))
+        assert sol.loss <= simplex.loss + 1e-9 * (1.0 + abs(simplex.loss))
+
+    def test_infimum_beyond_the_grid_is_an_open_end(self):
+        # gamma2 with m_hat_2 < m_hat_1^2: the loss falls as the shape a -> inf.
+        em = EmpiricalMoments(np.array([4.5, 20.0, 120.0]), np.zeros(3), 0)
+        sol = minimize(make_model("gamma2"), WeightVector.of([1.0, 1.0, 0.0]), em)
+        assert (sol.termination, sol.converged) == ("open_end", False)
+        assert sol.theta_star[0] == pytest.approx(1e8)
+
+    @pytest.mark.parametrize("c, termination", [([0.0, 0.0, 2.0], "exact_fit"),
+                                                ([np.inf, 0.0, 0.0], "constraint")])
+    def test_a_flat_problem_fits_its_moment(self, c, termination):
+        model, _, em = gamma2_problem()
+        sol = minimize(model, WeightVector.of(c), em)
+        i = int(np.argmax(np.array(c) > 0.0))
+        assert (sol.termination, sol.converged) == (termination, True)
+        assert sol.r_star[i] == pytest.approx(em.m_hat[i], rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["skew-beta2", "skew-loglogistic"])
+    def test_each_problem_equals_its_own_minimize(self, name):
+        spec = shipped_experiment(name).spec
+        weights = [spec.weights_at(c) for c in (math.inf, 0.0, 3.0, 1e-3)]
+        batch = optimize.minimize_many(spec.model, weights, spec.em, spec.kinds)
+        for w, sol in zip(weights, batch):
+            assert_same_solution(sol, minimize(spec.model, w, spec.em, spec.kinds))
+
+
 def assert_same_solution(a, b):
     """Every field of two Solutions equal, arrays bit for bit."""
     for name, x in vars(a).items():
