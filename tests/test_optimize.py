@@ -285,6 +285,46 @@ class TestProfileTerminations:
         assert (sol.termination, sol.converged) == (termination, True)
         assert sol.r_star[i] == pytest.approx(em.m_hat[i], rel=1e-14)
 
+    def test_the_inner_search_finds_the_far_minimum(self):
+        # At v2 = 0 the lognormal moments are t^k.  With fits t_1 = 1 and
+        # t_3 = 1e3 and these weights F has two minima in t, and the one near
+        # t_3 (about 1e6) is lower than the one near t_1 (about 2e6).
+        model = make_model("lognormal")
+        em = EmpiricalMoments(np.array([1.0, 1.0, 1e9]), np.zeros(3), 0)
+        eff = np.array([[1.0, 0.0, 2e-12]])
+        rows = profile._Rows(model, em, default_kinds(3), eff, np.array([-1]))
+        P, *_, theta, _ = rows.point(np.array([0]), np.array([0.0]))
+        u = np.linspace(math.log(1e-2), math.log(1e4), 200001)
+        brute = eff[0] @ (np.exp(np.outer([1.0, 2.0, 3.0], u)) - em.m_hat[:, None]) ** 2
+        assert brute.min() * (1.0 - 1e-6) <= P[0] <= brute.min()
+        assert theta[0, 0] == pytest.approx(u[np.argmin(brute)], abs=1e-4)
+
+    def test_a_second_grid_minimum_as_low_is_multimodal(self, monkeypatch):
+        # A stand-in profile with equal minima at phi = 1 and phi = 0.01, both grid points.
+        def point(self, rows, phi, start=None, steps=None):
+            z, z2 = np.log(phi), math.log(0.01)
+            p, dp = z * (z - z2), 2.0 * z - z2
+            P, dP, d2P = p * p + 1.0, 2.0 * p * dp, 2.0 * dp * dp + 4.0 * p
+            theta = np.column_stack([phi, np.ones_like(phi)])
+            return P, dP / phi, (d2P - dP) / phi**2, theta, np.ones((len(rows), 2))
+
+        monkeypatch.setattr(profile._Rows, "point", point)
+        model, w, em = gamma2_problem()
+        (theta,), (term,) = profile.solve(model, em, default_kinds(3),
+                                          np.array([w.effective]), np.array([-1]))
+        assert term == "multimodal"
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_simplex_from_the_answer_finds_nothing_lower(self, c):
+        # Unit base weights on the lognormal(0, 9) sample: r_3 ~ 2e10 swamps the
+        # other terms, the case the held-moment derivative is for.
+        model, em = make_model("lognormal"), lognormal_9_sample_moments()
+        w = WeightVector.of([c, 1.0, 1.0])
+        sol = minimize(model, w, em)
+        polish = OptimizerConfig(method="nelder_mead", multistart=0, init=tuple(sol.theta_star))
+        assert sol.converged
+        assert sol.loss <= minimize(model, w, em, config=polish).loss * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("name", ["skew-beta2", "skew-loglogistic"])
     def test_each_problem_equals_its_own_minimize(self, name):
         spec = shipped_experiment(name).spec
