@@ -674,12 +674,12 @@ def minimize_many(
     _solve_profile(model, em, kinds, [row for row in rows if not iterative or row[1] is not None], out)
     base = None
     for k, _, eff, _ in (row for row in rows if iterative and row[1] is None):
-        if starts is not None and starts[k] is not None:
-            x0s = [interior_start(model, x) for x in starts[k]]
-        else:
-            base = base or _starts(_resolve_init(model, em, config), model.domain, config)
-            x0s = base
         try:
+            if starts is not None and starts[k] is not None:
+                x0s = [interior_start(model, x) for x in starts[k]]
+            else:
+                base = base or _starts(_resolve_init(model, em, config), model.domain, config)
+                x0s = base
             out[k] = _best_of_starts(model, em, kinds, eff, x0s, config)
         except ElicitError as exc:
             out[k] = exc
