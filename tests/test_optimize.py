@@ -246,6 +246,15 @@ class TestBatch:
             assert (sol.loss, sol.termination, sol.n_iters) == (
                 alone.loss, alone.termination, alone.n_iters)
 
+    @pytest.mark.parametrize("name", ["skew-beta2", "skew-loglogistic"])
+    def test_each_profile_row_equals_its_own_minimize(self, name):
+        # The profile's rows leave its searches one by one.
+        spec = shipped_experiment(name).spec
+        weights = [spec.weights_at(c) for c in (math.inf, 0.0, 3.0, 1e-3)]
+        batch = optimize.minimize_many(spec.model, weights, spec.em, spec.kinds)
+        for w, sol in zip(weights, batch):
+            assert_same_solution(sol, minimize(spec.model, w, spec.em, spec.kinds))
+
     def test_an_infeasible_problem_leaves_the_others_solved(self, poisson_em_3_15):
         good, bad = WeightVector.of([1.0, 1.0]), WeightVector.of([1.0, 1.0, 1.0])
         sol, err = optimize.minimize_many(POISSON, [good, bad], poisson_em_3_15)
@@ -256,7 +265,7 @@ class TestBatch:
 
 
 class TestProfileTerminations:
-    """The profile's ends, flat problems and independence of the other rows."""
+    """The profile's ends, flat problems, inner minima and grid rivals."""
 
     def test_lognormal_closed_end_is_a_boundary(self):
         # m_hat_2 and m_hat_3 below the v2 = 0 curve: the profile rises from v2 = 0,
@@ -324,14 +333,6 @@ class TestProfileTerminations:
         polish = OptimizerConfig(method="nelder_mead", multistart=0, init=tuple(sol.theta_star))
         assert sol.converged
         assert sol.loss <= minimize(model, w, em, config=polish).loss * (1.0 + 1e-12)
-
-    @pytest.mark.parametrize("name", ["skew-beta2", "skew-loglogistic"])
-    def test_each_problem_equals_its_own_minimize(self, name):
-        spec = shipped_experiment(name).spec
-        weights = [spec.weights_at(c) for c in (math.inf, 0.0, 3.0, 1e-3)]
-        batch = optimize.minimize_many(spec.model, weights, spec.em, spec.kinds)
-        for w, sol in zip(weights, batch):
-            assert_same_solution(sol, minimize(spec.model, w, spec.em, spec.kinds))
 
 
 def assert_same_solution(a, b):
