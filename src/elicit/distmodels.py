@@ -332,16 +332,13 @@ def _loglogistic_shape(ratio: float) -> float:
         tan = np.tan(c)
         return tan / c - ratio, (1.0 / np.cos(c) ** 2 - tan / c) / c
 
-    ends = np.array([math.pi / 1e8, _LOGLOGISTIC_C])
+    ends = np.array([math.pi / 1e8, math.pi / (LOGLOGISTIC_SHAPE_FLOOR + 1e-6)])
     (f_lo, f_hi), (d_lo, d_hi) = f(None, ends)
     if not f_lo < 0.0 < f_hi:
         return math.nan
     c = newton_in_bracket(f, ends[:1], ends[1:], [f_lo], [f_hi], [d_lo], [d_hi], 0.0,
                           4.0 * np.finfo(float).eps)
     return math.pi / float(c[0])
-
-
-_LOGLOGISTIC_C = math.pi / (LOGLOGISTIC_SHAPE_FLOOR + 1e-6)
 
 
 # One row per family: its domain and closed bounds, the index of t in theta,

@@ -7,8 +7,9 @@ loss is searched over phi alone: variable projection (Golub & Pereyra, SIAM
 J. Numer. Anal. 10, 1973).
 
 **Inner.**  At fixed phi, dF/dt is a polynomial of degree 5 in t whose
-second derivative increases, so it rises, falls and rises again: its least
-and its greatest root are the only minima of F.  Below every single-moment
+second derivative increases (per sign pattern of the residuals, under
+asymmetric losses), so it rises, falls and rises again: its least and its
+greatest root are the only minima of F.  Below every single-moment
 fit t_k (r_k(t_k) = m_hat_k) each residual is negative and above every fit
 positive, so both roots lie between the fits.  Newton from the least fit
 climbs monotonically to the least root, where dF/dt is concave, and from
@@ -24,9 +25,10 @@ largest w_K m_hat_K^2.  By the envelope theorem any such curve gives dP/dphi,
 and this one leaves out the largest term, whose rounding would swamp the
 others.  Both are corrected for the lane's pending Newton step, so they are
 exact to second order in its distance from t*.  In z = log(phi - lo), a grid
-that depends on the model's bounds alone is scanned; the grid's least P and
-its neighbour across the sign change of dP bracket the minimum, refined by
-``newton_in_bracket``.  Each problem's rows leave the search when they have
+that depends on the model's bounds alone is scanned, SCAN_STEPS inner steps
+per lane; the grid's least P and its neighbour across the sign change of dP
+bracket the minimum, and ``newton_in_bracket`` refines it with the inner
+lanes run to convergence, warm from the nearer end.  Each problem's rows leave the search when they have
 converged, so its answer does not depend on the others.
 
 **Terminations.**  ``converged``; ``boundary`` where P rises from a closed
