@@ -7,13 +7,12 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elicit import cli, optimize, profile, verify
+from elicit import cli, profile, verify
 from elicit.cli import _oracle_solutions, main
 from elicit.config import load_config, resolve
 from elicit.errors import ElicitError

@@ -15,7 +15,7 @@ from scipy.optimize import brentq as scipy_brentq
 from elicit import analytic_moments, distmodels, make_model, minimize, optimize, profile
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
-from elicit.errors import DomainError, EmptyGrid, OutOfImage
+from elicit.errors import DomainError, EmptyGrid
 from elicit.losses import (
     AsymmetricSquaredLoss,
     EmpiricalMoments,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elicit import link_value, make_link, make_model, minimize, optimize, profile
+from elicit import link_value, make_link, make_model, minimize, profile
 from elicit.config import resolve
 from elicit.errors import EndpointMissing, TooFewPoints
 from elicit.losses import WeightVector
