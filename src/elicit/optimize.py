@@ -76,7 +76,7 @@ from .losses import (
 
 CONSTRAINT_RTOL = 1e-9
 _ROW = np.zeros(1, dtype=int)
-_CONVERGED = ("converged", "boundary", "exact_fit", "constraint")
+_CONVERGED = ("converged", "boundary", "limit", "exact_fit", "constraint")
 METHODS = ("profile", "nelder_mead", "gradient_descent")
 GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
 
@@ -637,7 +637,6 @@ def minimize_many(
     em: EmpiricalMoments,
     kinds=None,
     config: OptimizerConfig | None = None,
-    starts=None,
 ) -> list[Solution | ElicitError]:
     """``minimize`` for every weight vector.
 
@@ -646,10 +645,7 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.  Every
     1-parameter problem is solved in closed form by ``_solve_1p``, and every
     2-parameter one by ``profile.solve`` under the default method, all of them
-    together; both ignore ``config``'s other settings and ``starts``.
-    ``starts``, when given, holds per weight vector None or theta starts that
-    replace the configured ones of a finite-weight problem under
-    ``nelder_mead`` or ``gradient_descent``, pulled inside the domain.
+    together; both ignore ``config``'s other settings.
     """
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
     out: list = [None] * len(weights_list)
@@ -675,12 +671,8 @@ def minimize_many(
     base = None
     for k, _, eff, _ in (row for row in rows if iterative and row[1] is None):
         try:
-            if starts is not None and starts[k] is not None:
-                x0s = [interior_start(model, x) for x in starts[k]]
-            else:
-                base = base or _starts(_resolve_init(model, em, config), model.domain, config)
-                x0s = base
-            out[k] = _best_of_starts(model, em, kinds, eff, x0s, config)
+            base = base or _starts(_resolve_init(model, em, config), model.domain, config)
+            out[k] = _best_of_starts(model, em, kinds, eff, base, config)
         except ElicitError as exc:
             out[k] = exc
     return out

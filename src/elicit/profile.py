@@ -28,16 +28,26 @@ exact to second order in its distance from t*.  In z = log(phi - lo), a grid
 that depends on the model's bounds alone is scanned, SCAN_STEPS inner steps
 per lane; the grid's least P and its neighbour across the sign change of dP
 bracket the minimum, and ``newton_in_bracket`` refines it with the inner
-lanes run to convergence, warm from the nearer end.  Each problem's rows leave the search when they have
-converged, so its answer does not depend on the others.
+lanes run to convergence, warm from the nearer end.  Where P still falls at
+an end of the grid, the search marches on past it a decade at a time, to a
+bracket, or until a decade lowers P by less than PTOL.  Each problem's rows
+leave the search when they have converged, so its answer does not depend
+on the others.
 
 **Terminations.**  ``converged``; ``boundary`` where P rises from a closed
-lower end of phi (lognormal's v2 = 0), returned as that end; ``exact_fit``
-or ``constraint`` where F is 0 along a curve (one active term, or none but
-a constraint), returned at phi = lo + 1; and, not converged, ``open_end``
-where P still falls at an end of the grid, ``no_bracket`` where the signs
-of dP at the bracket's ends disagree with the scan, and ``multimodal`` where
-another grid minimum lies within ``RIVAL`` of the minimum found.
+lower end of phi (lognormal's v2 = 0), returned as that end; ``limit`` where
+P falls to an infimum at an open end of phi that no shape attains (a point
+mass as phi -> inf, two as beta2's phi -> 0, or the loglogistic shape
+floor), returned where the march stopped, or at the shape nearest lo: P's
+gap to such an infimum shrinks tenfold or more per decade, so what is left
+is below PTOL / 9;
+``exact_fit`` or ``constraint`` where F is 0 along a curve (one active term,
+or none but a constraint), returned at phi = lo + 1; and, not converged,
+``open_end`` where P still falls MARCH decades past an end of the grid, or
+stops being finite, ``no_bracket`` where the signs of dP at the bracket's
+ends disagree with the scan, and ``multimodal`` where another grid minimum
+lies within ``RIVAL`` of the minimum found; but as F >= 0, a minimum below
+EXACT times the size of F's terms is ``converged`` whatever they say.
 """
 
 from __future__ import annotations
@@ -53,7 +63,10 @@ GRID = np.linspace(-10.0, 8.0, 19) * math.log(10.0)  # z = log(phi - lo)
 SCAN_STEPS = 6      # inner Newton steps at each grid point
 MAX_STEPS = 100     # a cap on inner Newton steps where they run to convergence
 STEP_RTOL = 1e-7    # an inner Newton step this small, relative, is the last one
+MARCH = 22          # decades the search marches past an end of the grid, at most
+PTOL = 1e-12        # a decade of the march that lowers P less than this, relative, ends it
 Z_TOL = 1e-14       # the outer search stops where its Newton step in z is this small
+EXACT = 1e-24       # F this small against its terms' size fits every moment to 1e-12
 RIVAL = 0.1         # another grid minimum within this of the minimum, relative, competes
 
 _K = np.array([1.0, 2.0, 3.0])
@@ -93,6 +106,7 @@ class _Rows:
         m2 = em.m_hat * em.m_hat
         neg, pos = (eff * [float(np.max(kind.weight(np.array([sign])))) for kind in kinds]
                     for sign in (-1.0, 1.0))
+        self.size = (np.maximum(neg, pos) * m2).sum(axis=1)   # the size of F's terms
         self.fits = (eff > 0.0) & (em.m_hat > 0.0)
         self.open = ((eff > 0.0) & ~self.fits).any(axis=1) | ~self.fits.any(axis=1)
         self.pinned = held >= 0
@@ -100,7 +114,7 @@ class _Rows:
         # On a scale family every root lies below s_k rho_k^(1/k) for each
         # fit s_k: beyond it term k alone outweighs every negative term.
         C = np.where(self.fits, _K * neg * m2, 0.0).sum(axis=1, keepdims=True) / 4.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.grow = (0.5 + 0.5 * np.sqrt(1.0 + 4.0 * C / (_K * pos * m2))) ** (1.0 / _K)
 
     def point(self, rows, phi, start=None, steps=None):
@@ -197,15 +211,38 @@ def solve(model, em, kinds, eff, held):
         P_end, dP_end, _, theta_end, _ = problems.point(rows, np.full(n, lo), steps=SCAN_STEPS)
         end = ~done & (dP_end >= 0.0) & (P_end <= best)
         theta[end], best[end], term[end], done[end] = theta_end[end], P_end[end], "boundary", True
-    a = np.where(dP[rows, j] < 0.0, j, j - 1)
-    term[~done & ((a < 0) | (a >= G - 1))] = "open_end"
+    # The bracket [za, zb] about the minimum, dP/dz < 0 at za and > 0 at zb, with its lanes.
+    a = np.clip(np.where(dP[rows, j] < 0.0, j, j - 1), 0, G - 2)
+    za, zb, la, lb = GRID[a], GRID[a + 1], lanes[rows, a], lanes[rows, a + 1]
+    # Past an end of the grid where P still falls, march on a decade at a time.
+    step = -np.sign(dP[rows, j]) * (GRID[1] - GRID[0])  # the way P falls from the minimum
+    live = np.flatnonzero(~done & (j == np.where(step > 0.0, G - 1, 0)))
+    z, P0, warm, term[live] = GRID[j], np.full(n, math.inf), lanes[rows, j], "open_end"
+    for _ in range(MARCH):
+        edge = lo + np.exp(z[live]) <= lo       # no shape lies nearer lo
+        term[live[edge]], live = "limit", live[~edge]
+        if not live.size:
+            break
+        P1, dP1, _, theta1, lanes1 = problems.point(live, lo + np.exp(z[live]), warm[live])
+        lower, still = P1 < P0[live], P1 < P0[live] * (1.0 - PTOL)
+        rise = still & (dP1 * step[live] > 0.0)
+        k, up = live[rise], step[live[rise]] > 0.0
+        za[k], zb[k] = np.where(up, z[k] - step[k], z[k]), np.where(up, z[k], z[k] - step[k])
+        la[k] = np.where(up[:, None], warm[k], lanes1[rise])
+        lb[k] = np.where(up[:, None], lanes1[rise], warm[k])
+        term[k] = "converged"
+        term[live[~still]] = np.where(np.isfinite(P1[~still]), "limit", "open_end")
+        i = live[lower]
+        best[i], theta[i], P0[i], warm[i] = P1[lower], theta1[lower], P1[lower], lanes1[lower]
+        live = live[still & ~rise]
+        z[live] += step[live]
     search = np.flatnonzero(term == "converged")
-    a = a[search]
-    # Both ends of each bracket, to convergence, warm from the scan.
-    ends, both, m = np.concatenate([a, a + 1]), np.tile(search, 2), len(search)
-    P_e, dP_e, d2P_e, theta_e, lanes_e = problems.point(both, lo + x[ends], lanes[both, ends])
-    g, dg = dP_e * x[ends], (d2P_e * x[ends] + dP_e) * x[ends]
-    ok = (g[:m] < 0.0) & (g[m:] > 0.0)
+    # Both ends of each bracket, to convergence, warm from the scan or the march.
+    m, z = len(search), np.concatenate([za[search], zb[search]])
+    P_e, dP_e, d2P_e, theta_e, lanes_e = problems.point(
+        np.tile(search, 2), lo + np.exp(z), np.concatenate([la[search], lb[search]]))
+    g, dg = dP_e * np.exp(z), (d2P_e * np.exp(z) + dP_e) * np.exp(z)
+    ok = (g[:m] <= 0.0) & (g[m:] >= 0.0)
     term[search[~ok]] = "no_bracket"
     near = np.where(-g[:m] < g[m:], rows[:m], rows[:m] + m)[ok]
     search, warm, A, B = search[ok], lanes_e[near], np.flatnonzero(ok), np.flatnonzero(ok) + m
@@ -216,11 +253,12 @@ def solve(model, em, kinds, eff, held):
         best[rows], dP, d2P, theta[rows], warm[live] = problems.point(rows, lo + np.exp(z), warm[live])
         return dP * np.exp(z), (d2P * np.exp(z) + dP) * np.exp(z)
 
-    z = GRID[ends]
     newton_in_bracket(f, z[A], z[B], g[A], g[B], dg[A], dg[B], Z_TOL)
     # Another grid minimum, away from j, within RIVAL of the minimum found competes with it.
     Pp = np.pad(P, ((0, 0), (1, 1)), constant_values=math.inf)
     rival = (P <= Pp[:, :-2]) & (P <= Pp[:, 2:]) & (np.abs(np.arange(G) - j[:, None]) > 1)
     term[(rival & (P <= best[:, None] + RIVAL * np.abs(best[:, None]))).any(axis=1)
-         & (term == "converged")] = "multimodal"
+         & np.isin(term, ("converged", "limit"))] = "multimodal"
+    # F >= 0, so a minimum at F's rounding level is global, whatever the signs or rivals say.
+    term[np.isin(term, ("no_bracket", "multimodal")) & (best <= EXACT * problems.size)] = "converged"
     return theta, term

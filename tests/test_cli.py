@@ -448,8 +448,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("name", ["skew-lognormal", "skew-gamma2"])
     def test_one_profile_solve_per_run(self, monkeypatch, capsys, name):
-        # The configured and the grid-start problems are two rows of one
-        # profile solve, which takes no start: both answers equal the solve alone.
+        # The profile takes no start, so the oracle solves once and logs one answer.
         cfg_path = SWEEP_CONFIG_DIR / f"{name}.json"
         exp = resolve(load_config(cfg_path))
         rows = []
@@ -461,19 +460,19 @@ class TestOracle:
 
         monkeypatch.setattr(profile, "solve", counted)
         assert main(["oracle", str(cfg_path), "--width", "0.01"]) == 0
-        assert rows == [2]
+        assert rows == [1]
         printed = capsys.readouterr().out
         grid, configured, grid_start = _oracle_solutions(exp, 0.01)
         monkeypatch.undo()
 
         alone = minimize(exp.model, exp.spec.weights_at(1.0), exp.em, exp.spec.kinds,
                          exp.spec.optimizer)
-        for got in (configured, grid_start):
-            assert np.array_equal(got.theta_star, alone.theta_star)
-            assert got.loss == alone.loss <= grid.loss
-        configured_line, grid_line = printed.splitlines()[:2]
-        for line in (configured_line, grid_line):
-            assert f"loss = {alone.loss:.6e}" in line
+        assert grid_start is configured
+        assert np.array_equal(configured.theta_star, alone.theta_star)
+        assert configured.loss == alone.loss <= grid.loss
+        answer, meshgrid = printed.splitlines()[:2]
+        assert answer.startswith("configured start") and f"loss = {alone.loss:.6e}" in answer
+        assert meshgrid.startswith("meshgrid") and "grid-minimum start" not in printed
 
     def test_sensitivity_config_logs_two_gammas(self, capsys):
         code = main(["oracle", str(DIAGNOSTIC_CONFIG_DIR / "sensitivity-lognormal.json"),

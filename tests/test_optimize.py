@@ -8,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from elicit import analytic_moments, distmodels, make_model, minimize, optimize, profile
 from elicit.config import resolve
 from elicit.distmodels import SamplingTemplate, sample
-from elicit.errors import DomainError, EmptyGrid
+from elicit.errors import DomainError, EmptyGrid, OutOfImage
 from elicit.losses import (
     AsymmetricSquaredLoss,
     EmpiricalMoments,
@@ -278,12 +278,29 @@ class TestProfileTerminations:
         simplex = minimize(model, w, em, config=OptimizerConfig(method="nelder_mead"))
         assert sol.loss <= simplex.loss + 1e-9 * (1.0 + abs(simplex.loss))
 
-    def test_infimum_beyond_the_grid_is_an_open_end(self):
-        # gamma2 with m_hat_2 < m_hat_1^2: the loss falls as the shape a -> inf.
+    def test_infimum_past_the_grid_is_a_limit(self):
+        # gamma2 with m_hat_2 < m_hat_1^2: the loss falls as the shape a -> inf,
+        # towards a point mass at mu, whose loss (mu - 4.5)^2 + (mu^2 - 20)^2 is
+        # least at a root of 4 mu^3 - 78 mu - 9.
         em = EmpiricalMoments(np.array([4.5, 20.0, 120.0]), np.zeros(3), 0)
         sol = minimize(make_model("gamma2"), WeightVector.of([1.0, 1.0, 0.0]), em)
-        assert (sol.termination, sol.converged) == ("open_end", False)
-        assert sol.theta_star[0] == pytest.approx(1e8)
+        assert (sol.termination, sol.converged) == ("limit", True)
+        assert sol.theta_star[0] > 1e8
+        mu = np.roots([4.0, 0.0, -78.0, -9.0]).real
+        assert sol.loss == pytest.approx(min((mu - 4.5) ** 2 + (mu * mu - 20.0) ** 2), rel=1e-12)
+
+    def test_a_profile_falling_past_the_march_is_an_open_end(self, monkeypatch):
+        # A stand-in profile P = 1 / phi, which falls by 90% every decade.
+        def point(self, rows, phi, start=None, steps=None):
+            theta = np.column_stack([phi, np.ones_like(phi)])
+            return 1.0 / phi, -1.0 / phi**2, 2.0 / phi**3, theta, np.ones((len(rows), 2))
+
+        monkeypatch.setattr(profile._Rows, "point", point)
+        model, w, em = gamma2_problem()
+        (theta,), (term,) = profile.solve(model, em, default_kinds(3),
+                                          np.array([w.effective]), np.array([-1]))
+        assert term == "open_end"
+        assert theta[0] == pytest.approx(1e8 * 10.0 ** (profile.MARCH - 1))
 
     @pytest.mark.parametrize("c, termination", [([0.0, 0.0, 2.0], "exact_fit"),
                                                 ([np.inf, 0.0, 0.0], "constraint")])
@@ -345,28 +362,20 @@ def assert_same_solution(a, b):
             assert x == y, name
 
 
-class TestStartsArgument:
+class TestMixedBatch:
     @pytest.mark.parametrize("constrained_first", [True, False])
-    @pytest.mark.parametrize("with_starts", [False, True])
-    def test_each_problem_equals_its_own_solve(self, constrained_first, with_starts):
-        # A 2-parameter c = inf problem builds a start list of its own; a
-        # finite-weight problem after it must still read its own starts.
+    @pytest.mark.parametrize("method", ["profile", "nelder_mead"])
+    def test_each_problem_equals_its_own_solve(self, constrained_first, method):
+        # A 2-parameter c = inf problem takes the profile under every method;
+        # a finite-weight problem beside it must still take the configured solve.
         exp = shipped_experiment("skew-lognormal")
-        spec = exp.spec
-        finite_starts = [[0.0, 0.5], [0.2, 1.0]] if with_starts else None
-        problems = [(spec.weights_at(math.inf), None), (spec.weights_at(1.0), finite_starts)]
+        spec, config = exp.spec, OptimizerConfig(method=method)
+        problems = [spec.weights_at(math.inf), spec.weights_at(1.0)]
         if not constrained_first:
             problems.reverse()
-        batch = optimize.minimize_many(exp.model, [w for w, _ in problems], exp.em, spec.kinds,
-                                       spec.optimizer,
-                                       starts=[s for _, s in problems] if with_starts else None)
-        for (w, s), sol in zip(problems, batch):
-            if s is None:
-                alone = minimize(exp.model, w, exp.em, spec.kinds, spec.optimizer)
-            else:
-                (alone,) = optimize.minimize_many(exp.model, [w], exp.em, spec.kinds,
-                                                  spec.optimizer, starts=[s])
-            assert_same_solution(sol, alone)
+        batch = optimize.minimize_many(exp.model, problems, exp.em, spec.kinds, config)
+        for w, sol in zip(problems, batch):
+            assert_same_solution(sol, minimize(exp.model, w, exp.em, spec.kinds, config))
 
 
 def best_start_reference(model, w, em, kinds, lanes):
@@ -417,13 +426,14 @@ class TestWinnerSelection:
             return out
 
         monkeypatch.setattr(optimize, "_run_lane", spy)
-        (sol,) = optimize.minimize_many(model, [w], em, kinds, config,
-                                        starts=None if starts is None else [starts])
-        monkeypatch.undo()
         if starts is None:
+            (sol,) = optimize.minimize_many(model, [w], em, kinds, config)
             x0s = optimize._starts(optimize._resolve_init(model, em, config), model.domain, config)
         else:
             x0s = [optimize.interior_start(model, x) for x in starts]
+            sol = optimize._best_of_starts(model, em, kinds or default_kinds(3),
+                                           optimize._active_terms(w, em)[1], x0s, config)
+        monkeypatch.undo()
         assert len(lanes) == len(x0s)
         theta, excess, term, start, index = best_start_reference(
             model, w, em, kinds, [(x0, z, t) for x0, (z, t) in zip(x0s, lanes)])
@@ -538,11 +548,21 @@ PROPERTY_MODELS = [
 ]
 
 
+def reaches(model, i, target):
+    """Whether some theta of a 2-parameter model has r_i = target."""
+    try:
+        model.eliminate_for_moment(i, target)
+    except OutOfImage:
+        return False
+    return True
+
+
 @st.composite
 def off_image_problems(draw):
     """A model, moments r(theta_0) shifted by up to 20% per coordinate, weights and sub-losses.
 
-    The sub-losses are squared or asymmetric; in some problems one weight is infinite.
+    The sub-losses are squared or asymmetric; in some problems one weight is
+    infinite, on a moment that the model can reach.
     """
     name, fixed, ranges = draw(st.sampled_from(PROPERTY_MODELS))
     model = make_model(name, fixed)
@@ -552,14 +572,36 @@ def off_image_problems(draw):
     em = analytic_moments(model, theta0, perturb=shift * model.moments(theta0))
     c = draw(st.lists(st.floats(0.0, 10.0), min_size=M, max_size=M).filter(any))
     if draw(st.booleans()):
-        c[draw(st.integers(0, M - 1))] = np.inf
+        i = draw(st.integers(0, M - 1))
+        c[i] = np.inf
+        assume(model.theta_dim == 1 or reaches(model, i, float(em.m_hat[i])))
     kinds = tuple(draw(st.lists(SUB_LOSS_KINDS, min_size=M, max_size=M)))
+    return model, em, WeightVector.of(c), kinds
+
+
+def off_image_example(name, theta0, shift, c, kinds):
+    """One draw of ``off_image_problems`` in full; ``kinds`` holds None (squared) or (a, b)."""
+    model = make_model(name)
+    em = analytic_moments(model, theta0, perturb=np.array(shift) * model.moments(theta0))
+    kinds = tuple(SquaredLoss() if k is None else AsymmetricSquaredLoss(*k) for k in kinds)
     return model, em, WeightVector.of(c), kinds
 
 
 class TestDefaultSolverProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(off_image_problems())
+    # The loss falls as the shape grows without bound (gamma2) or shrinks to
+    # its lower end (loglogistic, beta2): each infimum lies past the scan's grid.
+    @example(off_image_example("gamma2", [3.09, 2.92], [-0.017, 0.135, -0.178],
+                               [3.86, 5.6, 6.2], [(0.75, 0.62), None, None]))
+    @example(off_image_example("gamma2", [4.67, 0.61], [0.128, -0.105, 0.12],
+                               [6.42, np.inf, 0.0], [(1.55, 9.74), None, (9.06, 0.34)]))
+    @example(off_image_example("loglogistic", [0.69, 8.37], [-0.175, -0.088, 0.143],
+                               [1.05, 2.07, 0.0], [(7.91, 9.15), None, (4.1, 9.06)]))
+    @example(off_image_example("beta2", [6.78, 1.15], [-0.138, 0.072, 0.003],
+                               [2.67, 5.76, 2.07], [(7.49, 3.85), (6.15, 2.65), None]))
+    # An exact fit whose shape v2 = 1 is a point of the scan's grid, where dP = 0.
+    @example(off_image_example("lognormal", [0.0, 1.0], [0.0] * 3, [0.0, 1.0, 1.0], [None] * 3))
     def test_no_worse_than_simplex_or_grid(self, problem):
         # The meshgrid oracle takes finite weights only.
         model, em, w, kinds = problem
@@ -673,9 +715,6 @@ class TestExactMinimum:
         for cfg in (OptimizerConfig(method="nelder_mead"), OptimizerConfig(max_iters=1),
                     OptimizerConfig(multistart=0, init=(50.0,), seed=7)):
             assert_same_solution(minimize(POISSON, w, poisson_em_3_15, config=cfg), sol)
-        (from_starts,) = optimize.minimize_many(POISSON, [w], poisson_em_3_15,
-                                                starts=[[[0.5], [40.0]]])
-        assert_same_solution(from_starts, sol)
 
     @pytest.mark.parametrize("name", [p.stem for p in sorted(SWEEP_CONFIG_DIR.glob("var-*.json"))])
     def test_shipped_variance_sweeps_take_no_lanes(self, monkeypatch, name):
