@@ -276,7 +276,8 @@ def newton_in_bracket(f, a, b, fa, fb, da, db, xtol, rtol=0.0):
         A, B, FA, FB, DA, DB = (v[live] for v in (a, b, fa, fb, da, db))
         near = np.abs(FA) < np.abs(FB)
         X = np.where(near, A, B)
-        newton = X - np.where(near, FA, FB) / np.where(near, DA, DB)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a step that is not finite bisects
+            newton = X - np.where(near, FA, FB) / np.where(near, DA, DB)
         x[live] = new = np.where((newton - A) * (newton - B) < 0.0, newton, 0.5 * (A + B))
         F, D = f(live, new)
         below = F < 0.0

@@ -1112,6 +1112,14 @@ class TestNewtonInBracket:
         assert all(-0.1 <= v <= 10.0 for v in seen)
         assert x[0] == pytest.approx(3.0, abs=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_zero_derivative_bisects_quietly(self):
+        # f = x^3 - 1 from [-2, 2] with f' = 0 given at both ends: the step is infinite.
+        x = distmodels.newton_in_bracket(lambda live, x: (x**3 - 1.0, 3.0 * x * x),
+                                         np.array([-2.0]), np.array([2.0]), [-9.0], [7.0],
+                                         [0.0], [0.0], 1e-14)
+        assert x[0] == pytest.approx(1.0, abs=1e-13)
+
     def test_a_root_at_an_end_is_returned_as_it(self):
         def f(live, x):
             raise AssertionError("no evaluation is needed")
