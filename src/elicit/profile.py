@@ -219,8 +219,9 @@ def solve(model, em, kinds, eff, held):
     live = np.flatnonzero(~done & (j == np.where(step > 0.0, G - 1, 0)))
     z, P0, warm, term[live] = GRID[j], np.full(n, math.inf), lanes[rows, j], "open_end"
     for _ in range(MARCH):
-        edge = lo + np.exp(z[live]) <= lo       # no shape lies nearer lo
-        term[live[edge]], live = "limit", live[~edge]
+        edge = lo + np.exp(z[live]) <= lo
+        term[live[edge]] = "limit"      # no shape lies nearer lo
+        live = live[~edge]
         if not live.size:
             break
         P1, dP1, _, theta1, lanes1 = problems.point(live, lo + np.exp(z[live]), warm[live])
