@@ -26,7 +26,7 @@ from .config import Experiment, load_config, resolve
 from .distmodels import make_model
 from .errors import ConfigError, ElicitError, EmptyGrid
 from .links import link_value, make_link
-from .optimize import default_box, meshgrid_oracle, minimize, minimize_many  # noqa: F401
+from .optimize import default_box, meshgrid_oracle, minimize
 from .sweep import SweepCurve, run_sweep
 from .theory import (
     check_condition_A,

@@ -34,7 +34,10 @@ from h_2(phi) / h_1(phi)^2 = m_2 / m_1^2, which gives phi = log of the ratio
 for lognormal, 1 / (ratio - 1) for gamma2 and the root of tan(pi/phi) /
 (pi/phi) = ratio (``newton_in_bracket``) for loglogistic; then t = m_1 /
 h_1(phi).
-beta2 matches the mean and variance in closed form.
+beta2 matches the mean and variance in closed form.  On a grid, ``moments_mesh``
+feeds the table an (n, 1) and a (1, m) column of theta, so P and h are taken once
+per axis value and broadcast; each product and exp(p + q) is the same float
+op on the same operands as in ``moments_grid``, so the bits are the same.
 
 Deterministic sampling lives here too.  The repository-wide generator is
 numpy's Philox4x64 (counter-based); per-template substreams are keyed by
@@ -160,6 +163,11 @@ class ParametricModel:
     def moment_jacobian(self, theta) -> np.ndarray:
         self._check(theta)
         return self.jacobian_grid(np.reshape(theta, (1, self.theta_dim)))[0]
+
+    def moments_mesh(self, axes) -> np.ndarray:
+        """The moments on the grid of ``axes``, one per coordinate, as (*lengths, M)."""
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return self.moments_grid(mesh.reshape(-1, len(axes))).reshape(*mesh.shape[:-1], -1)
 
     def domain_center(self) -> np.ndarray:
         """A canonical interior point, used as an optimizer fallback start."""
@@ -387,25 +395,30 @@ class ProductModel(ParametricModel):
          self.phi_of_ratio) = _PRODUCT[name]
         super().__init__(fixed_params)
 
-    def _entries(self, thetas, order=0):
-        """P and h of the row over an (n, 2) array, each with ``order`` log-derivatives."""
-        thetas = np.asarray(thetas, dtype=float)
-        x, y = thetas[:, self.t], thetas[:, 1 - self.t]
+    def _entries(self, columns, order=0):
+        """P and h over theta's broadcast columns, each with ``order`` log-derivatives."""
+        x, y = columns[self.t], columns[1 - self.t]
         return self.P(x, order), self.h(y if self.scale else x + y, order)
 
     def _r(self, p, q, out=None):
         return np.exp(p + q, out=out) if self.log else np.multiply(p, q, out=out)
 
-    def moments_grid(self, thetas):
-        (P,), (h,) = self._entries(thetas)
-        out = np.empty((len(thetas), 3))
+    def _moments(self, columns, out):
+        """r_k = P_k h_k into out[..., k] over the broadcast ``columns``."""
+        (P,), (h,) = self._entries(columns)
         for k, (p, q) in enumerate(zip(P, h)):
-            self._r(p, q, out[:, k])
+            self._r(p, q, out[..., k])
         return out
+
+    def moments_grid(self, thetas):
+        return self._moments(np.asarray(thetas, dtype=float).T, np.empty((len(thetas), 3)))
+
+    def moments_mesh(self, axes):  # moment-major, so that each r_k is contiguous
+        return self._moments(np.ix_(*axes), np.moveaxis(np.empty((3, *map(len, axes))), 0, -1))
 
     def jacobian_grid(self, thetas):
         """The chain rule, r_k (d log P_k / dt dt / dtheta + d log h_k / dphi dphi / dtheta)."""
-        (P, dP), (h, dh) = self._entries(thetas, 1)
+        (P, dP), (h, dh) = self._entries(np.asarray(thetas, dtype=float).T, 1)
         out = np.empty((len(thetas), 3, 2))
         for k, (p, q, dp, dq) in enumerate(zip(P, h, dP, dh)):
             r = self._r(p, q)

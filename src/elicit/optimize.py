@@ -78,7 +78,7 @@ CONSTRAINT_RTOL = 1e-9
 _ROW = np.zeros(1, dtype=int)
 _CONVERGED = ("converged", "boundary", "limit", "exact_fit", "constraint")
 METHODS = ("profile", "nelder_mead", "gradient_descent")
-GRID_SLAB = 1 << 14  # grid points the meshgrid oracle evaluates at a time
+GRID_SLAB = 1 << 14  # grid points per block of the meshgrid oracle, which takes one row at least
 
 
 @dataclass(frozen=True)
@@ -746,10 +746,13 @@ def meshgrid_oracle(
     box=None,
     width: float = 0.1,
 ) -> Solution:
-    """Exhaustive grid minimizer, GRID_SLAB points at a time: the first minimum in C order.
+    """Exhaustive grid minimizer, in blocks of whole rows: the first minimum in C order.
 
     Axis j holds lo_j + width * k up to hi_j, so C order sorts the grid
     lexicographically by theta and the first minimum has the smallest theta.
+    A block takes max(1, GRID_SLAB // row length) values of axis 0 with every
+    point of the later axes, so about GRID_SLAB points and never less than
+    one row; ``moments_mesh`` evaluates it on the tensor product of its axes.
     A nan loss counts as inf; if every loss is inf the first point wins.
     """
     if not 0.0 < width < math.inf:
@@ -774,18 +777,17 @@ def meshgrid_oracle(
         n_steps = int(math.floor((hi - lo) / width + 1e-12)) if hi > lo else 0
         axes.append(lo + width * np.arange(n_steps + 1))
 
-    shape = tuple(len(a) for a in axes)
-    n = math.prod(shape)
-    best = None
-    for start in range(0, n, GRID_SLAB):
-        index = np.unravel_index(np.arange(start, min(start + GRID_SLAB, n)), shape)
-        thetas = np.column_stack([a[i] for a, i in zip(axes, index)])
+    row = math.prod(len(a) for a in axes[1:])
+    rows, best = max(1, GRID_SLAB // row), None
+    for start in range(0, len(axes[0]), rows):
+        block = [axes[0][start:start + rows], *axes[1:]]
         with np.errstate(over="ignore", invalid="ignore"):
-            r_matrix = model.moments_grid(thetas)
-            losses = total_loss(weights, r_matrix, em, kinds)
+            r_block = model.moments_mesh(block)
+            losses = total_loss(weights, r_block, em, kinds)
         losses = np.where(np.isfinite(losses), losses, math.inf)
-        k = int(np.argmin(losses))
-        # Strict: on a tie the earlier slab, so the earlier grid point, wins.
+        k = np.unravel_index(int(np.argmin(losses)), losses.shape)
+        # Strict: on a tie the earlier block, so the earlier grid point, wins.
         if best is None or losses[k] < best[2]:
-            best = (thetas[k], r_matrix[k], losses[k])
+            best = (np.array([a[i] for a, i in zip(block, k)]), r_block[k], losses[k])
+    n = len(axes[0]) * row
     return _solution(*best, kinds, em, n_iters=n, n_evals=n)

@@ -40,7 +40,11 @@ P falls to an infimum at an open end of phi that no shape attains (a point
 mass as phi -> inf, two as beta2's phi -> 0, or the loglogistic shape
 floor), returned where the march stopped, or at the shape nearest lo: P's
 gap to such an infimum shrinks tenfold or more per decade, so what is left
-is below PTOL / 9;
+is below PTOL / 9; and ``limit`` too where beta2's inner minimum lies at t
+= 0 or t = phi, a point mass at 0 or at 1, which no (a, b) attains: the
+coordinate that is 0 (or below, on a fit of a moment m_hat_K <= 0) is
+returned as machine epsilon times the other, so each r_k is within 3 eps
+of the point mass's;
 ``exact_fit`` or ``constraint`` where F is 0 along a curve (one active term,
 or none but a constraint), returned at phi = lo + 1; and, not converged,
 ``open_end`` where P still falls MARCH decades past an end of the grid, or
@@ -262,4 +266,11 @@ def solve(model, em, kinds, eff, held):
          & np.isin(term, ("converged", "limit"))] = "multimodal"
     # F >= 0, so a minimum at F's rounding level is global, whatever the signs or rivals say.
     term[np.isin(term, ("no_bracket", "multimodal")) & (best <= EXACT * problems.size)] = "converged"
+    if not model.scale:     # beta2's t = 0 or t = phi: a point mass at 0 or 1, a relative eps inside
+        edge = (theta <= 0.0).any(axis=1)
+        theta[edge] = np.maximum(theta[edge], np.finfo(float).eps * theta[edge].max(axis=1, keepdims=True))
+        # The point mass is in every phi's closure, so no grid P exceeds its loss; where
+        # none lies more than PTOL below it either, P is flat and the point mass is least.
+        least = edge & (best <= P.min(axis=1) * (1.0 + PTOL))
+        term[least & np.isin(term, ("converged", "exact_fit", "no_bracket", "multimodal"))] = "limit"
     return theta, term

@@ -6,8 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from conftest import load_shipped_configs
 from elicit import analytic_moments, distmodels, make_link, make_model
+from elicit.config import resolve
 from elicit.distmodels import (
+    LOGLOGISTIC_SHAPE_FLOOR,
     MODEL_NAMES,
     TEMPLATE_NAMES,
     TEMPLATE_PARAMS,
@@ -19,7 +22,7 @@ from elicit.distmodels import (
 )
 from elicit.errors import DomainError, OutOfImage
 from elicit.links import link_value
-from elicit.optimize import moment_match_init
+from elicit.optimize import default_box, moment_match_init
 from elicit.verify import _FIXED, _JACOBIAN_GRIDS, _VARIANCE_IDENTITIES, fd_jacobian
 
 ONE_PARAM = {
@@ -375,6 +378,39 @@ def family_theta(name, s, w):
 
 
 UNIT = st.floats(0.0, 1.0)
+
+
+SHIPPED = load_shipped_configs()
+
+
+class TestMesh:
+    """``moments_mesh`` gives the bits of ``moments_grid`` on the explicit meshgrid."""
+
+    @staticmethod
+    def assert_mesh_is_grid(model, box, width):
+        axes = [lo + width * np.arange(math.floor((hi - lo) / width + 1e-12) + 1) for lo, hi in box]
+        thetas = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh, grid = model.moments_mesh(axes), model.moments_grid(thetas)
+        assert mesh.shape == (*map(len, axes), model.moment_order)
+        assert np.array_equal(mesh.reshape(grid.shape), grid, equal_nan=True)
+        return mesh
+
+    def test_shipped_configs_hold_every_model(self):
+        assert {cfg["model"]["name"] for _, cfg in SHIPPED} == set(MODEL_NAMES)
+
+    @pytest.mark.parametrize("cfg", [cfg for _, cfg in SHIPPED], ids=[name for name, _ in SHIPPED])
+    def test_shipped_default_boxes(self, cfg):
+        exp = resolve(cfg)
+        self.assert_mesh_is_grid(exp.model, default_box(exp.model, exp.em), 0.05)
+
+    def test_lognormal_box_that_overflows(self):
+        mesh = self.assert_mesh_is_grid(make_model("lognormal"), [(800.0, 801.0), (0.5, 1.5)], 0.05)
+        assert np.isinf(mesh).any()
+
+    def test_loglogistic_box_at_the_shape_floor(self):
+        box = [(0.5, 3.0), (LOGLOGISTIC_SHAPE_FLOOR, LOGLOGISTIC_SHAPE_FLOOR + 2.0)]
+        self.assert_mesh_is_grid(make_model("loglogistic"), box, 0.05)
 
 
 class TestTableDerivations:

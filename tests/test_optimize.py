@@ -587,9 +587,23 @@ def off_image_example(name, theta0, shift, c, kinds):
     return model, em, WeightVector.of(c), kinds
 
 
+def beta2_example(m_hat, c):
+    """beta2 with squared sub-losses at the moments ``m_hat`` themselves, v_hat = 0."""
+    em = EmpiricalMoments(np.array(m_hat), np.zeros(3), 0)
+    return make_model("beta2"), em, WeightVector.of(c), (SquaredLoss(),) * 3
+
+
 class TestDefaultSolverProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(off_image_problems())
+    # beta2 with m_hat_1 >= 1 (or <= 0) outside its image 0 < r_1 < 1: the
+    # infimum is the point mass at 1 (at 0), b -> 0 (a -> 0), for every shape.
+    @example(beta2_example([1.0, 0.808, 0.746], [1.0, 0.0, 0.0]))
+    @example(beta2_example([1.0, 0.808, 0.746], [1.0, 1e-300, 0.0]))
+    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 0.0, 0.0]))
+    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 1e-6, 0.0]))
+    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 1.0, 0.0]))
+    @example(beta2_example([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0]))
     # The loss falls as the shape grows without bound (gamma2) or shrinks to
     # its lower end (loglogistic, beta2): each infimum lies past the scan's grid.
     @example(off_image_example("gamma2", [3.09, 2.92], [-0.017, 0.135, -0.178],
@@ -613,6 +627,21 @@ class TestDefaultSolverProperty:
         if w.infinite_index is None:
             grid = meshgrid_oracle(model, w, em, kinds, box=default_box(model, em), width=0.05)
             assert sol.loss <= grid.loss + tol
+
+    @pytest.mark.parametrize("m_hat,c,b", [
+        ([1.0, 0.808, 0.746], [1.0, 0.0, 0.0], 1), ([1.2, 0.9, 0.8], [1.0, 1.0, 0.0], 1),
+        ([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0], 0)])
+    def test_beta2_point_mass_is_a_limit_inside_the_domain(self, m_hat, c, b):
+        model, em, w, kinds = beta2_example(m_hat, c)
+        sol = minimize(model, w, em, kinds)
+        assert sol.termination == "limit" and sol.converged
+        assert 0.0 < sol.theta_star[1 - b] and 0.0 < sol.theta_star[b] <= 1e-15 * sol.theta_star[1 - b]
+        assert np.allclose(sol.r_star, b, rtol=0.0, atol=1e-15)
+
+    def test_beta2_mean_constraint_off_its_image_raises(self):
+        model, em, _, kinds = beta2_example([1.2, 0.9, 0.8], [1.0, 0.0, 0.0])
+        with pytest.raises(OutOfImage, match="moment 1 lies in"):
+            minimize(model, WeightVector.of([np.inf, 1.0, 0.0]), em, kinds)
 
 
 # The five 1-parameter families: binomial K = 1 has c = 0 (a linear F'),
@@ -947,8 +976,24 @@ class TestSlabbedMeshgrid:
                                             [(800.0, 801.0), (0.5, 1.5)], 0.1)
         assert sol.loss == math.inf and np.array_equal(sol.theta_star, [800.0, 0.5])
 
-    def test_memory_is_bounded_by_the_slab(self):
-        exp = resolve(json.loads((SWEEP_CONFIG_DIR / "skew-gamma2.json").read_text()))
+    @pytest.mark.parametrize("name", sorted(distmodels._PRODUCT))
+    def test_two_parameter_grid_is_a_tensor_product(self, monkeypatch, name):
+        model = make_model(name)
+        theta0 = model.domain_center() + 1.0
+        em = analytic_moments(model, theta0, perturb=0.1 * model.moments(theta0))
+        box = default_box(model, em)
+
+        def rows_of_theta(thetas):
+            raise AssertionError("the oracle evaluated rows of theta")
+
+        monkeypatch.setattr(model, "moments_grid", rows_of_theta)
+        monkeypatch.setattr(optimize, "GRID_SLAB", 1000)
+        sol = meshgrid_oracle(model, WeightVector.of([1.0, 1.0, 1.0]), em, box=box, width=0.05)
+        assert sol.n_evals > 3 * optimize.GRID_SLAB
+
+    @pytest.mark.parametrize("config,points", [("skew-gamma2", 301_702), ("skew-lognormal", 361_201)])
+    def test_memory_is_bounded_by_the_slab(self, config, points):
+        exp = resolve(json.loads((SWEEP_CONFIG_DIR / f"{config}.json").read_text()))
         box = default_box(exp.model, exp.em)
         tracemalloc.start()
         try:
@@ -957,7 +1002,7 @@ class TestSlabbedMeshgrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sol.n_evals > 300_000
+        assert sol.n_evals == points
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("box,width", [
