@@ -71,6 +71,7 @@ PRNG_SUBSTREAM = "key = (seed << 64) | blake2b-64(template name)"
 # safety margin above b = M so 1/sin(k*pi/b) stays well-conditioned.
 LOGLOGISTIC_SHAPE_FLOOR = 3.5
 NEWTON_STEPS = 3  # polishing steps on each closed-form root of a cubic
+LOG_CLIP = 700.0  # |log| of the least and greatest positive coordinate: exp stays inside (0, inf)
 
 Bound = tuple[float | None, float | None]
 

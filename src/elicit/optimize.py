@@ -51,8 +51,15 @@ stay strictly interior.  A constrained 2-parameter problem is a 1-D search
 along its constraint, which the profile solves whatever the start, so it
 takes the profile under every method.
 
+Each solver returns only its problems' thetas, each with its termination and
+what else it keeps of a Solution; ``_score`` evaluates every row at once.  A
+row has converged when its loss is finite, its termination is none of
+``UNCONVERGED``, and its constraint on moment i, if any, holds: r_i lies
+within CONSTRAINT_RTOL (1 + |m_hat_i|) of m_hat_i, or its root was clamped
+to an end of the domain.
+
 A brute-force meshgrid oracle provides an independent cross-check on the
-solvers.
+solvers; it scores its grid by ``total_loss``, apart from the solvers.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profile
-from .distmodels import NEWTON_STEPS, ParametricModel, _cubic_roots
+from .distmodels import LOG_CLIP, NEWTON_STEPS, ParametricModel, _cubic_roots
 from .errors import DomainError, ElicitError, EmptyGrid
 from .losses import (
     EmpiricalMoments,
@@ -76,7 +83,7 @@ from .losses import (
 
 CONSTRAINT_RTOL = 1e-9
 _ROW = np.zeros(1, dtype=int)
-_CONVERGED = ("converged", "boundary", "limit", "exact_fit", "constraint")
+UNCONVERGED = ("max_iters", "open_end", "no_bracket", "multimodal")
 METHODS = ("profile", "nelder_mead", "gradient_descent")
 GRID_SLAB = 1 << 14  # grid points per block of the meshgrid oracle, which takes one row at least
 
@@ -136,9 +143,10 @@ class Solution:
     profile's terminations (``elicit.profile``), or under ``nelder_mead``
     and ``gradient_descent`` ``converged``, ``max_iters`` or ``no_descent``
     (no step was left where the loss is defined, or the line search found no
-    descent).  ``converged`` is False after ``max_iters``, ``open_end``,
-    ``no_bracket`` or ``multimodal``, without a finite loss, and when a
-    constrained solve ends off its constraint.
+    descent).  ``converged`` holds where ``loss`` is finite, the termination
+    is none of ``max_iters``, ``open_end``, ``no_bracket`` and
+    ``multimodal``, and a constraint on moment i, if any, holds: r_i is
+    within CONSTRAINT_RTOL (1 + |m_hat_i|) of m_hat_i, or ``clamped``.
 
     ``clamped`` marks a ``constraint`` whose root of r_i = m_hat_i was
     clipped to an end of the domain, so that r_i misses m_hat_i.
@@ -168,10 +176,6 @@ class Solution:
 # Reparameterization: z (unconstrained) <-> theta (interior), row-wise
 # ---------------------------------------------------------------------------
 
-# The clip keeps exp strictly inside (0, inf) in float64.
-_LOG_CLIP = 700.0
-
-
 def _to_z(theta: np.ndarray, domain) -> np.ndarray:
     """z for an (..., d) array of interior points."""
     theta = np.asarray(theta, dtype=float)
@@ -192,7 +196,7 @@ def _from_z(z: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
             theta[..., j] = x
             dtheta[..., j] = 1.0
         else:
-            e = np.exp(np.minimum(np.maximum(x, -_LOG_CLIP), _LOG_CLIP))
+            e = np.exp(np.minimum(np.maximum(x, -LOG_CLIP), LOG_CLIP))
             theta[..., j] = lo + e
             dtheta[..., j] = e
     return theta, dtheta
@@ -429,27 +433,36 @@ def _finite_objective(model, em, kinds, eff):
     return residual
 
 
-def _solution(theta, r_star, loss, kinds, em, termination="converged", n_iters=0,
-              start_used=None, clamped=False, converged=True, start_index=None,
-              n_evals=0, sub_losses=None) -> Solution:
-    """A Solution; it has not converged after max_iters or without a finite loss."""
-    theta = np.asarray(theta)
-    if sub_losses is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sub_losses = sub_loss_vector(kinds, r_star, em)
-    return Solution(
-        theta_star=theta,
-        r_star=r_star,
-        loss=float(loss),
-        sub_losses=sub_losses,
-        converged=converged and termination != "max_iters" and math.isfinite(loss),
-        n_iters=int(n_iters),
-        start_used=theta if start_used is None else np.asarray(start_used),
-        clamped=clamped,
-        termination=termination,
-        start_index=start_index,
-        n_evals=int(n_evals),
-    )
+def _score(model, em, kinds, eff, held, theta, found) -> list[Solution | ElicitError]:
+    """A Solution per row of the (n, d) ``theta``, or the DomainError of a row outside the domain.
+
+    Row p solved the problem with effective weights ``eff[p]`` and
+    constrained moment ``held[p]`` (-1 for none); ``found[p]`` holds its
+    termination and any other Solution fields its solver keeps.
+    """
+    n = len(theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho, _, ok = _finite_objective(model, em, kinds, eff)(theta, np.arange(n))
+        loss = _sq(rho, ok) + _loss_constant(eff, em)
+        r_star = model.moments_grid(theta)
+        sub_losses = sub_loss_vector(kinds, r_star, em)
+    i, m_hat = np.maximum(held, 0), em.m_hat
+    clamped = np.array([row.get("clamped", False) for row in found], dtype=bool)
+    on = (held < 0) | clamped | (np.abs(r_star[np.arange(n), i] - m_hat[i])
+                                 <= CONSTRAINT_RTOL * (1.0 + np.abs(m_hat[i])))
+    settled = np.array([row["termination"] not in UNCONVERGED for row in found], dtype=bool)
+    converged = np.isfinite(loss) & on & settled
+    inside, out = model.in_domain(theta), []
+    for p in range(n):
+        try:
+            if not inside[p]:
+                model.moments(theta[p])  # raises the DomainError naming the bound
+            fields = {"n_iters": 0, "start_used": theta[p], **found[p]}
+            out.append(Solution(theta_star=theta[p], r_star=r_star[p], loss=float(loss[p]),
+                                sub_losses=sub_losses[p], converged=bool(converged[p]), **fields))
+        except ElicitError as exc:
+            out.append(exc)
+    return out
 
 
 def _ends(model) -> list[float]:
@@ -461,7 +474,7 @@ def _ends(model) -> list[float]:
     """
     (lo, hi), = model.domain
     (lo_closed, _), = model.domain_closed or ((False, False),)
-    ends = [lo if lo_closed else lo + math.exp(-_LOG_CLIP)]
+    ends = [lo if lo_closed else lo + math.exp(-LOG_CLIP)]
     return ends if hi is None else [*ends, hi]
 
 
@@ -472,32 +485,26 @@ def _moment_fits(model, m_hat) -> list[float]:
             model.theta_from_r2(m2) if m2 > 0.0 else -math.inf if m2 < 0.0 else 0.0]
 
 
-def _excess_1p(model, em, kinds, eff, points) -> np.ndarray:
-    """The excess loss at an (n, K) array of thetas, row k under eff[k]; inf off the domain."""
-    n, K = points.shape
-    residual = _finite_objective(model, em, kinds, np.repeat(eff, K, axis=0))
-    rho, _, ok = residual(points.reshape(-1, 1), np.arange(n * K))
-    return _sq(rho, ok).reshape(n, K)
-
-
 def _least_point(model, em, kinds, eff, candidates):
     """Per row of ``eff``, the least (f, theta) of its candidates and the domain's ends.
 
-    Of the (n, K) candidates only those strictly inside the domain count,
-    and an end wins only where it scores strictly lower.  Returns theta, its
-    excess loss, whether it is a candidate rather than an end, and the
-    number of points scored per row.
+    f is the excess loss, inf off the domain.  Of the (n, K) candidates only
+    those strictly inside the domain count, and an end wins only where it
+    scores strictly lower.  Returns theta, whether it is a candidate rather
+    than an end, and the number of points scored per row.
     """
     n, K = candidates.shape
     lo, hi = model.domain[0]
     inside = (candidates > lo) & (candidates < (math.inf if hi is None else hi))
     points = np.column_stack([np.where(inside, candidates, math.nan),
                               np.tile(_ends(model), (n, 1))])
-    f = _excess_1p(model, em, kinds, eff, points)
-    is_end = np.broadcast_to(np.arange(points.shape[1]) >= K, points.shape)
+    m = points.shape[1]
+    residual = _finite_objective(model, em, kinds, np.repeat(eff, m, axis=0))
+    rho, _, ok = residual(points.reshape(-1, 1), np.arange(n * m))
+    f = _sq(rho, ok).reshape(n, m)
+    is_end = np.broadcast_to(np.arange(m) >= K, points.shape)
     best = np.lexsort((points, is_end, f))[:, 0]
-    rows = np.arange(n)
-    return points[rows, best], f[rows, best], best < K, points.shape[1]
+    return points[np.arange(n), best], best < K, m
 
 
 def _active_terms(weights: WeightVector, em: EmpiricalMoments):
@@ -519,41 +526,30 @@ def _active_terms(weights: WeightVector, em: EmpiricalMoments):
 
 
 def _solve_1p(model, em, kinds, rows):
-    """(result index, Solution) for each 1-parameter row of ``minimize_many``, in closed form.
+    """The (n, 1) theta and the Solution fields of each 1-parameter row, in closed form.
 
     A row pinned to moment i takes the root of r_i(theta) = m_hat_i clipped to
-    ``_ends``, exact since r_i increases in theta, and is scored once.  It ends
-    ``constraint`` under an infinite weight (``clamped`` if clipped), else
-    ``exact_fit`` (``boundary`` if clipped).  The other rows take
-    ``_least_stationary_points``.  All rows share one ``moments_grid``.
+    ``_ends``, exact since r_i increases in theta, and scores one point.  It
+    ends ``constraint`` under an infinite weight (``clamped`` if clipped),
+    else ``exact_fit`` (``boundary`` if clipped).  The other rows take
+    ``_least_stationary_points``.
     """
-    pinned = [row for row in rows if row[3] is not None]
-    rows = pinned + [row for row in rows if row[3] is None]
-    P = len(pinned)
-    eff = np.array([row[2] for row in rows])
-    theta, excess, n_evals, outcome = np.empty(0), np.empty(0), 1, []  # (termination, clamped)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if P:
-            lo, *hi = _ends(model)
-            fits = _moment_fits(model, em.m_hat)
-            roots = [fits[row[3]] for row in pinned]
-            theta = np.array([min(max(lo, t), hi[0] if hi else math.inf) for t in roots])
-            rho, _, ok = _finite_objective(model, em, kinds, eff[:P])(theta[:, None], np.arange(P))
-            excess = _sq(rho, ok)
-            outcome = [("constraint", t != r) if row[1] is not None
-                       else ("boundary" if t != r else "exact_fit", False)
-                       for row, t, r in zip(pinned, theta.tolist(), roots)]
-        if P < len(rows):
-            points, f, interior, n_evals = _least_stationary_points(model, em, kinds, eff[P:])
-            theta, excess = np.concatenate([theta, points]), np.concatenate([excess, f])
-            outcome += [("exact_minimum" if x else "boundary", False) for x in interior.tolist()]
-        r_star = model.moments_grid(theta[:, None])
-        sub_losses = sub_loss_vector(kinds, r_star, em)
-    loss = excess + _loss_constant(eff, em)
-    return [(row[0], _solution(theta[p:p + 1], r_star[p], loss[p], kinds, em, term,
-                               clamped=clamped, n_evals=1 if p < P else n_evals,
-                               sub_losses=sub_losses[p]))
-            for p, (row, (term, clamped)) in enumerate(zip(rows, outcome))]
+    theta, found = np.empty(len(rows)), [None] * len(rows)
+    fits, (lo, *hi) = _moment_fits(model, em.m_hat), _ends(model)
+    free = [p for p, row in enumerate(rows) if row[3] is None]
+    for p, (_, fixed, _, i) in enumerate(rows):
+        if i is not None:
+            theta[p] = t = min(max(lo, fits[i]), hi[0] if hi else math.inf)
+            clipped = t != fits[i]
+            term = "constraint" if fixed is not None else "boundary" if clipped else "exact_fit"
+            found[p] = {"termination": term, "clamped": clipped and fixed is not None, "n_evals": 1}
+    if free:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            theta[free], interior, n_evals = _least_stationary_points(
+                model, em, kinds, np.array([rows[p][2] for p in free]))
+        for p, x in zip(free, interior.tolist()):
+            found[p] = {"termination": "exact_minimum" if x else "boundary", "n_evals": n_evals}
+    return theta[:, None], found
 
 
 def _least_stationary_points(model, em, kinds, eff):
@@ -578,8 +574,8 @@ def _least_stationary_points(model, em, kinds, eff):
     candidate takes NEWTON_STEPS Newton steps on its cubic, and
     ``_least_point`` scores it against the ends of the domain.
 
-    Returns theta, its excess loss, whether it is a stationary point rather
-    than an end, and the number of points scored per row.
+    Returns theta, whether it is a stationary point rather than an end, and
+    the number of points scored per row.
     """
     a, b, c = model.a, model.b, model.c
     m1, m2 = em.m_hat.tolist()
@@ -606,31 +602,6 @@ def _least_stationary_points(model, em, kinds, eff):
     return _least_point(model, em, kinds, eff, theta.reshape(len(eff), -1))
 
 
-def _solve_profile(model, em, kinds, rows, out):
-    """Fill ``out`` with the profile solve of every 2-parameter row of ``minimize_many``."""
-    if not rows:
-        return
-    keys, held, eff = zip(*((k, -1 if i is None else i, eff) for k, i, eff, _ in rows))
-    eff, held = np.array(eff), np.array(held)
-    theta, term = profile.solve(model, em, kinds, eff, held)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho, _, ok = _finite_objective(model, em, kinds, eff)(theta, np.arange(len(eff)))
-        r_star = model.moments_grid(theta)
-        sub_losses = sub_loss_vector(kinds, r_star, em)
-    loss = _sq(rho, ok) + _loss_constant(eff, em)
-    m_hat = em.m_hat
-    for p, k in enumerate(keys):
-        i = held[p]
-        try:
-            if not model.in_domain(theta[p:p + 1])[0]:
-                model.moments(theta[p])  # raises the DomainError naming the bound
-            on = i < 0 or abs(r_star[p, i] - m_hat[i]) <= CONSTRAINT_RTOL * (1.0 + abs(m_hat[i]))
-            out[k] = _solution(theta[p], r_star[p], loss[p], kinds, em, str(term[p]),
-                               converged=on and term[p] in _CONVERGED, sub_losses=sub_losses[p])
-        except ElicitError as exc:
-            out[k] = exc
-
-
 def minimize_many(
     model: ParametricModel,
     weights_list,
@@ -645,10 +616,14 @@ def minimize_many(
     Each result equals ``minimize`` on that weight vector alone.  Every
     1-parameter problem is solved in closed form by ``_solve_1p``, and every
     2-parameter one by ``profile.solve`` under the default method, all of them
-    together; both ignore ``config``'s other settings.
+    together, ignoring ``config``'s other settings; ``_score`` scores them all.
     """
     kinds = default_kinds(em.moment_order) if kinds is None else kinds
+    config = config or OptimizerConfig()
     out: list = [None] * len(weights_list)
+    # A constrained 2-parameter problem is a 1-D search along its constraint,
+    # which the profile solves whatever the start: so under every method.
+    iterative = model.theta_dim == 2 and config.method != "profile"
     rows = []       # (result index, constraint index, active weights, pinned moment)
     for k, weights in enumerate(weights_list):
         try:
@@ -658,50 +633,45 @@ def minimize_many(
             rows.append(row)
         except ElicitError as exc:
             out[k] = exc
-    if model.theta_dim == 1 and rows:
-        for k, sol in _solve_1p(model, em, kinds, rows):
-            out[k] = sol
-        return out
-
-    config = config or OptimizerConfig()
-    # A constrained 2-parameter problem is a 1-D search along its constraint,
-    # which the profile solves whatever the start: so under every method.
-    iterative = config.method != "profile"
-    _solve_profile(model, em, kinds, [row for row in rows if not iterative or row[1] is not None], out)
-    base = None
-    for k, _, eff, _ in (row for row in rows if iterative and row[1] is None):
-        try:
-            base = base or _starts(_resolve_init(model, em, config), model.domain, config)
-            out[k] = _best_of_starts(model, em, kinds, eff, base, config)
-        except ElicitError as exc:
-            out[k] = exc
+    rows.sort(key=lambda row: iterative and row[1] is None)     # the rows that take a start last
+    n = sum(not iterative or row[1] is not None for row in rows)
+    eff = np.array([row[2] for row in rows]).reshape(len(rows), em.moment_order)
+    held = np.array([-1 if row[1] is None else row[1] for row in rows], dtype=int)
+    if model.theta_dim == 1:
+        theta, found = _solve_1p(model, em, kinds, rows)
+    else:
+        theta, term = profile.solve(model, em, kinds, eff[:n], held[:n])
+        found = [{"termination": t} for t in term.tolist()]
+    base = _starts(_resolve_init(model, em, config), model.domain, config) if n < len(rows) else None
+    for p in range(n, len(rows)):
+        end, fields = _best_of_starts(model, em, kinds, eff[p], base, config)
+        theta, found = np.vstack([theta, end]), found + [fields]
+    for row, sol in zip(rows, _score(model, em, kinds, eff, held, theta, found)):
+        out[row[0]] = sol
     return out
 
 
-def _best_of_starts(model, em, kinds, eff, x0s, config) -> Solution:
+def _best_of_starts(model, em, kinds, eff, x0s, config):
     """Nelder-Mead or gradient descent on one finite-weight problem from each start.
 
     Each start's raw theta is a candidate beside the solver's end, scored
     without the z round trip, so a start sitting exactly on the minimizer is
     returned bit-exact.  The least (f, theta) wins, the earlier candidate on
     a tie (each start's end, then the start itself, in start order).
+    Returns the winner's theta and its Solution fields for ``_score``.
     """
     residual = _finite_objective(model, em, kinds, np.array([eff]))
     candidates, n_iters, n_evals = [], 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for index, x0 in enumerate(x0s):
-            x0 = np.asarray(x0, dtype=float)
             z, f_end, iters, term, evals = _run_lane(model, residual, _to_z(x0, model.domain), config)
             rho, _, ok = residual(x0[None], _ROW)
             for theta, value in ((_from_z(z, model.domain)[0], f_end), (x0, float(_sq(rho, ok)[0]))):
                 candidates.append(((value, *theta.tolist()), theta, term, x0, index))
             n_iters, n_evals = n_iters + iters, n_evals + evals + 1
-        (excess, *_), theta, term, x0, index = min(candidates, key=lambda c: c[0])
-        if not model.in_domain(theta[None])[0]:
-            model.moments(theta)  # raises the DomainError naming the bound
-        r_star = model.moments_grid(theta[None])[0]
-    return _solution(theta, r_star, excess + _loss_constant(np.array([eff]), em)[0], kinds, em,
-                     term, n_iters, x0, start_index=index, n_evals=n_evals)
+    _, theta, term, x0, index = min(candidates, key=lambda c: c[0])
+    return theta, {"termination": term, "n_iters": n_iters, "n_evals": n_evals,
+                   "start_used": x0, "start_index": index}
 
 
 def minimize(
@@ -789,5 +759,9 @@ def meshgrid_oracle(
         # Strict: on a tie the earlier block, so the earlier grid point, wins.
         if best is None or losses[k] < best[2]:
             best = (np.array([a[i] for a, i in zip(block, k)]), r_block[k], losses[k])
+    theta, r_star, loss = best
+    with np.errstate(over="ignore", invalid="ignore"):
+        sub_losses = sub_loss_vector(kinds, r_star, em)
     n = len(axes[0]) * row
-    return _solution(*best, kinds, em, n_iters=n, n_evals=n)
+    return Solution(theta_star=theta, r_star=r_star, loss=float(loss), sub_losses=sub_losses,
+                    converged=bool(np.isfinite(loss)), n_iters=n, start_used=theta, n_evals=n)

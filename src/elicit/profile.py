@@ -35,7 +35,8 @@ leave the search when they have converged, so its answer does not depend
 on the others.
 
 **Terminations.**  ``converged``; ``boundary`` where P rises from a closed
-lower end of phi (lognormal's v2 = 0), returned as that end; ``limit`` where
+lower end of phi (lognormal's v2 = 0), scored there with the inner lanes run
+to convergence and returned as that end; ``limit`` where
 P falls to an infimum at an open end of phi that no shape attains (a point
 mass as phi -> inf, two as beta2's phi -> 0, or the loglogistic shape
 floor), returned where the march stopped, or at the shape nearest lo: P's
@@ -44,7 +45,10 @@ is below PTOL / 9; and ``limit`` too where beta2's inner minimum lies at t
 = 0 or t = phi, a point mass at 0 or at 1, which no (a, b) attains: the
 coordinate that is 0 (or below, on a fit of a moment m_hat_K <= 0) is
 returned as machine epsilon times the other, so each r_k is within 3 eps
-of the point mass's;
+of the point mass's; ``limit`` also where the one active term of an
+unconstrained problem has m_hat_K <= 0, which no r_K > 0 fits: F falls to
+its infimum at the point mass at 0, returned at phi = lo + 1 with log t =
+-LOG_CLIP on a scale family and by the eps rule on beta2;
 ``exact_fit`` or ``constraint`` where F is 0 along a curve (one active term,
 or none but a constraint), returned at phi = lo + 1; and, not converged,
 ``open_end`` where P still falls MARCH decades past an end of the grid, or
@@ -60,7 +64,7 @@ import math
 
 import numpy as np
 
-from .distmodels import NEWTON_STEPS, _cubic_roots, newton_in_bracket
+from .distmodels import LOG_CLIP, NEWTON_STEPS, _cubic_roots, newton_in_bracket
 from .losses import SquaredLoss
 
 GRID = np.linspace(-10.0, 8.0, 19) * math.log(10.0)  # z = log(phi - lo)
@@ -212,7 +216,7 @@ def solve(model, em, kinds, eff, held):
     if flat.any():
         theta[flat] = problems.point(rows[flat], np.full(flat.sum(), lo + 1.0), steps=1)[3]
     if model.scale and model.domain_closed and model.domain_closed[e][0]:
-        P_end, dP_end, _, theta_end, _ = problems.point(rows, np.full(n, lo), steps=SCAN_STEPS)
+        P_end, dP_end, _, theta_end, _ = problems.point(rows, np.full(n, lo))
         end = ~done & (dP_end >= 0.0) & (P_end <= best)
         theta[end], best[end], term[end], done[end] = theta_end[end], P_end[end], "boundary", True
     # The bracket [za, zb] about the minimum, dP/dz < 0 at za and > 0 at zb, with its lanes.
@@ -264,6 +268,11 @@ def solve(model, em, kinds, eff, held):
     rival = (P <= Pp[:, :-2]) & (P <= Pp[:, 2:]) & (np.abs(np.arange(G) - j[:, None]) > 1)
     term[(rival & (P <= best[:, None] + RIVAL * np.abs(best[:, None]))).any(axis=1)
          & np.isin(term, ("converged", "limit"))] = "multimodal"
+    # A flat row on m_hat_K <= 0: every r_K > 0, so F falls to its infimum as t -> 0, a
+    # point mass at 0; t goes to the end of the log clip, or to 0 on beta2 (below).
+    mass = flat & (held < 0) & (em.m_hat[problems.K] <= 0.0)
+    theta[mass, model.t] = (-LOG_CLIP if model.log else math.exp(-LOG_CLIP)) if model.scale else 0.0
+    theta[mass, e], term[mass] = lo + 1.0, "limit"
     # F >= 0, so a minimum at F's rounding level is global, whatever the signs or rivals say.
     term[np.isin(term, ("no_bracket", "multimodal")) & (best <= EXACT * problems.size)] = "converged"
     if not model.scale:     # beta2's t = 0 or t = phi: a point mass at 0 or 1, a relative eps inside

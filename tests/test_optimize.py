@@ -431,8 +431,9 @@ class TestWinnerSelection:
             x0s = optimize._starts(optimize._resolve_init(model, em, config), model.domain, config)
         else:
             x0s = [optimize.interior_start(model, x) for x in starts]
-            sol = optimize._best_of_starts(model, em, kinds or default_kinds(3),
-                                           optimize._active_terms(w, em)[1], x0s, config)
+            kinds, eff = kinds or default_kinds(3), np.array([optimize._active_terms(w, em)[1]])
+            theta, fields = optimize._best_of_starts(model, em, kinds, eff[0], x0s, config)
+            (sol,) = optimize._score(model, em, kinds, eff, np.array([-1]), theta[None], [fields])
         monkeypatch.undo()
         assert len(lanes) == len(x0s)
         theta, excess, term, start, index = best_start_reference(
@@ -587,10 +588,16 @@ def off_image_example(name, theta0, shift, c, kinds):
     return model, em, WeightVector.of(c), kinds
 
 
-def beta2_example(m_hat, c):
-    """beta2 with squared sub-losses at the moments ``m_hat`` themselves, v_hat = 0."""
+def point_example(name, m_hat, c):
+    """A 2-parameter model with squared sub-losses at the moments ``m_hat`` themselves, v_hat = 0."""
     em = EmpiricalMoments(np.array(m_hat), np.zeros(3), 0)
-    return make_model("beta2"), em, WeightVector.of(c), (SquaredLoss(),) * 3
+    return make_model(name), em, WeightVector.of(c), (SquaredLoss(),) * 3
+
+
+# One active sub-loss on a moment m_hat_K <= 0, which every r_K > 0 misses: F
+# falls to m_hat_K^2 at the point mass at 0, on every 2-parameter model.
+FLAT_AT_ZERO = [([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0]), ([0.5, -2.0, 0.4], [0.0, 1.0, 0.0]),
+                ([0.5, 0.4, -0.3], [0.0, 0.0, 1.0])]
 
 
 class TestDefaultSolverProperty:
@@ -598,12 +605,25 @@ class TestDefaultSolverProperty:
     @given(off_image_problems())
     # beta2 with m_hat_1 >= 1 (or <= 0) outside its image 0 < r_1 < 1: the
     # infimum is the point mass at 1 (at 0), b -> 0 (a -> 0), for every shape.
-    @example(beta2_example([1.0, 0.808, 0.746], [1.0, 0.0, 0.0]))
-    @example(beta2_example([1.0, 0.808, 0.746], [1.0, 1e-300, 0.0]))
-    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 0.0, 0.0]))
-    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 1e-6, 0.0]))
-    @example(beta2_example([1.2, 0.9, 0.8], [1.0, 1.0, 0.0]))
-    @example(beta2_example([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0]))
+    @example(point_example("beta2", [1.0, 0.808, 0.746], [1.0, 0.0, 0.0]))
+    @example(point_example("beta2", [1.0, 0.808, 0.746], [1.0, 1e-300, 0.0]))
+    @example(point_example("beta2", [1.2, 0.9, 0.8], [1.0, 0.0, 0.0]))
+    @example(point_example("beta2", [1.2, 0.9, 0.8], [1.0, 1e-6, 0.0]))
+    @example(point_example("beta2", [1.2, 0.9, 0.8], [1.0, 1.0, 0.0]))
+    # FLAT_AT_ZERO: the point mass at 0, which no theta attains.
+    @example(point_example("beta2", *FLAT_AT_ZERO[0]))
+    @example(point_example("beta2", *FLAT_AT_ZERO[1]))
+    @example(point_example("gamma2", *FLAT_AT_ZERO[0]))
+    @example(point_example("gamma2", *FLAT_AT_ZERO[1]))
+    @example(point_example("gamma2", *FLAT_AT_ZERO[2]))
+    @example(point_example("lognormal", *FLAT_AT_ZERO[0]))
+    @example(point_example("lognormal", *FLAT_AT_ZERO[1]))
+    @example(point_example("lognormal", *FLAT_AT_ZERO[2]))
+    @example(point_example("loglogistic", *FLAT_AT_ZERO[0]))
+    @example(point_example("loglogistic", *FLAT_AT_ZERO[1]))
+    @example(point_example("loglogistic", *FLAT_AT_ZERO[2]))
+    # The minimum at lognormal's closed end v2 = 0, below what six inner steps reach there.
+    @example(point_example("lognormal", [-0.787, 2.038, -3.836], [0.0, 4.04, 7.41]))
     # The loss falls as the shape grows without bound (gamma2) or shrinks to
     # its lower end (loglogistic, beta2): each infimum lies past the scan's grid.
     @example(off_image_example("gamma2", [3.09, 2.92], [-0.017, 0.135, -0.178],
@@ -628,18 +648,23 @@ class TestDefaultSolverProperty:
             grid = meshgrid_oracle(model, w, em, kinds, box=default_box(model, em), width=0.05)
             assert sol.loss <= grid.loss + tol
 
-    @pytest.mark.parametrize("m_hat,c,b", [
-        ([1.0, 0.808, 0.746], [1.0, 0.0, 0.0], 1), ([1.2, 0.9, 0.8], [1.0, 1.0, 0.0], 1),
-        ([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0], 0)])
-    def test_beta2_point_mass_is_a_limit_inside_the_domain(self, m_hat, c, b):
-        model, em, w, kinds = beta2_example(m_hat, c)
+    @pytest.mark.parametrize("name,m_hat,c,b", [
+        ("beta2", [1.0, 0.808, 0.746], [1.0, 0.0, 0.0], 1),
+        ("beta2", [1.2, 0.9, 0.8], [1.0, 1.0, 0.0], 1),
+        *((name, m_hat, c, 0) for name in ("beta2", "gamma2", "lognormal", "loglogistic")
+          for m_hat, c in FLAT_AT_ZERO)])
+    def test_point_mass_is_a_limit_inside_the_domain(self, name, m_hat, c, b):
+        model, em, w, kinds = point_example(name, m_hat, c)
         sol = minimize(model, w, em, kinds)
         assert sol.termination == "limit" and sol.converged
-        assert 0.0 < sol.theta_star[1 - b] and 0.0 < sol.theta_star[b] <= 1e-15 * sol.theta_star[1 - b]
+        assert model.in_domain(sol.theta_star[None])[0]
         assert np.allclose(sol.r_star, b, rtol=0.0, atol=1e-15)
+        # Every raw moment of the point mass at b is b, so its loss is the infimum.
+        infimum = total_loss(w, np.full(3, float(b)), em, kinds)
+        assert sol.loss == pytest.approx(infimum, rel=1e-12, abs=1e-30)
 
     def test_beta2_mean_constraint_off_its_image_raises(self):
-        model, em, _, kinds = beta2_example([1.2, 0.9, 0.8], [1.0, 0.0, 0.0])
+        model, em, _, kinds = point_example("beta2", [1.2, 0.9, 0.8], [1.0, 0.0, 0.0])
         with pytest.raises(OutOfImage, match="moment 1 lies in"):
             minimize(model, WeightVector.of([np.inf, 1.0, 0.0]), em, kinds)
 
