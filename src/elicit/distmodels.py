@@ -24,12 +24,10 @@ rising product x (x+1) ... (x+k-1):
 
 The lognormal row is evaluated in logs, r_k = exp(k u + k^2 v2 / 2), and the
 Jacobian is r_k (d log P_k / dt dt / dtheta + d log h_k / dphi dphi / dtheta).
-``eliminate_for_moment`` holds the free coordinate: the three scale families
-(P_k = t^k) set t = (m_k / h_k(phi))^(1/k), in logs u = (log m_k - k^2 v2 / 2)
-/ k; beta2 solves (a + b)^[k] - a^[k] = a^[k] (1 - m_k) / m_k, a polynomial
-of degree k in b without constant term and with one positive root, in closed
-form (for k = 3 the largest root of ``_cubic_roots``, polished by
-NEWTON_STEPS Newton steps).  ``match_moments`` fits r_1 and r_2: t cancels
+``check_image`` names the values one moment can take: r_k > 0, and r_k < 1 on
+beta2.  ``_rising_inverse`` inverts beta2's P, t^[k] = D, in closed form (for
+k = 3 the largest root of ``_cubic_roots``, polished by NEWTON_STEPS Newton
+steps).  ``match_moments`` fits r_1 and r_2: t cancels
 from h_2(phi) / h_1(phi)^2 = m_2 / m_1^2, which gives phi = log of the ratio
 for lognormal, 1 / (ratio - 1) for gamma2 and the root of tan(pi/phi) /
 (pi/phi) = ratio (``newton_in_bracket``) for loglogistic; then t = m_1 /
@@ -320,6 +318,17 @@ def _rising(x, order=0, inverse=False):
     return out
 
 
+def _rising_inverse(D):
+    """The t >= 0 with t^[k] = D_k, per column k = 1, 2, 3 of D >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t2 = 2.0 * D[:, 1] / (1.0 + np.sqrt(1.0 + 4.0 * D[:, 1]))
+        t3 = _cubic_roots(0.0, -1.0, -D[:, 2]).max(axis=-1) - 1.0  # (t+1)^3 - (t+1) = D_3
+        for _ in range(NEWTON_STEPS):
+            step = (t3 * (t3 + 1.0) * (t3 + 2.0) - D[:, 2]) / ((3.0 * t3 + 6.0) * t3 + 2.0)
+            t3 = np.where(np.isfinite(step), t3 - step, t3)
+    return np.column_stack([D[:, 0], t2, np.maximum(t3, 0.0)])
+
+
 def _loglogistic_h(x, order=0):
     """c / sin(c) with c = k pi / x, and the first two derivatives of its log in x."""
     c = [k * np.pi / x for k in (1, 2, 3)]
@@ -366,24 +375,6 @@ _PRODUCT = {
 }
 
 
-def _beta2_build(a, i, odds):
-    """(a, b) with r_{i+1} = 1 / (1 + odds), b the positive root of the module docstring."""
-    D = _rising(a)[0][i] * odds
-    if i == 0:
-        b = D
-    elif i == 1:
-        # Root of b^2 + (2a+1) b = D, in a form without cancellation.
-        b = 2.0 * D / ((2.0 * a + 1.0) + np.sqrt((2.0 * a + 1.0) ** 2 + 4.0 * D))
-    else:
-        c2, c1 = 3.0 * (a + 1.0), 3.0 * a * a + 6.0 * a + 2.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = _cubic_roots(c2, c1, -D).max(axis=-1)
-        for _ in range(NEWTON_STEPS):
-            step = (((b + c2) * b + c1) * b - D) / ((3.0 * b + 2.0 * c2) * b + c1)
-            b = np.where(np.isfinite(step), b - step, b)
-    return np.column_stack([a, b])
-
-
 class ProductModel(ParametricModel):
     """A 2-parameter family from its row of ``_PRODUCT``: r_k(theta) = P_k(t) h_k(phi)."""
 
@@ -428,28 +419,11 @@ class ProductModel(ParametricModel):
             np.multiply(r, dq, out=out[:, k, 1 - self.t])
         return out
 
-    def eliminate_for_moment(self, i: int, target: float):
-        """Solve r_i(theta) = target for one coordinate, as the module docstring derives.
-
-        Returns ``(free_index, build)``, or raises OutOfImage when no
-        parameter can reach the target.  ``build(x)`` maps an (n,) array of
-        the free coordinate to the (n, 2) thetas that satisfy the constraint;
-        a row that leaves the domain is left for ``in_domain`` to reject.
-        """
-        k = i + 1
+    def check_image(self, i: int, target: float) -> None:
+        """Raise OutOfImage unless some theta has r_{i+1}(theta) = target, as the module docstring says."""
         if target <= 0 or not (self.scale or target < 1.0):
             image = "is positive" if self.scale else "lies in (0, 1)"
-            raise OutOfImage(f"{self.name}: moment {k} {image}, target {target} unreachable")
-        if not self.scale:
-            return 0, functools.partial(_beta2_build, i=i, odds=(1.0 - target) / target)
-        log_target = math.log(target)
-
-        def build(phi):
-            h = self.h(phi)[0][i]
-            t = (log_target - h) / k if self.log else (target / h) ** (1.0 / k)
-            return np.column_stack([t, phi] if self.t == 0 else [phi, t])
-
-        return 1 - self.t, build
+            raise OutOfImage(f"{self.name}: moment {i + 1} {image}, target {target} unreachable")
 
     def match_moments(self, m1: float, m2: float):
         """A theta with r_1 = m1 and r_2 = m2 as the module docstring derives, or None."""

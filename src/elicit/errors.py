@@ -49,10 +49,6 @@ class MixedCase(ElicitError):
     """Slope-sign classification is not uniform over the interval."""
 
 
-class SliceEmpty(ElicitError):
-    """A fixed-coordinate slice of the moment surface contains no points."""
-
-
 class ConfigError(ElicitError):
     """A config has the wrong structure: an unknown, missing or mistyped key.
 

@@ -629,7 +629,7 @@ def minimize_many(
         try:
             row = (k, *_active_terms(weights, em))
             if model.theta_dim == 2 and row[1] is not None:  # raises OutOfImage off the image
-                model.eliminate_for_moment(row[1], float(em.m_hat[row[1]]))
+                model.check_image(row[1], float(em.m_hat[row[1]]))
             rows.append(row)
         except ElicitError as exc:
             out[k] = exc

@@ -41,21 +41,22 @@ P falls to an infimum at an open end of phi that no shape attains (a point
 mass as phi -> inf, two as beta2's phi -> 0, or the loglogistic shape
 floor), returned where the march stopped, or at the shape nearest lo: P's
 gap to such an infimum shrinks tenfold or more per decade, so what is left
-is below PTOL / 9; and ``limit`` too where beta2's inner minimum lies at t
-= 0 or t = phi, a point mass at 0 or at 1, which no (a, b) attains: the
-coordinate that is 0 (or below, on a fit of a moment m_hat_K <= 0) is
-returned as machine epsilon times the other, so each r_k is within 3 eps
-of the point mass's; ``limit`` also where the one active term of an
-unconstrained problem has m_hat_K <= 0, which no r_K > 0 fits: F falls to
-its infimum at the point mass at 0, returned at phi = lo + 1 with log t =
--LOG_CLIP on a scale family and by the eps rule on beta2;
+is below PTOL / 9; and ``limit`` too where the inner minimum lies at t = 0,
+or at beta2's t = phi, a point mass at 0 or at 1 which no theta attains,
+and no P on FINE lies below its loss: log t = -LOG_CLIP is returned on a
+scale family, and on beta2 the coordinate that is 0 (or below, on a fit of
+a moment m_hat_K <= 0) as machine epsilon times the other, so each r_k is
+within 3 eps of the point mass's; ``limit`` also where the one active term
+of an unconstrained problem has m_hat_K <= 0, which no r_K > 0 fits: F
+falls to its infimum at the point mass at 0, returned so at phi = lo + 1;
 ``exact_fit`` or ``constraint`` where F is 0 along a curve (one active term,
 or none but a constraint), returned at phi = lo + 1; and, not converged,
 ``open_end`` where P still falls MARCH decades past an end of the grid, or
 stops being finite, ``no_bracket`` where the signs of dP at the bracket's
 ends disagree with the scan, and ``multimodal`` where another grid minimum
-lies within ``RIVAL`` of the minimum found; but as F >= 0, a minimum below
-EXACT times the size of F's terms is ``converged`` whatever they say.
+lies within ``RIVAL`` of the minimum found, or a P on FINE lies below the
+point mass found; but as F >= 0, a minimum below EXACT times the size of
+F's terms is ``converged`` whatever they say.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ import math
 
 import numpy as np
 
-from .distmodels import LOG_CLIP, NEWTON_STEPS, _cubic_roots, newton_in_bracket
+from .distmodels import LOG_CLIP, _rising_inverse, newton_in_bracket
 from .losses import SquaredLoss
 
 GRID = np.linspace(-10.0, 8.0, 19) * math.log(10.0)  # z = log(phi - lo)
+FINE = np.linspace(-10.0, 8.0, 181) * math.log(10.0)  # the same decades, ten points to each
 SCAN_STEPS = 6      # inner Newton steps at each grid point
 MAX_STEPS = 100     # a cap on inner Newton steps where they run to convergence
 STEP_RTOL = 1e-7    # an inner Newton step this small, relative, is the last one
@@ -95,23 +97,13 @@ _POWERS = _derivative_table([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
 _RISING = _derivative_table([0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 3.0, 1.0])
 
 
-def _rising_inverse(D):
-    """The t >= 0 with t^[k] = D_k, per column k = 1, 2, 3 of D >= 0."""
-    t2 = 2.0 * D[:, 1] / (1.0 + np.sqrt(1.0 + 4.0 * D[:, 1]))
-    t3 = _cubic_roots(0.0, -1.0, -D[:, 2]).max(axis=-1) - 1.0  # (t+1)^3 - (t+1) = D_3
-    for _ in range(NEWTON_STEPS):
-        step = (t3 * (t3 + 1.0) * (t3 + 2.0) - D[:, 2]) / ((3.0 * t3 + 6.0) * t3 + 2.0)
-        t3 = np.where(np.isfinite(step), t3 - step, t3)
-    return np.column_stack([D[:, 0], t2, np.maximum(t3, 0.0)])
-
-
 class _Rows:
     """The problems of one ``solve``, with what their rows need at every phi."""
 
     def __init__(self, model, em, kinds, eff, held):
         self.model, self.m_hat, self.kinds, self.eff = model, em.m_hat, kinds, eff
         self.squared = all(isinstance(kind, SquaredLoss) for kind in kinds)
-        m2 = em.m_hat * em.m_hat
+        m2 = np.where(eff > 0.0, em.m_hat, 0.0) ** 2    # a held m_hat enters only through its fit
         neg, pos = (eff * [float(np.max(kind.weight(np.array([sign])))) for kind in kinds]
                     for sign in (-1.0, 1.0))
         self.size = (np.maximum(neg, pos) * m2).sum(axis=1)   # the size of F's terms
@@ -269,17 +261,29 @@ def solve(model, em, kinds, eff, held):
     term[(rival & (P <= best[:, None] + RIVAL * np.abs(best[:, None]))).any(axis=1)
          & np.isin(term, ("converged", "limit"))] = "multimodal"
     # A flat row on m_hat_K <= 0: every r_K > 0, so F falls to its infimum as t -> 0, a
-    # point mass at 0; t goes to the end of the log clip, or to 0 on beta2 (below).
+    # point mass at 0, placed by the rule below.
     mass = flat & (held < 0) & (em.m_hat[problems.K] <= 0.0)
-    theta[mass, model.t] = (-LOG_CLIP if model.log else math.exp(-LOG_CLIP)) if model.scale else 0.0
+    theta[mass, model.t] = -math.inf if model.log else 0.0
     theta[mass, e], term[mass] = lo + 1.0, "limit"
     # F >= 0, so a minimum at F's rounding level is global, whatever the signs or rivals say.
     term[np.isin(term, ("no_bracket", "multimodal")) & (best <= EXACT * problems.size)] = "converged"
-    if not model.scale:     # beta2's t = 0 or t = phi: a point mass at 0 or 1, a relative eps inside
+    # t = 0, or beta2's t = phi: a point mass at 0 or 1, which no theta attains.  On a scale
+    # family t goes to the end of the log clip; on beta2 the coordinate at 0 a relative eps inside.
+    if model.scale:
+        edge = theta[:, model.t] <= (-math.inf if model.log else 0.0)
+        theta[edge, model.t] = -LOG_CLIP if model.log else math.exp(-LOG_CLIP)
+    else:
         edge = (theta <= 0.0).any(axis=1)
         theta[edge] = np.maximum(theta[edge], np.finfo(float).eps * theta[edge].max(axis=1, keepdims=True))
-        # The point mass is in every phi's closure, so no grid P exceeds its loss; where
-        # none lies more than PTOL below it either, P is flat and the point mass is least.
-        least = edge & (best <= P.min(axis=1) * (1.0 + PTOL))
-        term[least & np.isin(term, ("converged", "exact_fit", "no_bracket", "multimodal"))] = "limit"
+    # The point mass is in every phi's closure, so no P exceeds its loss.  Where no P on FINE,
+    # its inner lanes run to convergence, lies more than PTOL below it either, P is flat and
+    # the point mass is least, even where the march found no direction (dP is 0/0 on the held
+    # curve at t = 0) and ended open_end; where one does, the search missed a lower shape.
+    k = np.flatnonzero(edge & ~mass)
+    if k.size:
+        P_k = problems.point(np.repeat(k, len(FINE)), np.tile(lo + np.exp(FINE), len(k)))[0]
+        least = best[k] <= P_k.reshape(len(k), -1).min(axis=1) * (1.0 + PTOL)
+        settled = np.isin(term[k], ("converged", "exact_fit", "no_bracket", "multimodal", "open_end"))
+        term[k[least & settled]] = "limit"
+        term[k[~least]] = "multimodal"
     return theta, term

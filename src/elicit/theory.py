@@ -9,7 +9,8 @@ verdict, and a witness for failures.  Covered properties:
 * the 2-D slope-sign classification of model curve vs link contour, which
   predicts whether the best weight is infinite, zero, or interior;
 * strict monotonicity of fixed-coordinate slices of a 2-parameter moment
-  surface (the premise the orthant result needs in three dimensions);
+  surface (the premise the orthant result needs in three dimensions), in
+  closed form on the product table;
 * near-linearity of 3-D trajectories (reported, not asserted);
 * the log-coordinate hyperplane identity and skewness growth rate of the
   log-normal moment map.
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmodels import ParametricModel
-from .errors import DomainError, MixedCase, SliceEmpty, TooFewPoints
+from .distmodels import ParametricModel, _rising_inverse
+from .errors import DomainError, MixedCase, TooFewPoints
 from .links import LinkFunction, contour_slope
+from .profile import FINE
 from .sweep import SweepCurve, monotone_trend
 
 CONTAINMENT_SLACK = 1e-9
@@ -174,71 +176,51 @@ def predict_best_weight(case: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_md_slice_premise(
-    model: ParametricModel,
-    axis_pair: tuple[int, int],
-    fixed_values,
-    n_grid: int = 101,
-    free_interval: tuple[float, float] | None = None,
-) -> CheckResult:
+def check_md_slice_premise(model: ParametricModel, axis_pair: tuple[int, int], fixed_values) -> CheckResult:
     """Fixed-coordinate slices of the moment surface are strictly monotone curves.
 
-    For each fixed value of the remaining coordinate the slice is traced by
-    solving the constraint along a grid of the model's free parameter, then
-    r_j is checked to be strictly monotone in r_i.  Grid points whose theta
-    leaves the domain are dropped.
+    On a row r_k = P_k(t) h_k(phi) of the product table, holding r_K = m
+    leaves one curve, parametrized by the shape phi, along which t is the fit
+    of P_K(t) = m / h_K(phi).  Along it d log r_k / dphi is
+
+        g_k = (log h_k)'(phi) - [(log P_k)'(t) / (log P_K)'(t)] (log h_K)'(phi),
+
+    so r_j is strictly monotone in r_i exactly where g_i g_j keeps one strict
+    sign, which is read at phi = lo + e^z for each fixed value m, with z on
+    the profile's ``FINE`` grid.  On a scale family (log P_k)'(t) = k / t,
+    so the ratio is k / K whatever t is, and g does not depend on m.  On
+    beta2 t is ``_rising_inverse`` of m phi^[K], and with a_j = 1 / (t+j)
+    and b_j = 1 / (phi+j), g_k A_K = A_k B_K - B_k A_K is a sum of pair
+    terms a_j b_l - a_l b_j = (j - l) (t - phi) a_j a_l b_j b_l, j < k and
+    l < K.  The terms j = l, which cancel exactly and near phi = 0 outweigh
+    the rest, are left out, and g / b is read for g, as every other term has
+    the factor t - phi = -b < 0.  An m off the image raises OutOfImage.
     """
     if model.moment_order != 3 or model.theta_dim != 2:
         return CheckResult("slice_monotonicity", "not_applicable",
                            {"reason": "needs a 3-moment, 2-parameter model"})
     i, j = axis_pair
-    (fixed_coord,) = set(range(3)) - {i, j}
-
-    slices = []
-    skipped = []
-    for value in fixed_values:
-        try:
-            free_idx, build = model.eliminate_for_moment(fixed_coord, float(value))
-        except Exception as exc:
-            skipped.append({"fixed_value": float(value), "reason": str(exc)})
-            continue
-        lo, hi = free_interval if free_interval is not None else _default_free_interval(model, free_idx)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            thetas = build(np.linspace(lo, hi, n_grid))
-            r = model.moments_grid(thetas[model.in_domain(thetas)])
-        if len(r) < 3:
-            skipped.append({"fixed_value": float(value), "reason": "slice empty on the grid"})
-            continue
-        order = np.lexsort((r[:, j], r[:, i]))
-        ri, rj = r[order, i], r[order, j]
-        if np.any(np.diff(ri) <= 0):
-            # Distinct grid points collapsing in r_i would break functionality.
-            keep = np.concatenate([[True], np.diff(ri) > 0])
-            ri, rj = ri[keep], rj[keep]
-        drj = np.diff(rj)
-        monotone = bool(np.all(drj > 0) or np.all(drj < 0))
-        slices.append({"fixed_value": float(value), "n_points": len(ri), "monotone": monotone})
-        if not monotone:
-            k = int(np.argmax((drj[:-1] > 0) & (drj[1:] < 0))) if len(drj) > 1 else 0
-            return CheckResult(
-                "slice_monotonicity",
-                "fail",
-                {"axis_pair": [i, j], "fixed_coordinate": fixed_coord, "slices": slices},
-                witness={"fixed_value": float(value), "turn_near_r_i": float(ri[k])},
-            )
-    if not slices:
-        raise SliceEmpty(f"{model.name}: every requested slice was empty; skipped = {skipped}")
-    return CheckResult(
-        "slice_monotonicity",
-        "pass",
-        {"axis_pair": [i, j], "fixed_coordinate": fixed_coord,
-         "slices": slices, "skipped": skipped},
-    )
-
-
-def _default_free_interval(model: ParametricModel, free_idx: int) -> tuple[float, float]:
-    a = model.domain[free_idx][0] + 1e-3  # every free coordinate is bounded below only
-    return a, a + 10.0
+    (fixed,) = set(range(3)) - {i, j}
+    phi = (model.domain[1 - model.t][0] if model.scale else 0.0) + np.exp(FINE)
+    details = {"axis_pair": [i, j], "fixed_coordinate": fixed, "slices": []}
+    for value in map(float, fixed_values):
+        model.check_image(fixed, value)
+        if model.scale:
+            dh = model.h(phi, 1)[1]
+            g = [dh[k] - (k + 1) / (fixed + 1) * dh[fixed] for k in (i, j)]
+        else:
+            t = _rising_inverse(value / np.column_stack(model.h(phi)[0]))[:, fixed]
+            c = [1.0 / ((t + n) * (phi + n)) for n in range(3)]
+            A = model.P(t, 1)[1][fixed]
+            g = [-sum((p - q) * c[p] * c[q] for p in range(k + 1) for q in range(fixed + 1)) / A
+                 for k in (i, j)]
+        sign = np.broadcast_to(np.sign(g[0] * g[1]), phi.shape)
+        bad = np.flatnonzero((sign != sign[0]) | (sign == 0))
+        details["slices"].append({"fixed_value": value, "monotone": not bad.size})
+        if bad.size:
+            return CheckResult("slice_monotonicity", "fail", details,
+                               witness={"fixed_value": value, "phi": float(phi[bad[0]])})
+    return CheckResult("slice_monotonicity", "pass", details)
 
 
 def check_linear_trajectory(curve: SweepCurve) -> CheckResult:

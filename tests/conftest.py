@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from elicit import analytic_moments, make_model, optimize, profile
 from elicit.config import resolve
@@ -12,6 +13,10 @@ from elicit.verify import analytic_variance_spec as make_variance_spec
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG_DIR = REPO_ROOT / "configs" / "sweeps"
 DIAGNOSTIC_CONFIG_DIR = REPO_ROOT / "configs" / "diagnostics"
+
+# Every property test draws the same examples on every run, with no time limit.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from conftest import load_shipped_configs
-from elicit import analytic_moments, distmodels, make_link, make_model
+from elicit import analytic_moments, distmodels, make_link, make_model, profile
 from elicit.config import resolve
 from elicit.distmodels import (
     LOGLOGISTIC_SHAPE_FLOOR,
@@ -16,12 +16,14 @@ from elicit.distmodels import (
     TEMPLATE_PARAMS,
     SamplingTemplate,
     _ndtri,
+    _rising_inverse,
     _substream,
     _uniform_open,
     sample,
 )
 from elicit.errors import DomainError, OutOfImage
 from elicit.links import link_value
+from elicit.losses import EmpiricalMoments, default_kinds
 from elicit.optimize import default_box, moment_match_init
 from elicit.verify import _FIXED, _JACOBIAN_GRIDS, _VARIANCE_IDENTITIES, fd_jacobian
 
@@ -197,7 +199,7 @@ class TestDomainMask:
         assert not make_model("loglogistic").in_domain([[1.0, 3.5]]).any()
 
 
-# Targets of each moment and values of the free coordinate for elimination.
+# Targets of each held moment and values of the profile's phi along it.
 ELIMINATION_CASES = {
     "lognormal": ([0.5, 5.0, 50.0], np.linspace(0.01, 5.0, 25)),
     "gamma2": ([0.3, 4.0, 200.0], np.geomspace(0.05, 50.0, 25)),
@@ -206,38 +208,49 @@ ELIMINATION_CASES = {
 }
 
 
+def held_curve(model, i, target, phi):
+    """theta at each phi on the curve r_{i+1} = target, as the profile's pinned rows place it."""
+    em = EmpiricalMoments(np.full(3, float(target)), np.zeros(3), 0)
+    rows = profile._Rows(model, em, default_kinds(3), np.zeros((1, 3)), np.array([i]))
+    phi = np.asarray(phi, dtype=float)
+    return rows.point(np.zeros(len(phi), dtype=int), phi)[3]
+
+
+def phi_of(model, thetas):
+    """The profile's phi at each theta: the shape on a scale family, a + b on beta2."""
+    return thetas[:, 1 - model.t] if model.scale else thetas.sum(axis=1)
+
+
 class TestElimination:
+    """The held moment's curve, where one moment can be held, and beta2's inverse of P."""
+
     @pytest.mark.parametrize("name", sorted(TWO_PARAM))
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_build_meets_the_constraint(self, name, i):
         model = make_model(name)
         targets, free = ELIMINATION_CASES[name]
         for target in targets:
-            f, build = model.eliminate_for_moment(i, target)
-            thetas = build(free)
+            thetas = held_curve(model, i, target, free)
             assert thetas.shape == (len(free), 2)
-            assert np.array_equal(thetas[:, f], free)
+            np.testing.assert_allclose(phi_of(model, thetas), free, rtol=1e-15, atol=0.0)
             assert model.in_domain(thetas).all()
             np.testing.assert_allclose(model.moments_grid(thetas)[:, i], target,
                                        rtol=1e-14, atol=0.0, err_msg=f"{name} {target}")
 
     def test_beta2_third_moment_root_is_polished(self):
-        # Where b << a the closed-form root loses digits to the shift by a + 1
-        # (relative error 1e-2 at target 1 - 1e-12); the Newton steps restore
-        # them.  Every term of the polynomial is positive, so its residual
-        # measures the relative error of b.
-        a = np.geomspace(0.01, 100.0, 25)
-        for target in (0.7, 1.0 - 1e-6, 1.0 - 1e-12):
-            b = make_model("beta2").eliminate_for_moment(2, target)[1](a)[:, 1]
-            poly = ((b + 3.0 * (a + 1.0)) * b + 3.0 * a * a + 6.0 * a + 2.0) * b
-            D = a * (a + 1.0) * (a + 2.0) * ((1.0 - target) / target)
-            np.testing.assert_allclose(poly, D, rtol=1e-14, atol=0.0, err_msg=str(target))
+        # Where t << 1 the closed-form root of (t+1)^3 - (t+1) = D loses digits
+        # to the shift by 1; the Newton steps restore them.  Every term of
+        # t^[k] is positive, so its residual measures the relative error of t.
+        D = np.geomspace(1e-12, 1e12, 49)
+        t = _rising_inverse(np.column_stack([D, D, D]))
+        np.testing.assert_allclose(t[:, 1] * (t[:, 1] + 1.0), D, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(t[:, 2] * (t[:, 2] + 1.0) * (t[:, 2] + 2.0), D, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name, target", [("lognormal", 0.0), ("gamma2", -1.0),
                                               ("beta2", 1.0), ("loglogistic", 0.0)])
     def test_unreachable_target_raises(self, name, target):
         with pytest.raises(OutOfImage):
-            make_model(name).eliminate_for_moment(1, target)
+            make_model(name).check_image(1, target)
 
 
 # The per-family moment maps and Jacobians that the product-form table
@@ -416,21 +429,21 @@ class TestMesh:
 class TestTableDerivations:
     @pytest.mark.parametrize("name", sorted(TWO_PARAM))
     @pytest.mark.parametrize("i", [0, 1, 2])
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(s=UNIT, w=UNIT)
     @example(s=1.0, w=0.0)
     @example(s=1.0, w=1.0)
     def test_build_meets_the_constraint(self, name, i, s, w):
         model = make_model(name)
-        theta = family_theta(name, s, w)
-        target = float(model.moments(theta)[i])
-        f, build = model.eliminate_for_moment(i, target)
-        (built,) = build(np.array([theta[f]]))
-        assert built[f] == theta[f] and model.in_domain([built]).all()
-        assert abs(model.moments(built)[i] - target) <= 1e-14 * target, (theta, built)
+        theta = np.array([family_theta(name, s, w)])
+        target = float(model.moments_grid(theta)[0, i])
+        built = held_curve(model, i, target, phi_of(model, theta))
+        assert phi_of(model, built) == pytest.approx(phi_of(model, theta), rel=1e-15, abs=0.0)
+        assert model.in_domain(built).all()
+        assert abs(model.moments_grid(built)[0, i] - target) <= 1e-14 * target, (theta, built)
 
     @pytest.mark.parametrize("name", sorted(TWO_PARAM))
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(s=UNIT, w=UNIT)
     @example(s=1.0, w=0.0)
     @example(s=1.0, w=1.0)

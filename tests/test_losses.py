@@ -76,7 +76,7 @@ class TestSubLoss:
         b=st.floats(0.1, 5),
         side=st.sampled_from([-1.0, 1.0]),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_accuracy_rewarding(self, m, v, scale, a, b, side):
         # Walking toward the sample moment from either side strictly lowers
         # either sub-loss kind.

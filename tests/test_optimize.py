@@ -552,7 +552,7 @@ PROPERTY_MODELS = [
 def reaches(model, i, target):
     """Whether some theta of a 2-parameter model has r_i = target."""
     try:
-        model.eliminate_for_moment(i, target)
+        model.check_image(i, target)
     except OutOfImage:
         return False
     return True
@@ -600,8 +600,13 @@ FLAT_AT_ZERO = [([-0.1, 0.5, 0.4], [1.0, 0.0, 0.0]), ([0.5, -2.0, 0.4], [0.0, 1.
                 ([0.5, 0.4, -0.3], [0.0, 0.0, 1.0])]
 
 
+# Several active sub-losses whose least F at every shape lies at t = 0: the
+# point mass at 0, with loss sum_k c_k m_hat_k^2.
+SEVERAL_AT_ZERO = [([-0.878, 2.631, -5.575], [5.52, 3.89, 7.33]), ([-0.1, 0.5, 0.4], [1.0, 1.0, 0.0])]
+
+
 class TestDefaultSolverProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(off_image_problems())
     # beta2 with m_hat_1 >= 1 (or <= 0) outside its image 0 < r_1 < 1: the
     # infimum is the point mass at 1 (at 0), b -> 0 (a -> 0), for every shape.
@@ -622,6 +627,9 @@ class TestDefaultSolverProperty:
     @example(point_example("loglogistic", *FLAT_AT_ZERO[0]))
     @example(point_example("loglogistic", *FLAT_AT_ZERO[1]))
     @example(point_example("loglogistic", *FLAT_AT_ZERO[2]))
+    # An inner minimum at t = 0 under several active terms: the point mass at 0 again.
+    @example(point_example("lognormal", *SEVERAL_AT_ZERO[0]))
+    @example(point_example("loglogistic", *SEVERAL_AT_ZERO[1]))
     # The minimum at lognormal's closed end v2 = 0, below what six inner steps reach there.
     @example(point_example("lognormal", [-0.787, 2.038, -3.836], [0.0, 4.04, 7.41]))
     # The loss falls as the shape grows without bound (gamma2) or shrinks to
@@ -652,7 +660,8 @@ class TestDefaultSolverProperty:
         ("beta2", [1.0, 0.808, 0.746], [1.0, 0.0, 0.0], 1),
         ("beta2", [1.2, 0.9, 0.8], [1.0, 1.0, 0.0], 1),
         *((name, m_hat, c, 0) for name in ("beta2", "gamma2", "lognormal", "loglogistic")
-          for m_hat, c in FLAT_AT_ZERO)])
+          for m_hat, c in FLAT_AT_ZERO),
+        ("lognormal", *SEVERAL_AT_ZERO[0], 0), ("loglogistic", *SEVERAL_AT_ZERO[1], 0)])
     def test_point_mass_is_a_limit_inside_the_domain(self, name, m_hat, c, b):
         model, em, w, kinds = point_example(name, m_hat, c)
         sol = minimize(model, w, em, kinds)
@@ -662,6 +671,21 @@ class TestDefaultSolverProperty:
         # Every raw moment of the point mass at b is b, so its loss is the infimum.
         infimum = total_loss(w, np.full(3, float(b)), em, kinds)
         assert sol.loss == pytest.approx(infimum, rel=1e-12, abs=1e-30)
+
+    @pytest.mark.parametrize("name,m_hat,c", [
+        ("lognormal", [-0.2538, 0.4635, -0.3203], [4.457, 7.229, 0.34]),
+        ("gamma2", [-0.1291, 1.2903, -0.4954], [9.68, 4.42, 3.73]),
+        ("beta2", [-0.345, 2.118, -2.108], [0.0, 0.19, 3.09])])
+    def test_point_mass_that_a_shape_beats_is_not_converged(self, name, m_hat, c):
+        # The search ends at t = 0, but P dips below the point mass's loss between the
+        # scan's shapes (lognormal's for v2 in about (1, 2.5)), or lies below it at
+        # larger shapes (beta2's, towards the point mass as phi -> inf): that is no limit.
+        model, em, w, kinds = point_example(name, m_hat, c)
+        sol = minimize(model, w, em, kinds)
+        assert model.in_domain(sol.theta_star[None])[0]
+        assert sol.termination == "multimodal" and not sol.converged
+        simplex = minimize(model, w, em, kinds, config=OptimizerConfig(method="nelder_mead"))
+        assert simplex.loss < sol.loss
 
     def test_beta2_mean_constraint_off_its_image_raises(self):
         model, em, _, kinds = point_example("beta2", [1.2, 0.9, 0.8], [1.0, 0.0, 0.0])
@@ -709,7 +733,7 @@ class TestExactMinimum:
     """Every finite-weight 1-parameter problem with two active sub-losses is solved exactly."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(quartic_problems())
     def test_least_stationary_point(self, problem):
         model, w, em, kinds = problem
@@ -830,7 +854,7 @@ def pinned_problems(draw):
 class TestOneEndConvention:
     """A pinned 1-parameter problem, c_i = inf or sub-loss i alone, is the clipped root of r_i."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(pinned_problems())
     @example((POISSON, EmpiricalMoments(np.array([1e-7, 1e-7]), np.zeros(2), 0),
               default_kinds(2), [WeightVector.of([1.0, np.inf]), WeightVector.of([0.0, 1.0])]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from elicit import make_link, make_model
 from elicit.config import resolve
-from elicit.errors import DomainError, MixedCase, TooFewPoints
+from elicit.errors import DomainError, MixedCase, OutOfImage, TooFewPoints
 from elicit.links import contour_slope
 from elicit.sweep import run_sweep
 from scipy.optimize import brentq
@@ -314,48 +314,50 @@ class TestSlopeGapTheorems:
                 assert res.case == "b" and res.boundaries == [] and res.diff_min > 0.0
 
 
-class _NonMonotoneSurface:
-    """Duck-typed 2-parameter model whose slices bend back on themselves."""
+def stand_in_row():
+    """lognormal's P with log h = (0, phi, (phi - 1)^2): holding r_1, r_3 turns at phi = 1."""
+    model = make_model("lognormal")
+    model.name = "stand_in"
+    model.h = lambda x, order=0: [[0.0 * x, x, (x - 1.0) ** 2], [0.0, 1.0, 2.0 * (x - 1.0)]][:order + 1]
+    return model
 
-    name = "synthetic_bend"
-    theta_dim = 2
-    moment_order = 3
-    domain = ((None, None), (None, None))
 
-    def moments_grid(self, thetas):
-        x, y = thetas[:, 0], thetas[:, 1]
-        return np.column_stack([x, y, (x - 1.0) ** 2])
-
-    def in_domain(self, thetas):
-        return np.isfinite(thetas).all(axis=1)
-
-    def eliminate_for_moment(self, i, target):
-        if i != 1:
-            raise ValueError("only the second coordinate is invertible here")
-
-        def build(x):
-            return np.column_stack([x, np.full_like(x, target)])
-
-        return 0, build
+# Values of each held moment: any positive one on a scale family, inside (0, 1) on beta2.
+HELD_VALUES = {"lognormal": [0.5, 2.0, 50.0], "gamma2": [0.5, 2.0, 50.0],
+               "loglogistic": [0.5, 2.0, 50.0],
+               "beta2": [1e-6, 0.05, 0.3, 0.7, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]}
 
 
 class TestSlicePremise:
+    # Every test here also fails on a RuntimeWarning, as all Tier-1 tests do.
     def test_lognormal_slices_fixing_first_moment(self):
-        res = check_md_slice_premise(make_model("lognormal"), (1, 2), [2.0, 5.0, 10.0],
-                                     free_interval=(0.01, 5.0))
+        res = check_md_slice_premise(make_model("lognormal"), (1, 2), [2.0, 5.0, 10.0])
         assert res.passed
         assert all(s["monotone"] for s in res.details["slices"])
 
     def test_lognormal_slices_fixing_third_moment(self):
-        res = check_md_slice_premise(make_model("lognormal"), (0, 1), [50.0, 500.0],
-                                     free_interval=(0.01, 5.0))
+        res = check_md_slice_premise(make_model("lognormal"), (0, 1), [50.0, 500.0])
         assert res.passed
 
+    @pytest.mark.parametrize("name", sorted(HELD_VALUES))
+    @pytest.mark.parametrize("axis_pair", [(1, 2), (0, 2), (0, 1)])
+    def test_product_rows_pass(self, name, axis_pair):
+        res = check_md_slice_premise(make_model(name), axis_pair, HELD_VALUES[name])
+        assert res.passed, res.witness
+        assert [s["fixed_value"] for s in res.details["slices"]] == HELD_VALUES[name]
+
     def test_non_monotone_surface_fails(self):
-        res = check_md_slice_premise(_NonMonotoneSurface(), (0, 2), [1.0],
-                                     free_interval=(-2.0, 4.0))
-        assert res.verdict == "fail"
-        assert res.witness["fixed_value"] == 1.0
+        # On a scale family g_k = (log h_k)' - (k / K) (log h_K)' does not depend on m.
+        for m in (1e-300, 2.0, 1e300):
+            res = check_md_slice_premise(stand_in_row(), (1, 2), [m])
+            assert res.verdict == "fail" and res.witness["fixed_value"] == m
+            assert res.witness["phi"] == 1.0    # g_3 = 2 (phi - 1) is 0 there, a grid point
+
+    @pytest.mark.parametrize("name, value", [("lognormal", 0.0), ("gamma2", -1.0),
+                                             ("beta2", 1.0), ("loglogistic", 0.0)])
+    def test_off_image_value_raises(self, name, value):
+        with pytest.raises(OutOfImage, match="moment 1"):
+            check_md_slice_premise(make_model(name), (1, 2), [0.5, value])
 
     def test_one_param_model_not_applicable(self):
         res = check_md_slice_premise(make_model("poisson"), (0, 1), [1.0])
@@ -409,7 +411,7 @@ class TestLogNormalIdentities:
         assert resid == 0.0
 
     @given(u=st.floats(-20, 20), v2=st.floats(0, 20))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_hyperplane_residual_everywhere(self, u, v2):
         _, resid = lognormal_log_map([u, v2])
         assert resid < 1e-9 * (1 + 3 * abs(u) + 5 * v2)
